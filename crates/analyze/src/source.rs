@@ -269,9 +269,19 @@ impl SourceFile {
                 }
                 Some("fn") => {
                     let name = self.ident_at(i + 1).unwrap_or_default().to_owned();
+                    // The body opens at the first `{` outside the
+                    // signature's parentheses and brackets; a `;` there
+                    // ends a bodiless declaration, but one inside them
+                    // belongs to an array type (`-> [f64; N]`).
                     let mut j = i + 2;
-                    while j < self.tokens.len() && !self.is_punct(j, '{') && !self.is_punct(j, ';')
-                    {
+                    let mut depth = 0usize;
+                    while j < self.tokens.len() {
+                        match self.tokens[j].kind {
+                            TokenKind::Punct('(' | '[') => depth += 1,
+                            TokenKind::Punct(')' | ']') => depth = depth.saturating_sub(1),
+                            TokenKind::Punct('{' | ';') if depth == 0 => break,
+                            _ => {}
+                        }
                         j += 1;
                     }
                     if self.is_punct(j, '{') {
@@ -444,6 +454,18 @@ mod tests {
         assert!(file.allowed("indexing", 3).is_some());
         assert!(file.allowed("indexing", 4).is_some());
         assert!(file.allowed("indexing", 6).is_none());
+    }
+
+    #[test]
+    fn fn_scope_allow_spans_array_typed_signatures() {
+        // A `;` inside the signature's array types must not end the
+        // item: the allow covers `row` alone, not `run` after it.
+        let src = "// analyze::allow(indexing, scope = \"fn\", reason = \"r < len\")\nfn row(x: [u8; 2]) -> [f64; 4] {\n  a[r];\n}\nfn run() {\n  b[j];\n}\ntrait T { fn decl(&self) -> [u8; 2]; }\n";
+        let file = SourceFile::parse("x.rs", src);
+        assert!(file.allowed("indexing", 3).is_some());
+        assert!(file.allowed("indexing", 6).is_none());
+        let names: Vec<&str> = file.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["row", "run"]);
     }
 
     #[test]

@@ -10,13 +10,11 @@
 //!   [`f1_components::AlgorithmId`]) against a dense
 //!   [`ThroughputTable`], so the hot loop performs **zero string hashing
 //!   and zero per-candidate allocation**;
-//! * evaluation runs through
-//!   [`parallel_map_indices`](crate::sweep::parallel_map_indices) in
-//!   work-stealing-friendly chunks **sized automatically from the job
-//!   count and core count** ([`Engine::with_chunk_size`] pins an
-//!   explicit override), and **propagates** model errors as
-//!   [`SkylineError`] instead of panicking (an un-liftable payload is an
-//!   infeasible outcome, not an error);
+//! * every query runs on the shard kernel ([`crate::shard`]), which
+//!   evaluates (airframe × knob setting)-aligned shards in parallel
+//!   and **propagates** model errors as [`SkylineError`] instead of
+//!   panicking (an un-liftable payload is an infeasible outcome, not
+//!   an error);
 //! * [`Engine::explore_all`] batches every airframe into one parallel
 //!   evaluation, and [`Exploration::pareto_frontier`] reports the
 //!   non-dominated builds over (safe velocity ↑, total TDP ↓, payload
@@ -239,9 +237,6 @@ pub struct Engine<'c> {
     table: ThroughputTable,
     heatsink: HeatsinkModel,
     saturation: Saturation,
-    /// Explicit work-stealing chunk override; `None` means autotune per
-    /// workload via [`crate::sweep::auto_chunk_size`].
-    chunk_size: Option<usize>,
 }
 
 impl<'c> Engine<'c> {
@@ -259,23 +254,7 @@ impl<'c> Engine<'c> {
             table: catalog.throughput_table(),
             heatsink: HeatsinkModel::paper_calibrated(),
             saturation: Saturation::DEFAULT,
-            chunk_size: None,
         }
-    }
-
-    /// Pins the work-stealing chunk size, overriding the default
-    /// autotune (which derives the chunk from the job count and the
-    /// machine's available parallelism — see
-    /// [`crate::sweep::auto_chunk_size`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunk_size = Some(chunk_size);
-        self
     }
 
     /// Overrides the heatsink model used to convert TDP into payload.
@@ -307,8 +286,8 @@ impl<'c> Engine<'c> {
     /// candidate (airframe-independent), in deterministic name order —
     /// sensor-major over
     /// [`ThroughputTable::characterized_pairs`](f1_components::ThroughputTable::characterized_pairs),
-    /// the same pair order the sharded streaming executor
-    /// ([`crate::shard`]) decodes candidates from.
+    /// the same pair order the shard kernel ([`crate::shard`]) decodes
+    /// candidates from.
     pub fn candidates(&self) -> impl Iterator<Item = Candidate> + '_ {
         self.sensors.iter().flat_map(move |&sensor| {
             self.table
@@ -377,8 +356,8 @@ impl<'c> Engine<'c> {
         )
     }
 
-    /// Projects this engine into the shared-pass executor's borrowed
-    /// context, so [`Query::run`](crate::query::Query::run) and
+    /// Projects this engine into the executors' borrowed context, so
+    /// [`Query::run`](crate::query::Query::run) and
     /// [`Session`](crate::session::Session) execute identical code.
     pub(crate) fn pass_context(&self) -> crate::session::PassContext<'_> {
         crate::session::PassContext {
@@ -390,7 +369,6 @@ impl<'c> Engine<'c> {
             table: &self.table,
             heatsink: &self.heatsink,
             saturation: self.saturation,
-            chunk_size: self.chunk_size,
         }
     }
 
@@ -603,7 +581,7 @@ pub(crate) fn evaluate_parts_with(
 /// The algorithm-independent half of [`evaluate_parts_with`]: everything
 /// that depends only on (airframe, sensor, compute platform, extra
 /// payload) — payload mass, loaded dynamics, the safety model and the
-/// roofline. The sharded streaming executor of [`crate::shard`] hoists
+/// roofline. The shard kernel of [`crate::shard`] hoists
 /// this out of its inner loop, computing it once per (sensor, compute)
 /// pair instead of once per candidate; [`algo_stage`] finishes the job
 /// per algorithm. Splitting here cannot change bits: the composition is
@@ -633,8 +611,8 @@ pub(crate) enum PairStage {
 impl PairStage {
     /// Whether candidates of this pair come out feasible. Feasibility is
     /// decided entirely at the pair stage (it is a mass/thrust check),
-    /// which is what lets the streaming executor hoist the mission power
-    /// model per pair.
+    /// which is what lets the shard kernel hoist the mission power model
+    /// per pair.
     pub(crate) fn feasible(&self) -> bool {
         matches!(self, PairStage::Ready { .. })
     }
@@ -981,20 +959,6 @@ mod tests {
         assert!(frontier
             .iter()
             .any(|p| p.evaluated.outcome.velocity.get() == best_velocity));
-    }
-
-    #[test]
-    fn chunk_size_does_not_change_results() {
-        let catalog = Catalog::paper();
-        let baseline = Engine::new(&catalog).explore_all().unwrap();
-        for chunk_size in [1, 3, 64, 10_000] {
-            let engine = Engine::new(&catalog).with_chunk_size(chunk_size);
-            assert_eq!(
-                engine.explore_all().unwrap(),
-                baseline,
-                "chunk {chunk_size}"
-            );
-        }
     }
 
     #[test]

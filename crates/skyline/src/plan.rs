@@ -9,8 +9,9 @@
 //! request: objectives, constraints, Table II knob sweeps (expanded and
 //! validated at build time) and an optional subspace restriction, with
 //! **no engine or catalog lifetime** anywhere in the type. Plans execute
-//! against a [`Session`](crate::Session), which runs batches of them in
-//! one fused parallel pass and memoizes results under each plan's
+//! against a [`Session`](crate::Session), which runs each plan on the
+//! shard kernel (batches of plans with one evaluation signature in one
+//! fused parallel pass) and memoizes results under each plan's
 //! [canonical key](QueryPlan::key).
 //!
 //! ```
@@ -42,23 +43,24 @@ use crate::SkylineError;
 /// Version prefix of the canonical plan key format.
 const KEY_PREFIX: &str = "f1.plan.v1";
 
-/// Point-materialization policy of a plan: whether the executor stores
-/// every kept [`QueryPoint`](crate::query::QueryPoint) in the result, or
-/// streams the evaluation and keeps only the Pareto frontier, a bounded
-/// top-k and the accounting counters (see the *streamed mode* section of
+/// Point-materialization policy of a plan: what the shard kernel
+/// ([`crate::shard`]) retains, not which executor runs. Retaining keeps
+/// every kept [`QueryPoint`](crate::query::QueryPoint) in the result;
+/// streaming keeps only the Pareto frontier, a bounded top-k and the
+/// accounting counters (see the *streamed mode* section of
 /// [`ResultSet`](crate::session::ResultSet)).
 ///
 /// Streaming bounds peak memory by O(shard + frontier + k) instead of
 /// O(candidates), which is what makes 10⁷–10⁸-candidate spaces
 /// practical; the frontier, top-k ranking and all counters are
-/// bit-identical to the materializing path.
+/// bit-identical to a retaining run of the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum KeepPoints {
-    /// Materialize below [`STREAM_AUTO_THRESHOLD`](crate::shard::STREAM_AUTO_THRESHOLD)
+    /// Retain every point up to [`STREAM_AUTO_THRESHOLD`](crate::shard::STREAM_AUTO_THRESHOLD)
     /// evaluation jobs, stream above it. The default.
     #[default]
     Auto,
-    /// Always materialize every kept point, whatever the scale.
+    /// Always retain every kept point, whatever the scale.
     All,
     /// Always stream: frontier + top-k + accounting only.
     FrontierOnly,

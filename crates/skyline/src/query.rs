@@ -10,8 +10,8 @@
 //!
 //! Since the compile/execute split, [`Query`] is a thin borrowed facade:
 //! [`Query::run`] compiles the request into an owned
-//! [`QueryPlan`] and executes it through the
-//! same fused shared-pass core that backs [`Session`](crate::Session) —
+//! [`QueryPlan`] and executes it on the
+//! same shard kernel that backs [`Session::run`](crate::Session::run) —
 //! use [`Query::plan`] to keep the compiled plan and hand it to a
 //! session for caching, batching and multi-threaded serving.
 //!
@@ -88,6 +88,16 @@ impl Objective {
     #[must_use]
     pub fn maximize(self) -> bool {
         matches!(self, Self::SafeVelocity | Self::HoverEnduranceMin)
+    }
+
+    /// `v` as a key to minimize: negated when bigger is better — the
+    /// convention of every frontier over objective values.
+    pub(crate) fn minimized(self, v: f64) -> f64 {
+        if self.maximize() {
+            -v
+        } else {
+            v
+        }
     }
 
     /// Position of this objective in [`Objective::ALL`] — the slot it
@@ -592,7 +602,7 @@ impl<'e, 'c> Query<'e, 'c> {
     /// Sets the point-materialization policy (see
     /// [`KeepPoints`](crate::KeepPoints)): `Auto` (default) streams
     /// only past [`crate::shard::STREAM_AUTO_THRESHOLD`] candidates,
-    /// `All` always materializes, `FrontierOnly` always streams.
+    /// `All` always retains every point, `FrontierOnly` always streams.
     #[must_use]
     pub fn keep_points(mut self, keep_points: crate::KeepPoints) -> Self {
         self.builder = self.builder.keep_points(keep_points);
@@ -617,13 +627,14 @@ impl<'e, 'c> Query<'e, 'c> {
         self.builder.clone().build()
     }
 
-    /// Compiles and runs the query: one fused batched parallel pass over
+    /// Compiles and runs the query: one parallel shard-kernel pass over
     /// every airframe × knob setting × characterized candidate —
-    /// evaluation, constraint filtering **and** objective extraction all
-    /// happen inside the pass — followed by the O(n log n) frontier.
+    /// evaluation, constraint filtering, objective extraction and the
+    /// per-shard skylines all happen inside the pass — followed by the
+    /// exact frontier merge.
     ///
     /// This is a compatibility wrapper over [`plan`](Self::plan) plus
-    /// the shared-pass executor that backs
+    /// the shard kernel ([`crate::shard`]) that backs
     /// [`Session::run`](crate::Session::run); unlike a session it
     /// caches nothing.
     ///

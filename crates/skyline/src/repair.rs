@@ -14,8 +14,8 @@
 //! * **Retired** candidates are masked out of the merged result.
 //! * **Net-new** candidates (any fresh part, or a re-characterized /
 //!   newly characterized throughput pair) are the only ones evaluated,
-//!   through the same fused parallel pass as a cold run — as a handful
-//!   of cross-product *slabs* that exactly tile `new-space ∖ survivors`.
+//!   on the shard kernel like a cold run — as a handful of
+//!   cross-product *slabs* that exactly tile `new-space ∖ survivors`.
 //! * The merged point list is reassembled in the **new epoch's
 //!   enumeration order**, and the new frontier is obtained by merging
 //!   the incremental skyline of the delta points into the cached
@@ -33,9 +33,9 @@ use std::sync::Arc;
 use f1_components::{AirframeId, AlgorithmId, ComputeId, SensorId, ThroughputTable};
 
 use crate::frontier;
-use crate::plan::QueryPlan;
+use crate::plan::{KeepPoints, QueryPlan};
 use crate::query::{KnobSetting, Objective, QueryPoint};
-use crate::session::{run_plans, EpochState, PassContext, PointRef, ResultSet};
+use crate::session::{minimized_row, run_plans, EpochState, PassContext, PointRef, ResultSet};
 use crate::SkylineError;
 
 /// Outcome of a repair attempt.
@@ -125,7 +125,7 @@ fn family_delta(
 }
 
 /// Arithmetic index of the new epoch's candidate enumeration (the
-/// sensor-major, compute-middle, algorithm-minor nesting of the fused
+/// sensor-major, compute-middle, algorithm-minor nesting of a cold
 /// pass, filtered to characterized pairs): position lookups are a few
 /// array reads, no hashing — the repair touches every surviving point
 /// once, so this is the hot loop.
@@ -227,7 +227,8 @@ struct DeltaPoint {
 }
 
 /// Builds a plan identical to `plan` except restricted to one
-/// cross-product slab of the delta space.
+/// cross-product slab of the delta space. The slab always retains its
+/// points, whatever its size: the merge splices every one of them.
 fn slab_plan(
     plan: &QueryPlan,
     airframes: &[u32],
@@ -238,6 +239,7 @@ fn slab_plan(
     let mut builder = QueryPlan::builder()
         .objectives(plan.objectives())
         .mission_profile(plan.mission_profile())
+        .keep_points(KeepPoints::All)
         .airframes(&raw_ids::<AirframeId>(airframes))
         .sensors(&raw_ids::<SensorId>(sensors))
         .computes(&raw_ids::<ComputeId>(computes))
@@ -297,20 +299,135 @@ fn skyline_of(
             }
         }
         map.push(m as u32);
-        keys.extend(columns.iter().zip(objectives).map(
-            |(c, o)| {
-                if o.maximize() {
-                    -c[m]
-                } else {
-                    c[m]
-                }
-            },
-        ));
+        keys.extend(minimized_row(columns, objectives, m));
     }
     frontier::pareto_min(dims, &keys)
         .into_iter()
         .map(|i| map[i])
         .collect()
+}
+
+/// frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)) for two
+/// skylines `s` (the survivors') and `d` (the delta points'), as
+/// ascending merged indices. Dominance is transitive, so every dominated
+/// point has a frontier dominator, and no member of a skyline dominates
+/// another member of it. So the delta points that join are those no
+/// survivor dominates, and only they can push a survivor out: a delta
+/// point that survivor `t` dominates cannot dominate another survivor,
+/// or `t` would too. Against a small delta set that is far fewer
+/// dominance probes than a skyline over the union.
+fn union_frontier(
+    s: &[u32],
+    d: &[u32],
+    columns: &[Vec<f64>],
+    objectives: &[Objective],
+) -> Vec<usize> {
+    let dims = objectives.len();
+    let keys = |members: &[u32]| -> Vec<f64> {
+        members
+            .iter()
+            .flat_map(|&m| minimized_row(columns, objectives, m as usize))
+            .collect()
+    };
+    let undominated = |members: &[u32], rows: &[f64], others: &[f64]| -> (Vec<u32>, Vec<f64>) {
+        let mut kept = (Vec::new(), Vec::new());
+        for (&m, row) in members.iter().zip(rows.chunks_exact(dims)) {
+            if !others
+                .chunks_exact(dims)
+                .any(|other| frontier::dominates_min(other, row))
+            {
+                kept.0.push(m);
+                kept.1.extend_from_slice(row);
+            }
+        }
+        kept
+    };
+    let s_keys = keys(s);
+    let (joining, joining_keys) = undominated(d, &keys(d), &s_keys);
+    let (mut out, _) = undominated(s, &s_keys, &joining_keys);
+    out.extend(joining);
+    out.sort_unstable();
+    out.into_iter().map(|m| m as usize).collect()
+}
+
+/// The repaired result under construction: 8-byte point references
+/// plus the f64 columns. The surviving point rows are NOT copied: the
+/// store is `cached`'s segments plus ONE fresh segment gathering the
+/// (small) delta set — one segment per repair, not per slab, so chained
+/// refreshes reach `refresh`'s compaction threshold by repair count,
+/// not by slab count. Survivor *runs* (maximal stretches of consecutive
+/// cached indices with no delta point between them) go through bulk
+/// extends.
+struct Merged<'c> {
+    cached: &'c ResultSet,
+    kept: Vec<PointRef>,
+    columns: Vec<Vec<f64>>,
+    /// The delta points, in merge order.
+    fresh: Vec<QueryPoint>,
+    /// The segment index `fresh` will take.
+    fresh_segment: u32,
+    /// Merged position of every delta point, ascending.
+    of_delta: Vec<u32>,
+    /// Merged positions of the cached frontier points that survived,
+    /// ascending.
+    frontier_survivors: Vec<u32>,
+    /// How far the cached frontier has been walked.
+    frontier_cursor: usize,
+}
+
+impl<'c> Merged<'c> {
+    /// Sized for every cached point surviving plus `delta` fresh ones.
+    fn new(cached: &'c ResultSet, fresh_segment: u32, delta: usize) -> Self {
+        let capacity = cached.len() + delta;
+        Self {
+            cached,
+            kept: Vec::with_capacity(capacity),
+            columns: (0..cached.objectives().len())
+                .map(|_| Vec::with_capacity(capacity))
+                .collect(),
+            fresh: Vec::with_capacity(delta),
+            fresh_segment,
+            of_delta: Vec::with_capacity(delta),
+            frontier_survivors: Vec::with_capacity(cached.frontier().len()),
+            frontier_cursor: 0,
+        }
+    }
+
+    /// Appends the cached rows `lo..hi`, all survivors. Cached frontier
+    /// points below `hi` that no run covered were dead.
+    // analyze::allow(indexing, scope = "fn", reason = "lo <= hi <= cached.len(); the frontier cursor is checked against the frontier length")
+    fn extend_cached(&mut self, lo: usize, hi: usize) {
+        let frontier = self.cached.frontier();
+        while let Some(&f) = frontier.get(self.frontier_cursor) {
+            if f >= hi {
+                break;
+            }
+            if f >= lo {
+                self.frontier_survivors
+                    .push((self.kept.len() + (f - lo)) as u32);
+            }
+            self.frontier_cursor += 1;
+        }
+        self.kept.extend((lo..hi).map(|i| self.cached.point_ref(i)));
+        for (pos, column) in self.columns.iter_mut().enumerate() {
+            column.extend_from_slice(&self.cached.column(pos)[lo..hi]);
+        }
+    }
+
+    /// Appends point `idx` of a delta slab.
+    // analyze::allow(indexing, scope = "fn", reason = "idx < slab.len(): delta points were collected from 0..slab.len()")
+    // analyze::allow(panic, scope = "fn", reason = "delta sets are a few thousand points at most, far inside u32")
+    fn push_delta(&mut self, slab: &ResultSet, idx: usize) {
+        self.of_delta.push(self.kept.len() as u32);
+        self.kept.push(PointRef {
+            segment: self.fresh_segment,
+            index: u32::try_from(self.fresh.len()).expect("delta sets stay small"),
+        });
+        self.fresh.push(*slab.point(idx));
+        for (pos, column) in self.columns.iter_mut().enumerate() {
+            column.push(slab.column(pos)[idx]);
+        }
+    }
 }
 
 /// Repairs `cached` (computed at `old`) into the result the same plan
@@ -436,7 +553,7 @@ pub(crate) fn repair_result(
     // The delta slabs exactly tile `new-space ∖ (retained × retained ×
     // retained × retained-with-unchanged-throughput)` as disjoint cross
     // products, so every non-survivor candidate is evaluated exactly
-    // once and through the same fused pass as a cold run.
+    // once and on the same kernel as a cold run.
     type SlabSpec<'s> = (&'s [u32], &'s [u32], &'s [u32], &'s [u32]);
     let mut specs: Vec<SlabSpec<'_>> = vec![
         (
@@ -475,21 +592,7 @@ pub(crate) fn repair_result(
             continue;
         }
         let slab = slab_plan(plan, a, s, c, g)?;
-        // Small slabs (the typical patched-pair case: one compute × a
-        // few algorithms) run serially: a single chunk skips the
-        // worker-thread spawn entirely, whose overhead would otherwise
-        // dominate a ≤1% repair. Large slabs keep the autotuned
-        // parallel pass.
-        let job_bound = a.len() * s.len() * c.len() * g.len() * settings.len();
-        let slab_ctx = PassContext {
-            chunk_size: if job_bound <= 4096 {
-                Some(job_bound.max(1))
-            } else {
-                ctx.chunk_size
-            },
-            ..*ctx
-        };
-        let mut results = run_plans(&slab_ctx, &[&slab], false)?;
+        let mut results = run_plans(ctx, &[&slab], false)?;
         slabs.push(results.pop().expect("one slab plan in, one result out"));
     }
 
@@ -512,17 +615,23 @@ pub(crate) fn repair_result(
     }
     delta.sort_unstable_by_key(|d| d.job);
 
-    // Classify the cached points: survivors keep all parts enumerated
-    // AND their throughput pair unchanged (a changed pair re-evaluates
-    // through its slab). Survivors come out in ascending new-enumeration
-    // order — retained ids keep their relative order, so the cached
-    // order IS the new order restricted to survivors. `nonfinite` is
-    // maintained by *subtracting* the dead points' contribution from the
-    // cached count (deaths are the small set; a full recount would
-    // rescan every column).
+    // One linear merge over the cached points into the new enumeration
+    // order. Survivors keep all parts enumerated AND their throughput
+    // pair unchanged (a changed pair re-evaluates through its slab);
+    // they come out in ascending new-enumeration order — retained ids
+    // keep their relative order, so the cached order IS the new order
+    // restricted to survivors — and each delta point is emitted before
+    // the first survivor whose job follows it. `nonfinite` is maintained
+    // by *subtracting* the dead points' contribution from the cached
+    // count (deaths are the small set; a full recount would rescan
+    // every column).
     let dims = plan.objectives().len();
-    let mut survivors: Vec<(u32, u64)> = Vec::with_capacity(cached.len());
+    let mut segments: Vec<Arc<Vec<QueryPoint>>> = cached.segments().to_vec();
+    let mut merged = Merged::new(cached, segments.len() as u32, delta.len());
     let mut nonfinite = cached.nonfinite();
+    let mut pending = delta.iter().peekable();
+    // First cached index of the survivor run not yet emitted.
+    let mut run_lo = 0usize;
     let mut last_job = None::<u64>;
     for i in 0..cached.len() {
         let point = cached.point(i);
@@ -530,98 +639,45 @@ pub(crate) fn repair_result(
             .table
             .get(point.candidate.compute, point.candidate.algorithm)
             == Some(point.candidate.throughput);
-        let job = if alive { order.job_of(point) } else { None };
-        match job {
-            Some(job) => {
-                debug_assert!(last_job.map_or(true, |last| last < job), "survivor order");
-                last_job = Some(job);
-                survivors.push((i as u32, job));
+        let Some(job) = (if alive { order.job_of(point) } else { None }) else {
+            merged.extend_cached(run_lo, i);
+            run_lo = i + 1;
+            if point.outcome.feasible && (0..dims).any(|pos| !cached.column(pos)[i].is_finite()) {
+                nonfinite -= 1;
             }
-            None => {
-                if point.outcome.feasible && (0..dims).any(|pos| !cached.column(pos)[i].is_finite())
-                {
-                    nonfinite -= 1;
-                }
+            continue;
+        };
+        debug_assert!(last_job.map_or(true, |last| last < job), "survivor order");
+        last_job = Some(job);
+        if pending.peek().is_some_and(|d| d.job < job) {
+            merged.extend_cached(run_lo, i);
+            run_lo = i;
+            while let Some(d) = pending.next_if(|d| d.job < job) {
+                merged.push_delta(&slabs[d.slab as usize], d.idx as usize);
             }
         }
-    }
-
-    // Linear merge into the new enumeration order. The surviving
-    // point rows are NOT copied: the merged result's segmented store is
-    // `cached`'s segments plus ONE fresh segment gathering the (small)
-    // delta set — one segment per repair, not per slab, so chained
-    // refreshes reach `refresh`'s compaction threshold by repair count,
-    // not by slab count. The merge assembles 8-byte point references
-    // (survivor *runs* — maximal stretches of consecutive cached
-    // indices with no delta point interleaving — go through bulk
-    // extends) plus the f64 columns.
-    let capacity = survivors.len() + delta.len();
-    let mut segments: Vec<Arc<Vec<QueryPoint>>> = cached.segments().to_vec();
-    let cached_segments = segments.len() as u32;
-    let mut fresh: Vec<QueryPoint> = Vec::with_capacity(delta.len());
-    let mut kept: Vec<PointRef> = Vec::with_capacity(capacity);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(capacity); dims];
-    let mut merged_of_cached: Vec<Option<u32>> = vec![None; cached.len()];
-    let mut merged_of_delta: Vec<u32> = Vec::with_capacity(delta.len());
-    let emit_delta = |dp: &DeltaPoint,
-                      kept: &mut Vec<PointRef>,
-                      columns: &mut [Vec<f64>],
-                      merged_of_delta: &mut Vec<u32>,
-                      fresh: &mut Vec<QueryPoint>| {
-        let slab = &slabs[dp.slab as usize];
-        let idx = dp.idx as usize;
-        merged_of_delta.push(kept.len() as u32);
-        kept.push(PointRef {
-            segment: cached_segments,
-            index: u32::try_from(fresh.len()).expect("delta sets stay small"),
-        });
-        fresh.push(*slab.point(idx));
-        for (pos, column) in columns.iter_mut().enumerate() {
-            column.push(slab.column(pos)[idx]);
-        }
-    };
-    let (mut si, mut di) = (0usize, 0usize);
-    while si < survivors.len() {
-        while di < delta.len() && delta[di].job < survivors[si].1 {
-            emit_delta(
-                &delta[di],
-                &mut kept,
-                &mut columns,
-                &mut merged_of_delta,
-                &mut fresh,
-            );
-            di += 1;
-        }
-        // Extend the run while cached indices stay consecutive and no
-        // pending delta point interposes.
-        let limit = delta.get(di).map_or(u64::MAX, |d| d.job);
-        debug_assert!(survivors[si].1 != limit, "slabs and survivors are disjoint");
-        let run_start = si;
-        let first = survivors[si].0;
-        while si < survivors.len()
-            && survivors[si].1 < limit
-            && survivors[si].0 - first == (si - run_start) as u32
-        {
-            si += 1;
-        }
-        let (lo, hi) = (first as usize, survivors[si - 1].0 as usize + 1);
-        for (offset, slot) in merged_of_cached[lo..hi].iter_mut().enumerate() {
-            *slot = Some((kept.len() + offset) as u32);
-        }
-        kept.extend((lo..hi).map(|i| cached.point_ref(i)));
-        for (pos, column) in columns.iter_mut().enumerate() {
-            column.extend_from_slice(&cached.column(pos)[lo..hi]);
-        }
-    }
-    while di < delta.len() {
-        emit_delta(
-            &delta[di],
-            &mut kept,
-            &mut columns,
-            &mut merged_of_delta,
-            &mut fresh,
+        debug_assert!(
+            pending.peek().map_or(true, |d| d.job != job),
+            "slabs and survivors are disjoint"
         );
-        di += 1;
+    }
+    merged.extend_cached(run_lo, cached.len());
+    for d in pending {
+        merged.push_delta(&slabs[d.slab as usize], d.idx as usize);
+    }
+    let Merged {
+        mut kept,
+        mut columns,
+        fresh,
+        of_delta,
+        frontier_survivors,
+        ..
+    } = merged;
+    // The buffers were sized for every cached point surviving; release
+    // what the dead ones left unused.
+    kept.shrink_to_fit();
+    for column in &mut columns {
+        column.shrink_to_fit();
     }
     if !fresh.is_empty() {
         segments.push(Arc::new(fresh));
@@ -642,30 +698,18 @@ pub(crate) fn repair_result(
             .feasible
     };
     let objectives = plan.objectives();
-    let all_survive = cached
-        .frontier()
-        .iter()
-        .all(|&i| merged_of_cached[i].is_some());
-    let base: Vec<u32> = if all_survive {
-        cached
-            .frontier()
-            .iter()
-            .map(|&i| merged_of_cached[i].expect("checked above"))
-            .collect()
+    let base: Vec<u32> = if frontier_survivors.len() == cached.frontier().len() {
+        frontier_survivors
     } else {
-        let survivor_indices: Vec<u32> = merged_of_cached.iter().flatten().copied().collect();
+        // Survivors are every merged position a delta point did not take.
+        let mut deltas = of_delta.iter().copied().peekable();
+        let survivor_indices: Vec<u32> = (0..kept.len() as u32)
+            .filter(|&m| deltas.next_if_eq(&m).is_none())
+            .collect();
         skyline_of(&survivor_indices, &feasible, &columns, objectives)
     };
-    let delta_skyline = skyline_of(&merged_of_delta, &feasible, &columns, objectives);
-    // frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)): dominance
-    // is transitive, so every dominated point has a frontier dominator.
-    let mut union = base;
-    union.extend(delta_skyline);
-    let mut merged_frontier: Vec<usize> = skyline_of(&union, &feasible, &columns, objectives)
-        .into_iter()
-        .map(|m| m as usize)
-        .collect();
-    merged_frontier.sort_unstable();
+    let delta_skyline = skyline_of(&of_delta, &feasible, &columns, objectives);
+    let merged_frontier = union_frontier(&base, &delta_skyline, &columns, objectives);
 
     Ok(Repair::Repaired(Box::new(ResultSet::from_segments(
         objectives.to_vec(),

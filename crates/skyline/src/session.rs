@@ -7,6 +7,9 @@
 //! the public API), is `Send + Sync`, and executes owned
 //! [`QueryPlan`]s:
 //!
+//! * [`Session::run`] executes one plan on the shard kernel
+//!   ([`crate::shard`]), which hoists the algorithm-independent work per
+//!   (sensor, compute) pair and reduces shards in parallel.
 //! * [`Session::run_batch`] fuses a whole batch of plans into **one**
 //!   parallel pass — candidates are enumerated and the momentum-theory
 //!   outcome evaluated *once*, then each plan's constraint filter and
@@ -27,7 +30,7 @@
 //! let plan = QueryPlan::builder()
 //!     .objectives(&[Objective::SafeVelocity, Objective::TotalTdp])
 //!     .build()?;
-//! let result = session.run(&plan)?;          // one fused pass
+//! let result = session.run(&plan)?;          // one kernel pass
 //! let again = session.run(&plan)?;           // plan-cache hit
 //! assert!(Arc::ptr_eq(&result, &again));
 //! let top = result.top_k(3);                 // bounded-heap, no full sort
@@ -56,7 +59,7 @@ use crate::plan::QueryPlan;
 use crate::query::{
     Constraint, Knob, KnobSetting, MissionProfile, Objective, QueryPoint, MAX_OBJECTIVES,
 };
-use crate::sweep::parallel_map_indices;
+use crate::sweep::{auto_chunk_size, parallel_map_indices};
 use crate::tier2::{SharedTier2, SimBlock, SimStats, Tier2Context};
 use crate::{frontier, SkylineError};
 
@@ -94,13 +97,12 @@ use crate::{frontier, SkylineError};
 /// # Streamed mode
 ///
 /// Plans whose [`KeepPoints`](crate::plan::KeepPoints) policy resolves
-/// to streaming are executed by the sharded streaming executor
-/// ([`crate::shard`]), which never materializes the full point store:
-/// the result keeps the Pareto frontier, a bounded top-k
+/// to streaming never materialize the full point store: the shard
+/// kernel ([`crate::shard`]) keeps the Pareto frontier, a bounded top-k
 /// ([`crate::shard::STREAM_TOP_K`] indices) and the accounting
-/// counters, all **bit-identical** to the materializing pass and still
-/// addressed by the same global enumeration indices. Accessors that
-/// need an arbitrary point ([`points`](Self::points),
+/// counters, all **bit-identical** to a materializing run of the same
+/// plan and still addressed by the same global enumeration indices.
+/// Accessors that need an arbitrary point ([`points`](Self::points),
 /// [`minimized_keys`](Self::minimized_keys), [`point`](Self::point) on
 /// a non-stored index) panic with a clear message in streamed mode;
 /// [`frontier`](Self::frontier), [`top_k`](Self::top_k),
@@ -132,7 +134,7 @@ pub struct ResultSet {
     uncharacterized: usize,
     dropped: usize,
     nonfinite: usize,
-    /// `Some` when this result was produced by the streaming executor:
+    /// `Some` when this result was produced in streaming mode:
     /// segment 0 holds only the stored (frontier ∪ top-k) points and
     /// `columns` only their rows, while indices everywhere stay global.
     streamed: Option<StreamedMeta>,
@@ -807,13 +809,7 @@ impl ResultSet {
                 }
             }
             map.push(i);
-            keys.extend(self.columns.iter().zip(&self.objectives).map(|(c, o)| {
-                if o.maximize() {
-                    -c[i]
-                } else {
-                    c[i]
-                }
-            }));
+            keys.extend(minimized_row(&self.columns, &self.objectives, i));
         }
         (keys, map)
     }
@@ -979,6 +975,22 @@ impl ResultSet {
     }
 }
 
+/// Row `row` of row-aligned objective `columns` as minimized keys
+/// ([`Objective::minimized`]), one per objective, in order — the key
+/// convention of [`ResultSet::minimized_keys`] and every executor's
+/// frontier.
+pub(crate) fn minimized_row<'a>(
+    columns: &'a [Vec<f64>],
+    objectives: &'a [Objective],
+    row: usize,
+) -> impl Iterator<Item = f64> + 'a {
+    columns
+        .iter()
+        .zip(objectives)
+        // analyze::allow(indexing, reason = "callers pass a row of these row-aligned columns")
+        .map(move |(c, o)| o.minimized(c[row]))
+}
+
 /// One fixed-size window of a [`ResultSet`], for paged serving.
 #[derive(Debug, Clone, Copy)]
 pub struct ResultPage<'a> {
@@ -1076,21 +1088,13 @@ pub(crate) struct PassContext<'a> {
     pub table: &'a ThroughputTable,
     pub heatsink: &'a HeatsinkModel,
     pub saturation: Saturation,
-    pub chunk_size: Option<usize>,
-}
-
-impl PassContext<'_> {
-    pub(crate) fn chunk_size_for(&self, jobs: usize) -> usize {
-        self.chunk_size
-            .unwrap_or_else(|| crate::sweep::auto_chunk_size(jobs))
-    }
 }
 
 /// Pre-built component variants for one knob setting, indexed by
 /// position in the group's resolved sensor/compute/airframe lists.
-/// Shared with the sharded streaming executor ([`crate::shard`]), which
-/// resolves settings through the same construction so both executors
-/// evaluate byte-identical parts.
+/// Shared with the shard kernel ([`crate::shard`]), which resolves
+/// settings through the same construction so both executors evaluate
+/// byte-identical parts.
 pub(crate) struct VariantParts {
     pub(crate) sensors: Vec<Sensor>,
     pub(crate) computes: Vec<ComputePlatform>,
@@ -1129,8 +1133,8 @@ enum PlanRow {
 /// [`Objective::ALL`] order, `NaN` where no kept plan needs it), and —
 /// only when the group has odd-profile members — their materialized
 /// rows. Everything is inline except the rare odd-row vector
-/// (`Vec::new()` does not allocate), so a batch pass stays as
-/// allocation-free per job as the single-plan pass.
+/// (`Vec::new()` does not allocate), so a batch pass allocates nothing
+/// per job.
 type JobOut = (Outcome, u64, [f64; MAX_OBJECTIVES], Vec<PlanRow>);
 
 /// Validates that every id a plan carries is in range for the catalog.
@@ -1203,9 +1207,10 @@ fn same_pass(a: &QueryPlan, b: &QueryPlan) -> bool {
         && a.battery() == b.battery()
 }
 
-/// Runs a batch of plans, sharing one fused parallel pass among every
-/// subset of plans with the same evaluation signature. Results come
-/// back aligned with `plans`.
+/// Runs a batch of plans. Plans with the same evaluation signature share
+/// one fused parallel pass; a plan alone in its pass runs on the shard
+/// kernel ([`crate::shard::run`]). Results come back aligned with
+/// `plans`.
 // analyze::allow(indexing, scope = "fn", reason = "slot indices come from enumerate() over plans and stay < plans.len()")
 // analyze::allow(panic, scope = "fn", reason = "the grouping loop assigns every plan index to exactly one group")
 pub(crate) fn run_plans(
@@ -1218,22 +1223,21 @@ pub(crate) fn run_plans(
     }
     let mut out: Vec<Option<ResultSet>> = (0..plans.len()).map(|_| None).collect();
     // Plans whose keep-points policy resolves to streaming run through
-    // the sharded streaming executor, one bounded-memory pass each —
-    // streaming a 10⁷-candidate member through the materializing batch
-    // store would defeat the policy's whole point. The rest share fused
-    // batch passes below.
-    let mut materializing: Vec<usize> = Vec::with_capacity(plans.len());
+    // the shard kernel, one bounded-memory pass each — streaming a
+    // 10⁷-candidate member through the shared batch store would defeat
+    // the policy's whole point. The rest group by pass signature below.
+    let mut retaining: Vec<usize> = Vec::with_capacity(plans.len());
     for (i, plan) in plans.iter().enumerate() {
         if crate::shard::should_stream(ctx, plan) {
-            out[i] = Some(crate::shard::run_stream(ctx, plan, with_frontier)?);
+            out[i] = Some(crate::shard::run(ctx, plan, with_frontier)?);
         } else {
-            materializing.push(i);
+            retaining.push(i);
         }
     }
     // Group by pass signature (order-preserving; batches are small, the
     // quadratic scan is noise next to a single evaluation).
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &i in &materializing {
+    for &i in &retaining {
         let plan = plans[i];
         match groups
             .iter_mut()
@@ -1247,6 +1251,10 @@ pub(crate) fn run_plans(
         // The per-job kept set is a u64 bitmask; a (pathological) group
         // beyond 64 members re-runs the pass per 64-plan chunk.
         for chunk in members.chunks(64) {
+            if let [only] = *chunk {
+                out[only] = Some(crate::shard::run(ctx, plans[only], with_frontier)?);
+                continue;
+            }
             let group_plans: Vec<&QueryPlan> = chunk.iter().map(|&i| plans[i]).collect();
             let results = run_group(ctx, &group_plans, with_frontier)?;
             for (&slot, result) in chunk.iter().zip(results) {
@@ -1490,10 +1498,6 @@ fn frontier_reducible(plan: &QueryPlan) -> bool {
     })
 }
 
-/// Runs one pass group: a single fused batched parallel pass over every
-/// airframe × knob setting × characterized candidate — evaluation once,
-/// then each member plan's constraint filter and objective rows —
-/// followed by the per-plan O(n log n) frontiers.
 /// Filters a component-id list to the catalog's active (non-retired)
 /// ids, borrowing when nothing is filtered — which is always the case
 /// for the session/engine default lists (built from active entries) and
@@ -1506,6 +1510,12 @@ pub(crate) fn active_ids<T: Copy>(list: &[T], is_active: impl Fn(T) -> bool) -> 
     }
 }
 
+/// Runs one pass group of two or more plans: a single fused batched
+/// parallel pass over every airframe × knob setting × characterized
+/// candidate — evaluation once, then each member plan's constraint
+/// filter and objective rows — followed by the per-plan O(n log n)
+/// frontiers, shared between co-shaped plans where
+/// [`frontier_reducible`] allows.
 // analyze::allow(indexing, scope = "fn", reason = "fused-pass kernel: every index derives from enumerate()/chunks over the slices it indexes; per-element re-checks cost measurable throughput here")
 fn run_group(
     ctx: &PassContext<'_>,
@@ -1616,7 +1626,7 @@ fn run_group(
             job % candidates.len(),
         )
     };
-    let evaluated = parallel_map_indices(job_count, ctx.chunk_size_for(job_count), |job| {
+    let evaluated = parallel_map_indices(job_count, auto_chunk_size(job_count), |job| {
         let (airframe_pos, setting_pos, candidate_pos) = decode(job);
         let indexed = &candidates[candidate_pos];
         let parts = &variants[setting_pos];
@@ -1689,64 +1699,8 @@ fn run_group(
         }
         Ok::<JobOut, SkylineError>((outcome, kept_mask, vals, odd_rows))
     });
-    // Single-plan fast path (the `Engine::query().run()` /
-    // `Session::run` hot case): collect and assemble in one serial
-    // sweep over the evaluated buffer — no intermediate job vector, no
-    // second 10⁵-element traversal. Frontier sharing needs at least
-    // two plans, so nothing is lost.
-    if execs.len() == 1 {
-        let exec = &execs[0];
-        let k = exec.all_indices.len();
-        let mut points: Vec<QueryPoint> = Vec::with_capacity(evaluated.len());
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(evaluated.len()); k];
-        let mut dropped = 0usize;
-        let mut nonfinite = 0usize;
-        for (job, result) in evaluated.into_iter().enumerate() {
-            // Propagate the first evaluation error in enumeration order
-            // (unreachable for catalog parts and validated variants).
-            let (outcome, kept_mask, vals, _) = result?;
-            if kept_mask & 1 == 0 {
-                dropped += 1;
-                continue;
-            }
-            let mut row = [0.0; MAX_OBJECTIVES];
-            for (slot, &idx) in row.iter_mut().zip(&exec.all_indices) {
-                *slot = vals[idx];
-            }
-            if outcome.feasible && row[..k].iter().any(|v| !v.is_finite()) {
-                nonfinite += 1;
-            }
-            let (airframe_pos, setting_pos, candidate_pos) = decode(job);
-            points.push(QueryPoint {
-                airframe: airframes[airframe_pos],
-                candidate: candidates[candidate_pos].candidate,
-                setting: settings[setting_pos],
-                outcome,
-            });
-            for (column, &v) in columns.iter_mut().zip(&row[..k]) {
-                column.push(v);
-            }
-        }
-        let mut result = ResultSet::from_own_points(
-            exec.plan.objectives().to_vec(),
-            points,
-            columns,
-            Vec::new(),
-            uncharacterized,
-            dropped,
-            nonfinite,
-        );
-        if with_frontier {
-            let (keys, map) = result.minimized_keys();
-            result.frontier = frontier::pareto_min(k, &keys)
-                .into_iter()
-                .map(|i| map[i])
-                .collect();
-        }
-        return Ok(vec![result]);
-    }
 
-    // Multi-plan batch. Identify the shared-skyline sets up front (see
+    // Identify the shared-skyline sets up front (see
     // `frontier_reducible`): one skyline over the union domain per
     // distinct objective set with at least two reducible members; each
     // member then intersects in O(n). The union of the members' kept
@@ -1867,11 +1821,7 @@ fn run_group(
                 map.push(store_pos);
                 for (idx, objective) in Objective::ALL.iter().enumerate() {
                     if mask & (1 << idx) != 0 {
-                        keys.push(if objective.maximize() {
-                            -vals[idx]
-                        } else {
-                            vals[idx]
-                        });
+                        keys.push(objective.minimized(vals[idx]));
                     }
                 }
             }
@@ -1932,13 +1882,7 @@ fn run_group(
                         }
                     }
                     map.push(i);
-                    keys.extend(
-                        accum
-                            .columns
-                            .iter()
-                            .zip(exec.plan.objectives())
-                            .map(|(c, o)| if o.maximize() { -c[i] } else { c[i] }),
-                    );
+                    keys.extend(minimized_row(&accum.columns, exec.plan.objectives(), i));
                 }
                 frontier::pareto_min(k, &keys)
                     .into_iter()
@@ -2163,7 +2107,6 @@ pub struct Session {
     store: Arc<CatalogStore>,
     heatsink: HeatsinkModel,
     saturation: Saturation,
-    chunk_size: Option<usize>,
     states: Mutex<HashMap<u64, Arc<EpochState>>>,
     cache: Mutex<MemoCache>,
     hits: AtomicU64,
@@ -2195,7 +2138,6 @@ impl Session {
             store,
             heatsink: HeatsinkModel::paper_calibrated(),
             saturation: Saturation::DEFAULT,
-            chunk_size: None,
             states: Mutex::new(HashMap::new()),
             cache: Mutex::new(MemoCache::default()),
             hits: AtomicU64::new(0),
@@ -2219,19 +2161,6 @@ impl Session {
     #[must_use]
     pub fn with_tier2(mut self, evaluator: SharedTier2) -> Self {
         self.tier2 = Some(evaluator);
-        self
-    }
-
-    /// Pins the work-stealing chunk size, overriding the default
-    /// autotune (see [`crate::sweep::auto_chunk_size`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunk_size = Some(chunk_size);
         self
     }
 
@@ -2321,7 +2250,6 @@ impl Session {
             table: &state.table,
             heatsink: &self.heatsink,
             saturation: self.saturation,
-            chunk_size: self.chunk_size,
         }
     }
 
@@ -2387,7 +2315,7 @@ impl Session {
 
     /// Executes one plan at the store's **current** epoch: a memo-cache
     /// lookup by `(`[canonical key](QueryPlan::key)`, epoch)` first, one
-    /// fused pass on a miss. The cached `Arc` is returned as-is, so
+    /// shard-kernel pass on a miss. The cached `Arc` is returned as-is, so
     /// repeated queries are pointer-identical — bit-identical objective
     /// rows and frontier indices by construction.
     ///
@@ -2446,8 +2374,8 @@ impl Session {
     /// 2. a cached result at an older epoch → **incrementally
     ///    repaired** across the catalog delta: survivors keep their
     ///    evaluated outcomes, retired candidates are masked out, only
-    ///    net-new/re-characterized candidates run through the fused
-    ///    pass, and the frontier is merged — the result is
+    ///    net-new/re-characterized candidates run through the shard
+    ///    kernel, and the frontier is merged — the result is
     ///    **bit-identical** to a cold run at the current epoch
     ///    (property-tested), and counted in [`CacheStats::repairs`];
     /// 3. otherwise a cold pass.
@@ -2615,10 +2543,11 @@ impl Session {
     /// passes as their evaluation signatures allow — plans over the same
     /// subspace, knob settings and battery share **one** enumeration +
     /// evaluation, with each plan's constraints and objective rows
-    /// applied in-pass. Cached plans are served from the memo cache
-    /// without joining a pass; duplicate plans within the batch are
-    /// deduplicated by canonical key. Results come back aligned with
-    /// `plans`.
+    /// applied in-pass, and a plan alone in its signature runs on the
+    /// shard kernel as [`run`](Self::run) does. Cached plans are served
+    /// from the memo cache without joining a pass; duplicate plans
+    /// within the batch are deduplicated by canonical key. Results come
+    /// back aligned with `plans`.
     ///
     /// # Errors
     ///

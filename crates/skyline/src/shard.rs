@@ -1,18 +1,14 @@
-//! The sharded streaming executor — 10⁷-candidate queries with bounded
-//! memory.
+//! The shard kernel: the executor behind every single-plan pass, from a
+//! 10⁴-candidate what-if to a 10⁷-candidate streamed query.
 //!
-//! The fused pass in [`crate::session`] materializes every evaluated
-//! point: at 10⁵ candidates that is the right call (the result *is* the
-//! product), but interesting catalogs are 10⁷–10⁸ candidates and almost
-//! all of those points are dominated, out-ranked, and never looked at.
-//! This module restructures the same evaluation into **(airframe × knob
-//! setting)-aligned shards** streamed through per-worker reducers:
+//! The kernel splits a plan's evaluation into **(airframe × knob
+//! setting)-aligned shards** and runs them in parallel:
 //!
 //! * **Lazy enumeration.** A candidate is a `sensor × characterized
 //!   (compute, algorithm) pair` coordinate decoded on the fly from the
 //!   pair list
 //!   ([`ThroughputTable::characterized_pairs`](f1_components::ThroughputTable::characterized_pairs)
-//!   order) — the 10⁷ cross-product is never held in memory.
+//!   order) — the cross product is never held in memory.
 //! * **Pair hoisting.** Shards never cross an (airframe, setting)
 //!   block, and candidates within a block are sensor-major over the
 //!   compute-major pair list, so the algorithm-independent
@@ -23,28 +19,45 @@
 //!   in contiguous per-column `f64` slabs and feasibility in a flat
 //!   mask, so the finite/accounting sweeps are branch-light column
 //!   scans over dense memory.
-//! * **Streaming reduction.** Each shard keeps only its local Pareto
-//!   frontier, a bounded top-[`STREAM_TOP_K`] ranking and the
-//!   dropped/nonfinite counters. Peak memory is O(shard + frontier +
-//!   k), not O(n).
+//! * **Local skylines.** Each shard reduces its eligible rows to a
+//!   local Pareto frontier (a cheap dominance prefilter, then one exact
+//!   skyline) before the serial merge.
+//!
+//! The plan's [`KeepPoints`] policy decides what a shard keeps beyond
+//! its counters and local frontier:
+//!
+//! * **Retaining** (`All`, and `Auto` at or below
+//!   [`STREAM_AUTO_THRESHOLD`] jobs): a [`QueryPoint`] for every kept
+//!   row next to its column slabs. The merge joins the shards in
+//!   enumeration order into the result's one point store, sized to the
+//!   kept rows.
+//! * **Streaming** (`FrontierOnly`, and `Auto` above the threshold):
+//!   only a bounded top-[`STREAM_TOP_K`] ranking besides the frontier,
+//!   so peak memory is O(shard + frontier + k), not O(n).
 //!
 //! The serial merge is **exact**, not approximate:
 //!
 //! * frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)) — the same
 //!   identity delta repair relies on — so one final
-//!   [`frontier::pareto_min`] over the concatenated shard frontiers
-//!   reproduces the materializing frontier index-for-index (global kept
-//!   indices come from a prefix sum over per-shard kept counts, and
-//!   both paths emit survivors in ascending order).
+//!   [`frontier::pareto_min`] over the concatenated shard frontiers is
+//!   the skyline of every kept row (global kept indices come from a
+//!   prefix sum over per-shard kept counts, and both the member list
+//!   and the survivors are ascending).
 //! * The rank order (feasible first, then the primary objective, ties
 //!   by enumeration index) restricted to one shard *is* the shard's
 //!   local rank order, so the global top-K is a subset of the union of
 //!   per-shard top-Ks and a single merge-sort-and-truncate of that
 //!   union is the exact prefix of the full ranking.
 //!
-//! Bit-identity with the materializing pass is property-tested
-//! (`tests/stream_properties.rs`); the scale target is pinned by
-//! `tests/stream_scale.rs`.
+//! Batches of two or more plans with one evaluation signature run on
+//! the fused shared pass of [`crate::session`] instead, which evaluates
+//! each candidate once for the whole batch.
+//!
+//! Bit-identity between the two modes and with the shared pass is
+//! property-tested (`tests/stream_properties.rs`,
+//! `tests/session_properties.rs`), an oracle that bypasses the kernel
+//! checks both modes (`tests/kernel_oracle.rs`), and the scale target
+//! is pinned by `tests/stream_scale.rs`.
 
 use std::borrow::Cow;
 
@@ -56,7 +69,9 @@ use crate::dse::{algo_stage, pair_stage, Candidate, PairStage};
 use crate::frontier;
 use crate::plan::{KeepPoints, QueryPlan};
 use crate::query::{Objective, QueryPoint, MAX_OBJECTIVES};
-use crate::session::{active_ids, build_variants, PassContext, ResultSet, StreamedMeta};
+use crate::session::{
+    active_ids, build_variants, minimized_row, PassContext, ResultSet, StreamedMeta,
+};
 use crate::sweep::parallel_map_indices;
 use crate::SkylineError;
 
@@ -71,7 +86,7 @@ use crate::SkylineError;
 pub const SHARD_SIZE: usize = 65536;
 
 /// How many best-ranked points a streamed result retains. The stored
-/// prefix equals `ranked()[..STREAM_TOP_K]` of the materializing path
+/// prefix equals `ranked()[..STREAM_TOP_K]` of a retained result
 /// exactly (including tie order).
 pub const STREAM_TOP_K: usize = 64;
 
@@ -82,9 +97,9 @@ pub const STREAM_TOP_K: usize = 64;
 const PREFILTER_WINDOW: usize = 16;
 
 /// Job count above which a [`KeepPoints::Auto`] plan streams instead of
-/// materializing. Below this the full point store costs a few hundred
-/// MB at most and callers keep random access; above it, materializing
-/// is what makes 10⁷ queries impossible, so streaming wins.
+/// retaining every point. Below this the full point store costs a few
+/// hundred MB at most and callers keep random access; above it,
+/// retaining is what makes 10⁷ queries impossible, so streaming wins.
 pub const STREAM_AUTO_THRESHOLD: usize = 2_000_000;
 
 /// One characterized (compute, algorithm) pair of the resolved
@@ -113,15 +128,20 @@ impl Space<'_> {
         self.sensors.len() * self.pairs.len()
     }
 
+    /// Evaluation jobs over `settings` knob settings.
+    fn job_count(&self, settings: usize) -> usize {
+        self.airframes.len() * settings * self.cand_count()
+    }
+
     /// Sensor × compute × algorithm combinations skipped because the
     /// pair was never characterized — counted once per subspace, the
-    /// same convention as the materializing pass.
+    /// same convention as the fused shared pass.
     fn uncharacterized(&self) -> usize {
         self.sensors.len() * self.computes.len() * self.algorithms.len() - self.cand_count()
     }
 }
 
-/// Resolves a plan's subspace exactly as the materializing pass does
+/// Resolves a plan's subspace exactly as the fused shared pass does
 /// (explicit plan lists or session defaults, retired components
 /// filtered), then snapshots the characterized pair list in the shared
 /// compute-major order.
@@ -162,22 +182,62 @@ fn resolve_space<'a>(ctx: &PassContext<'a>, plan: &'a QueryPlan) -> Space<'a> {
     }
 }
 
-/// Whether a plan takes the streaming path: [`KeepPoints::All`] never,
-/// [`KeepPoints::FrontierOnly`] always, [`KeepPoints::Auto`] when the
-/// resolved job count exceeds [`STREAM_AUTO_THRESHOLD`].
-pub(crate) fn should_stream(ctx: &PassContext<'_>, plan: &QueryPlan) -> bool {
-    match plan.keep_points() {
+/// The keep-points decision: [`KeepPoints::All`] never streams,
+/// [`KeepPoints::FrontierOnly`] always does, and [`KeepPoints::Auto`]
+/// streams when the job count (only computed for `Auto`) exceeds
+/// [`STREAM_AUTO_THRESHOLD`].
+fn streams(keep: KeepPoints, job_count: impl FnOnce() -> usize) -> bool {
+    match keep {
         KeepPoints::All => false,
         KeepPoints::FrontierOnly => true,
-        KeepPoints::Auto => {
-            let space = resolve_space(ctx, plan);
-            space.airframes.len() * plan.settings().len() * space.cand_count()
-                > STREAM_AUTO_THRESHOLD
-        }
+        KeepPoints::Auto => job_count() > STREAM_AUTO_THRESHOLD,
     }
 }
 
-/// A survivor row a shard reducer retained: its local kept index plus
+/// Whether a plan runs in streaming mode (see [`streams`]). A streaming
+/// plan never joins a shared batch pass.
+pub(crate) fn should_stream(ctx: &PassContext<'_>, plan: &QueryPlan) -> bool {
+    streams(plan.keep_points(), || {
+        resolve_space(ctx, plan).job_count(plan.settings().len())
+    })
+}
+
+/// One evaluated shard: its counters, struct-of-arrays slabs over its
+/// kept rows, and its local Pareto frontier.
+struct Slab {
+    dropped: usize,
+    nonfinite: usize,
+    /// One value column per objective, one row per kept candidate.
+    cols: Vec<Vec<f64>>,
+    feasible: Vec<bool>,
+    /// Retaining mode: every kept row's point (empty when streaming).
+    points: Vec<QueryPoint>,
+    /// Streaming mode: every kept row's in-block candidate coordinate,
+    /// from which the few survivors are rebuilt (empty when retaining).
+    kept_cand: Vec<u32>,
+    /// Local Pareto frontier, ascending kept-row index (empty without a
+    /// frontier pass).
+    frontier: Vec<u32>,
+}
+
+impl Slab {
+    /// Number of kept rows.
+    fn kept(&self) -> usize {
+        self.feasible.len()
+    }
+
+    /// Kept row `r`'s objective values.
+    fn row(&self, r: u32) -> [f64; MAX_OBJECTIVES] {
+        let mut row = [0.0f64; MAX_OBJECTIVES];
+        for (slot, col) in row.iter_mut().zip(&self.cols) {
+            // analyze::allow(indexing, reason = "r is a kept-row index of this slab; every column has one entry per kept row")
+            *slot = col[r as usize];
+        }
+        row
+    }
+}
+
+/// A survivor row a streaming shard retained: its local kept index plus
 /// everything needed to emit the stored point without re-walking the
 /// shard.
 struct Survivor {
@@ -187,7 +247,8 @@ struct Survivor {
     feasible: bool,
 }
 
-/// One shard's reduction: accounting plus the bounded survivor sets.
+/// One streaming shard's reduction: accounting plus the bounded
+/// survivor sets.
 struct ShardOut {
     kept: usize,
     dropped: usize,
@@ -198,17 +259,32 @@ struct ShardOut {
     topk: Vec<Survivor>,
 }
 
-/// Runs one plan through the sharded streaming executor, producing a
-/// streamed [`ResultSet`]: exact frontier, exact bounded top-k, exact
-/// accounting, only frontier ∪ top-k points materialized.
+/// The skyline of the concatenated shard frontiers' objective rows, as
+/// positions in `rows` (ascending).
+fn merge_frontiers(
+    objectives: &[Objective],
+    rows: impl Iterator<Item = [f64; MAX_OBJECTIVES]>,
+) -> Vec<usize> {
+    let mut keys: Vec<f64> = Vec::new();
+    for row in rows {
+        keys.extend(row.iter().zip(objectives).map(|(&v, o)| o.minimized(v)));
+    }
+    frontier::pareto_min(objectives.len(), &keys)
+}
+
+/// Runs one plan through the shard kernel: a retained [`ResultSet`]
+/// (every kept point) or a streamed one (exact frontier, exact bounded
+/// top-k, exact accounting, only frontier ∪ top-k points materialized),
+/// as the plan's [`KeepPoints`] policy decides.
 ///
 /// # Errors
 ///
-/// Propagates evaluation-kernel model errors as the materializing pass
-/// would ([`SkylineError::Model`]); catalog parts and validated
-/// variants never produce them.
-// analyze::allow(indexing, scope = "fn", reason = "streaming kernel: positions index the part lists and tables they were enumerated from")
-pub(crate) fn run_stream(
+/// [`SkylineError::KnobVariant`] for an out-of-domain sweep variant
+/// (before any shard runs), plus evaluation-kernel model errors
+/// ([`SkylineError::Model`]), which catalog parts and validated
+/// variants never produce.
+// analyze::allow(indexing, scope = "fn", reason = "kernel: positions index the part lists and tables they were enumerated from")
+pub(crate) fn run(
     ctx: &PassContext<'_>,
     plan: &QueryPlan,
     with_frontier: bool,
@@ -221,26 +297,10 @@ pub(crate) fn run_stream(
     let uncharacterized = space.uncharacterized();
 
     let cand_count = space.cand_count();
-    let job_count = space.airframes.len() * settings.len() * cand_count;
-    if job_count == 0 {
-        return Ok(ResultSet::from_streamed(
-            objectives,
-            Vec::new(),
-            vec![Vec::new(); k],
-            Vec::new(),
-            StreamedMeta {
-                total_kept: 0,
-                stored: Vec::new(),
-                topk: Vec::new(),
-            },
-            uncharacterized,
-            0,
-            0,
-        ));
-    }
+    let stream = streams(plan.keep_points(), || space.job_count(settings.len()));
     assert!(
         cand_count <= u32::MAX as usize,
-        "per-block candidate space exceeds the shard executor's u32 coordinates"
+        "per-block candidate space exceeds the shard kernel's u32 coordinates"
     );
 
     let battery = plan.battery().map(|id| catalog.battery_by_id(id));
@@ -260,6 +320,8 @@ pub(crate) fn run_stream(
         .map(|&id| catalog.airframe_by_id(id))
         .collect();
 
+    // An empty space has no shards, and the merge of none is the empty
+    // result of either mode.
     let shards_per_block = cand_count.div_ceil(SHARD_SIZE);
     let shard_count = space.airframes.len() * settings.len() * shards_per_block;
     let pair_count = space.pairs.len();
@@ -269,30 +331,56 @@ pub(crate) fn run_stream(
     let profile = plan.mission_profile();
     let primary_max = objectives[0].maximize();
 
-    let eval_shard = |shard: usize| -> Result<ShardOut, SkylineError> {
+    // A shard's (airframe position, setting position, candidate range).
+    let locate = |shard: usize| {
         let block = shard / shards_per_block;
-        let airframe_pos = block / settings.len();
-        let setting_pos = block % settings.len();
         let start = (shard % shards_per_block) * SHARD_SIZE;
-        let end = (start + SHARD_SIZE).min(cand_count);
-        let parts = &variants[setting_pos];
-        let airframe: &Airframe = parts
+        (
+            block / settings.len(),
+            block % settings.len(),
+            start,
+            (start + SHARD_SIZE).min(cand_count),
+        )
+    };
+    let airframe_of = |airframe_pos: usize, setting_pos: usize| {
+        variants[setting_pos]
             .airframes
             .as_ref()
-            .map_or(airframe_refs[airframe_pos], |a| &a[airframe_pos]);
+            .map_or(airframe_refs[airframe_pos], |a| &a[airframe_pos])
+    };
+    let point_at = |airframe_pos: usize, setting_pos: usize, c: usize, outcome| {
+        let sensor_pos = c / pair_count;
+        let entry = &space.pairs[c % pair_count];
+        QueryPoint {
+            airframe: space.airframes[airframe_pos],
+            candidate: Candidate {
+                sensor: space.sensors[sensor_pos],
+                compute: entry.compute,
+                algorithm: entry.algorithm,
+                throughput: entry.throughput,
+            },
+            setting: settings[setting_pos],
+            outcome,
+        }
+    };
+
+    let eval_shard = |shard: usize| -> Result<Slab, SkylineError> {
+        let (airframe_pos, setting_pos, start, end) = locate(shard);
+        let parts = &variants[setting_pos];
+        let airframe = airframe_of(airframe_pos, setting_pos);
 
         // Struct-of-arrays slabs over this shard's kept rows.
         let cap = end - start;
-        let mut cols: Vec<Vec<f64>> = vec![Vec::with_capacity(cap); k];
+        let mut cols: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(cap)).collect();
         let mut feasible: Vec<bool> = Vec::with_capacity(cap);
-        let mut kept_cand: Vec<u32> = Vec::with_capacity(cap);
+        let mut points: Vec<QueryPoint> = Vec::with_capacity(if stream { 0 } else { cap });
+        let mut kept_cand: Vec<u32> = Vec::with_capacity(if stream { cap } else { 0 });
         let mut dropped = 0usize;
 
         // Per-(sensor, compute) hoisted state: the pair stage, and —
-        // deferred to the pair's first *kept* candidate so a fully
-        // dropped pair builds exactly what the materializing pass
-        // would — the mission power model and the pair-constant hover
-        // endurance.
+        // deferred to the pair's first *kept* candidate, so a fully
+        // dropped pair builds no power model — the mission power model
+        // and the pair-constant hover endurance.
         let mut cur_pair = (usize::MAX, u32::MAX);
         let mut pair = None::<PairStage>;
         let mut power: Option<PowerModel> = None;
@@ -330,9 +418,9 @@ pub(crate) fn run_stream(
             }
             if needs_power && !power_ready {
                 power_ready = true;
-                // Identical construction (and argument expressions) to
-                // the materializing pass's per-job `fill_values`; every
-                // argument is pair-level, which is what lets it hoist.
+                // The shared pass's per-job `fill_values` construction
+                // (same argument expressions); every argument is
+                // pair-level, which is what lets it hoist.
                 power = if stage.feasible() {
                     Some(crate::mission::power_model_for_parts(
                         airframe,
@@ -373,7 +461,11 @@ pub(crate) fn run_stream(
                 });
             }
             feasible.push(outcome.feasible);
-            kept_cand.push(c as u32);
+            if stream {
+                kept_cand.push(c as u32);
+            } else {
+                points.push(point_at(airframe_pos, setting_pos, c, outcome));
+            }
         }
 
         // Columnar finite sweep: a row is frontier-eligible when
@@ -392,8 +484,7 @@ pub(crate) fn run_stream(
             .filter(|&(&feas, &fin)| feas && !fin)
             .count();
 
-        // Local Pareto frontier over the eligible rows — same key
-        // construction as `ResultSet::minimized_keys`, with a cheap
+        // Local Pareto frontier over the eligible rows, with a cheap
         // dominance prefilter in front of the exact skyline. Enumeration
         // order visits one (sensor, compute) pair's algorithms
         // back-to-back, so a dominated row's dominator is usually a few
@@ -410,8 +501,8 @@ pub(crate) fn run_stream(
                 if !(feasible[r] && finite[r]) {
                     continue;
                 }
-                for (slot, (col, o)) in minkey.iter_mut().zip(cols.iter().zip(&objectives)) {
-                    *slot = if o.maximize() { -col[r] } else { col[r] };
+                for (slot, v) in minkey.iter_mut().zip(minimized_row(&cols, &objectives, r)) {
+                    *slot = v;
                 }
                 let window = map.len().saturating_sub(PREFILTER_WINDOW);
                 let dominated = (window..map.len())
@@ -428,6 +519,35 @@ pub(crate) fn run_stream(
                 .map(|i| map[i])
                 .collect();
         }
+        Ok(Slab {
+            dropped,
+            nonfinite,
+            cols,
+            feasible,
+            points,
+            kept_cand,
+            frontier: local_frontier,
+        })
+    };
+
+    // One shard per work-stealing chunk: shards are already chunk-sized
+    // (≤ SHARD_SIZE jobs), so finer chunking would only split reducers.
+    // A one-shard space runs on the calling thread.
+    if !stream {
+        let slabs: Vec<Slab> = parallel_map_indices(shard_count, 1, eval_shard)
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        return Ok(merge_retained(objectives, slabs, uncharacterized));
+    }
+
+    // Streaming: reduce each shard to its local frontier and bounded
+    // top-k, re-deriving only those survivors' outcomes (the same inputs
+    // through the same kernel are bit-deterministic).
+    let reduce_shard = |shard: usize| -> Result<ShardOut, SkylineError> {
+        let slab = eval_shard(shard)?;
+        let (airframe_pos, setting_pos, _, _) = locate(shard);
+        let parts = &variants[setting_pos];
+        let airframe = airframe_of(airframe_pos, setting_pos);
 
         // Local bounded top-k under the global rank order restricted to
         // this shard (feasible first, primary objective, enumeration
@@ -435,10 +555,10 @@ pub(crate) fn run_stream(
         // the restriction of the global order.
         let rank = |a: u32, b: u32| {
             let (a, b) = (a as usize, b as usize);
-            feasible[b]
-                .cmp(&feasible[a])
+            slab.feasible[b]
+                .cmp(&slab.feasible[a])
                 .then_with(|| {
-                    let (va, vb) = (cols[0][a], cols[0][b]);
+                    let (va, vb) = (slab.cols[0][a], slab.cols[0][b]);
                     if primary_max {
                         vb.total_cmp(&va)
                     } else {
@@ -447,21 +567,18 @@ pub(crate) fn run_stream(
                 })
                 .then_with(|| a.cmp(&b))
         };
-        let mut order: Vec<u32> = (0..kept as u32).collect();
+        let mut order: Vec<u32> = (0..slab.kept() as u32).collect();
         // Partition the best K in O(n), then sort just those — the rank
         // comparator is total (index tiebreak), so this equals the full
         // sort-and-truncate exactly.
-        if kept > STREAM_TOP_K {
+        if slab.kept() > STREAM_TOP_K {
             order.select_nth_unstable_by(STREAM_TOP_K - 1, |&a, &b| rank(a, b));
             order.truncate(STREAM_TOP_K);
         }
         order.sort_unstable_by(|&a, &b| rank(a, b));
 
-        // Materialize only the survivors: re-deriving an outcome from
-        // the same inputs through the same kernel is bit-deterministic,
-        // so the stored points match the materializing path exactly.
         let build = |r: u32| -> Result<Survivor, SkylineError> {
-            let c = kept_cand[r as usize] as usize;
+            let c = slab.kept_cand[r as usize] as usize;
             let sensor_pos = c / pair_count;
             let entry = &space.pairs[c % pair_count];
             let stage = pair_stage(
@@ -478,82 +595,113 @@ pub(crate) fn run_stream(
                 &parts.sensors[sensor_pos],
                 entry.throughput,
             )?;
-            let mut row = [0.0f64; MAX_OBJECTIVES];
-            for (slot, col) in row.iter_mut().zip(&cols) {
-                *slot = col[r as usize];
-            }
             Ok(Survivor {
                 local: r,
-                point: QueryPoint {
-                    airframe: space.airframes[airframe_pos],
-                    candidate: Candidate {
-                        sensor: space.sensors[sensor_pos],
-                        compute: entry.compute,
-                        algorithm: entry.algorithm,
-                        throughput: entry.throughput,
-                    },
-                    setting: settings[setting_pos],
-                    outcome,
-                },
-                row,
-                feasible: feasible[r as usize],
+                point: point_at(airframe_pos, setting_pos, c, outcome),
+                row: slab.row(r),
+                feasible: slab.feasible[r as usize],
             })
         };
         Ok(ShardOut {
-            kept,
-            dropped,
-            nonfinite,
-            frontier: local_frontier
+            kept: slab.kept(),
+            dropped: slab.dropped,
+            nonfinite: slab.nonfinite,
+            frontier: slab
+                .frontier
                 .iter()
                 .map(|&r| build(r))
                 .collect::<Result<_, _>>()?,
             topk: order.iter().map(|&r| build(r)).collect::<Result<_, _>>()?,
         })
     };
-
-    // One shard per work-stealing chunk: shards are already chunk-sized
-    // (≤ SHARD_SIZE jobs), so finer chunking would only split reducers.
-    let outs: Vec<ShardOut> = parallel_map_indices(shard_count, 1, eval_shard)
+    let outs: Vec<ShardOut> = parallel_map_indices(shard_count, 1, reduce_shard)
         .into_iter()
         .collect::<Result<_, _>>()?;
+    Ok(merge_streamed(objectives, &outs, uncharacterized))
+}
 
-    // Serial exact merge, in shard (= enumeration) order. Global kept
-    // indices are a prefix sum over per-shard kept counts.
+/// The retaining merge: every shard's points and column slabs joined in
+/// shard (= enumeration) order into one store sized to the kept rows,
+/// and the frontier merged from the shards' local skylines.
+// analyze::allow(indexing, scope = "fn", reason = "merge positions come from pareto_min over the member list built alongside")
+fn merge_retained(
+    objectives: Vec<Objective>,
+    slabs: Vec<Slab>,
+    uncharacterized: usize,
+) -> ResultSet {
+    let mut members: Vec<usize> = Vec::new();
+    let mut offset = 0usize;
+    for slab in &slabs {
+        members.extend(slab.frontier.iter().map(|&r| offset + r as usize));
+        offset += slab.kept();
+    }
+    let rows = slabs
+        .iter()
+        .flat_map(|slab| slab.frontier.iter().map(|&r| slab.row(r)));
+    let frontier = merge_frontiers(&objectives, rows)
+        .into_iter()
+        .map(|i| members[i])
+        .collect();
+
+    let total_kept = offset;
+    let mut points: Vec<QueryPoint> = Vec::with_capacity(total_kept);
+    let mut columns: Vec<Vec<f64>> = (0..objectives.len())
+        .map(|_| Vec::with_capacity(total_kept))
+        .collect();
+    let (mut dropped, mut nonfinite) = (0usize, 0usize);
+    for slab in slabs {
+        dropped += slab.dropped;
+        nonfinite += slab.nonfinite;
+        points.extend(slab.points);
+        for (column, col) in columns.iter_mut().zip(&slab.cols) {
+            column.extend_from_slice(col);
+        }
+    }
+    ResultSet::from_own_points(
+        objectives,
+        points,
+        columns,
+        frontier,
+        uncharacterized,
+        dropped,
+        nonfinite,
+    )
+}
+
+/// The streaming merge: exact frontier and top-k from the shards'
+/// survivors, stored rows = frontier ∪ top-k.
+// analyze::allow(indexing, scope = "fn", reason = "merge positions come from pareto_min over the member list built alongside")
+fn merge_streamed(
+    objectives: Vec<Objective>,
+    outs: &[ShardOut],
+    uncharacterized: usize,
+) -> ResultSet {
+    let k = objectives.len();
+    let primary_max = objectives[0].maximize();
+    // Global kept indices are a prefix sum over per-shard kept counts.
     let mut offsets = Vec::with_capacity(outs.len());
     let (mut total_kept, mut dropped, mut nonfinite) = (0usize, 0usize, 0usize);
-    for out in &outs {
+    for out in outs {
         offsets.push(total_kept);
         total_kept += out.kept;
         dropped += out.dropped;
         nonfinite += out.nonfinite;
     }
 
-    // frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)): one final
-    // skyline over the concatenated shard frontiers. Both the member
-    // list (shard order) and `pareto_min` survivors are ascending, so
-    // the emitted indices match the materializing frontier exactly.
-    let mut frontier_global: Vec<usize> = Vec::new();
-    let mut frontier_rows: Vec<&Survivor> = Vec::new();
-    if with_frontier {
-        let mut keys = Vec::new();
-        let mut members: Vec<(usize, &Survivor)> = Vec::new();
-        for (out, &offset) in outs.iter().zip(&offsets) {
-            for s in &out.frontier {
-                members.push((offset + s.local as usize, s));
-                keys.extend(s.row[..k].iter().zip(&objectives).map(|(&v, o)| {
-                    if o.maximize() {
-                        -v
-                    } else {
-                        v
-                    }
-                }));
-            }
-        }
-        for i in frontier::pareto_min(k, &keys) {
-            frontier_global.push(members[i].0);
-            frontier_rows.push(members[i].1);
-        }
-    }
+    let members: Vec<(usize, &Survivor)> = outs
+        .iter()
+        .zip(&offsets)
+        .flat_map(|(out, &offset)| {
+            out.frontier
+                .iter()
+                .map(move |s| (offset + s.local as usize, s))
+        })
+        .collect();
+    let rows = members.iter().map(|(_, s)| s.row);
+    let frontier: Vec<(usize, &Survivor)> = merge_frontiers(&objectives, rows)
+        .into_iter()
+        .map(|i| members[i])
+        .collect();
 
     // Exact top-k: the global top-K is a subset of the union of shard
     // top-Ks (each shard kept the best K under the restriction of the
@@ -580,17 +728,12 @@ pub(crate) fn run_stream(
     topk.truncate(STREAM_TOP_K);
 
     // Stored rows = frontier ∪ top-k, ascending global index.
-    let mut stored: Vec<(usize, &Survivor)> = frontier_global
-        .iter()
-        .copied()
-        .zip(frontier_rows.iter().copied())
-        .chain(topk.iter().copied())
-        .collect();
+    let mut stored: Vec<(usize, &Survivor)> = frontier.iter().chain(topk.iter()).copied().collect();
     stored.sort_unstable_by_key(|&(g, _)| g);
     stored.dedup_by_key(|&mut (g, _)| g);
 
     let stored_points: Vec<QueryPoint> = stored.iter().map(|&(_, s)| s.point).collect();
-    let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(stored.len()); k];
+    let mut columns: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(stored.len())).collect();
     for &(_, s) in &stored {
         for (col, &v) in columns.iter_mut().zip(&s.row[..k]) {
             col.push(v);
@@ -601,14 +744,14 @@ pub(crate) fn run_stream(
         stored: stored.iter().map(|&(g, _)| g).collect(),
         topk: topk.iter().map(|&(g, _)| g).collect(),
     };
-    Ok(ResultSet::from_streamed(
+    ResultSet::from_streamed(
         objectives,
         stored_points,
         columns,
-        frontier_global,
+        frontier.iter().map(|&(g, _)| g).collect(),
         meta,
         uncharacterized,
         dropped,
         nonfinite,
-    ))
+    )
 }

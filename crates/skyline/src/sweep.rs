@@ -14,9 +14,9 @@
 //! slot. Nothing is sent over a channel and nothing is re-sorted
 //! afterwards — input order *is* output order by construction.
 //!
-//! Chunk sizes are derived from the job count and the available
-//! parallelism by [`auto_chunk_size`] unless the caller pins one
-//! explicitly (e.g. via `Engine::with_chunk_size`).
+//! Callers choose the chunk size: [`auto_chunk_size`] derives one from
+//! the job count and the available parallelism, and a caller whose jobs
+//! are already coarse (the shard kernel's shards) passes 1.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -3,7 +3,7 @@
 //!
 //! A [`QueryPlan`] may declare [`SimObjective`]s
 //! ([`PlanBuilder::sim_objective`](crate::plan::PlanBuilder::sim_objective)).
-//! The analytic fused pass (tier 1) runs unchanged; afterwards the
+//! The analytic pass (tier 1) runs unchanged; afterwards the
 //! session hands the result's **survivor set** — Pareto frontier ∪
 //! ranked top-k, capped by the plan's
 //! [`survivor_budget`](crate::plan::QueryPlan::survivor_budget) — to the

@@ -16,7 +16,7 @@ use f1_components::{
     names, Catalog, CatalogDelta, CatalogEpoch, CatalogStore, ComputeKind, ComputePlatform, Sensor,
     SensorModality,
 };
-use f1_skyline::plan::QueryPlan;
+use f1_skyline::plan::{KeepPoints, QueryPlan};
 use f1_skyline::query::{Knob, KnobSweep, Objective};
 use f1_skyline::session::{ResultSet, Session, COMPACT_SEGMENT_THRESHOLD};
 use f1_skyline::SkylineError;
@@ -187,6 +187,39 @@ fn repair_handles_retiring_every_candidate() {
     assert!(after.is_empty());
     assert!(after.frontier().is_empty());
     assert_eq!(after.dropped(), 0);
+}
+
+/// An empty space keeps its plan's keep-points mode: with every
+/// candidate retired, `kp=all` and `kp=auto` plans come back as
+/// materialized empty results (no `"stored"` key in the JSON), cold and
+/// repaired alike, and `kp=frontier` plans as streamed ones.
+#[test]
+fn emptied_spaces_keep_their_keep_points_mode() {
+    let catalog = Catalog::paper();
+    let mut delta = CatalogDelta::new();
+    for compute in catalog.computes() {
+        delta = delta.retire_compute(compute.name());
+    }
+    for (keep, streamed) in [
+        (KeepPoints::All, false),
+        (KeepPoints::Auto, false),
+        (KeepPoints::FrontierOnly, true),
+    ] {
+        let plan = QueryPlan::builder().keep_points(keep).build().unwrap();
+        let store = Arc::new(CatalogStore::new(catalog.clone()));
+        let session = Session::over(Arc::clone(&store));
+        session.run(&plan).unwrap();
+        store.apply(&delta).unwrap();
+        let repaired = session.refresh(&plan).unwrap();
+        let cold = Session::new(session.catalog()).run(&plan).unwrap();
+        for result in [&repaired, &cold] {
+            assert!(result.is_empty(), "{keep:?}");
+            assert_eq!(result.is_streamed(), streamed, "{keep:?}");
+            let json = result.to_json(&session.catalog());
+            assert_eq!(json.contains("\"stored\""), streamed, "{keep:?}: {json}");
+        }
+        assert_bit_identical(&repaired, &cold);
+    }
 }
 
 #[test]
