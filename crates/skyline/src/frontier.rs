@@ -146,6 +146,102 @@ pub fn running_frontier_min(dims: usize, keys: &[f64]) -> Vec<usize> {
     survivors
 }
 
+/// How many recently kept rows [`PrefilteredSkyline`] probes each row
+/// against. Purely a constant-factor dial: any value yields identical
+/// results.
+const PREFILTER_WINDOW: usize = 16;
+
+/// A skyline over offered `(id, keys)` rows, with a cheap dominance
+/// prefilter in front of the exact [`pareto_min`]. Enumeration order
+/// visits one (sensor, compute) pair's algorithms back-to-back, so a
+/// dominated row's dominator is usually a few rows back: probing the
+/// last [`PREFILTER_WINDOW`] kept rows kills most rows in O(window)
+/// before the superlinear exact pass. Exactness is preserved — a
+/// discarded row is dominated by a kept one, so the kept rows' skyline
+/// is every offered row's skyline.
+pub(crate) struct PrefilteredSkyline {
+    dims: usize,
+    ids: Vec<u32>,
+    keys: Vec<f64>,
+}
+
+impl PrefilteredSkyline {
+    /// An empty skyline over `dims` keys per row.
+    pub(crate) fn new(dims: usize) -> Self {
+        Self {
+            dims,
+            ids: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Offers row `id` with its first `dims` keys.
+    #[inline]
+    pub(crate) fn offer(&mut self, id: u32, row: &[f64]) {
+        let dims = self.dims;
+        let row = &row[..dims];
+        let window = self.ids.len().saturating_sub(PREFILTER_WINDOW);
+        if (window..self.ids.len())
+            .rev()
+            .any(|m| dominates_min(&self.keys[m * dims..(m + 1) * dims], row))
+        {
+            return;
+        }
+        self.ids.push(id);
+        self.keys.extend_from_slice(row);
+    }
+
+    /// The skyline of every offered row: its ids in offer order, and
+    /// their keys row-major.
+    pub(crate) fn finish(self) -> (Vec<u32>, Vec<f64>) {
+        let dims = self.dims;
+        let survivors = pareto_min(dims, &self.keys);
+        let keys = survivors
+            .iter()
+            .flat_map(|&i| &self.keys[i * dims..(i + 1) * dims])
+            .copied()
+            .collect();
+        (survivors.into_iter().map(|i| self.ids[i]).collect(), keys)
+    }
+}
+
+/// Skyline maintenance under deletion (DeltaSky, Wu et al., ICDE 2007):
+/// when the members keyed `dead` leave a skyline whose other members are
+/// keyed `live`, the skyline of what remains is exactly `live` plus the
+/// ids this returns. Only a point some dead member dominated can join:
+/// every dominated point has a skyline dominator. A remaining point that
+/// dominates such a candidate is either one too or dominated by a live
+/// member, which then dominates the candidate as well (transitivity).
+/// So the promoted points are the candidates' own skyline less those a
+/// live member dominates, with the same strict-dominance ties and
+/// duplicates as [`naive_pareto_min`]. Probing the few dead keys first
+/// keeps the rest of the work to the candidates, and the live probes to
+/// their skyline.
+///
+/// `dead` and `live` are row-major buffers of `dims` keys. `rows` yields
+/// every remaining non-member point as `(id, keys)`, of which the first
+/// `dims` keys are read. Returns the promoted ids in `rows` order.
+pub(crate) fn promoted<R: AsRef<[f64]>>(
+    dims: usize,
+    dead: &[f64],
+    live: &[f64],
+    rows: impl IntoIterator<Item = (u32, R)>,
+) -> Vec<u32> {
+    let mut candidates = PrefilteredSkyline::new(dims);
+    for (id, row) in rows {
+        let row = &row.as_ref()[..dims];
+        if dead.chunks_exact(dims).any(|d| dominates_min(d, row)) {
+            candidates.offer(id, row);
+        }
+    }
+    let (ids, keys) = candidates.finish();
+    ids.into_iter()
+        .zip(keys.chunks_exact(dims))
+        .filter(|(_, row)| !live.chunks_exact(dims).any(|l| dominates_min(l, row)))
+        .map(|(id, _)| id)
+        .collect()
+}
+
 /// The shared skyline preamble: validates the buffer, normalizes
 /// `-0.0` to `+0.0`, and computes the lexicographic order. `None` for
 /// an empty input.
@@ -602,6 +698,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn promotion_after_deletion_matches_naive() {
+        // Delete random rows, on and off the skyline, from tie-heavy
+        // grids; the surviving members plus the promoted rows must be
+        // the naive skyline of what remains.
+        let mut rng = StdRng::seed_from_u64(2007);
+        let mut promotions = 0usize;
+        for dims in 2..=5 {
+            for case in 0..150u64 {
+                let grid = [2u32, 3, 4, 6][case as usize % 4];
+                let n = rng.gen_range(1usize..120);
+                let keys = grid_points(case * 13 + dims as u64, n, dims, grid);
+                let row = |i: usize| &keys[i * dims..(i + 1) * dims];
+                let skyline = naive_pareto_min(dims, &keys);
+                let mut on_skyline = vec![false; n];
+                for &i in &skyline {
+                    on_skyline[i] = true;
+                }
+                let deleted: Vec<bool> = (0..n)
+                    .map(|i| rng.gen_bool(if on_skyline[i] { 0.4 } else { 0.2 }))
+                    .collect();
+                let pick = |dead: bool| -> Vec<f64> {
+                    skyline
+                        .iter()
+                        .filter(|&&i| deleted[i] == dead)
+                        .flat_map(|&i| row(i).to_vec())
+                        .collect()
+                };
+                let rows = (0..n)
+                    .filter(|&i| !deleted[i] && !on_skyline[i])
+                    .map(|i| (i as u32, row(i)));
+                let joined = promoted(dims, &pick(true), &pick(false), rows);
+                promotions += joined.len();
+                let mut got: Vec<usize> =
+                    skyline.iter().copied().filter(|&i| !deleted[i]).collect();
+                got.extend(joined.iter().map(|&i| i as usize));
+                got.sort_unstable();
+
+                let remaining: Vec<usize> = (0..n).filter(|&i| !deleted[i]).collect();
+                let remaining_keys: Vec<f64> =
+                    remaining.iter().flat_map(|&i| row(i).to_vec()).collect();
+                let expected: Vec<usize> = naive_pareto_min(dims, &remaining_keys)
+                    .into_iter()
+                    .map(|p| remaining[p])
+                    .collect();
+                assert_eq!(got, expected, "dims {dims} case {case} grid {grid}");
+            }
+        }
+        assert!(promotions > 0, "the cases never exercised a promotion");
     }
 
     #[test]

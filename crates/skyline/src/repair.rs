@@ -18,11 +18,14 @@
 //!   cross-product *slabs* that exactly tile `new-space ∖ survivors`.
 //! * The merged point list is reassembled in the **new epoch's
 //!   enumeration order**, and the new frontier is obtained by merging
-//!   the incremental skyline of the delta points into the cached
+//!   the incremental skyline of the delta points into the survivors'
 //!   frontier (`frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D))`,
-//!   exact including ties). If a retirement removed a cached frontier
-//!   point, the survivor frontier is recomputed over the survivors
-//!   first — still without re-running any physics.
+//!   exact including ties). The survivors' frontier is the cached
+//!   frontier minus its dead members (retired or re-evaluated), plus
+//!   the survivors that only those dead members dominated
+//!   ([`frontier::promoted`]) — found by one scan of the survivors
+//!   against the few dead keys and a skyline over just the survivors
+//!   those keys dominate, without re-running any physics.
 //!
 //! The result is **bit-identical** to a cold run at the new epoch
 //! (property-tested in `tests/delta_repair.rs`), at a small fraction of
@@ -34,7 +37,7 @@ use f1_components::{AirframeId, AlgorithmId, ComputeId, SensorId, ThroughputTabl
 
 use crate::frontier;
 use crate::plan::{KeepPoints, QueryPlan};
-use crate::query::{KnobSetting, Objective, QueryPoint};
+use crate::query::{KnobSetting, Objective, QueryPoint, MAX_OBJECTIVES};
 use crate::session::{minimized_row, run_plans, EpochState, PassContext, PointRef, ResultSet};
 use crate::SkylineError;
 
@@ -275,36 +278,30 @@ macro_rules! raw_id_from {
 }
 raw_id_from!(AirframeId, SensorId, ComputeId, AlgorithmId);
 
-/// The skyline over a subset of merged points (merged indices in,
-/// merged indices out). Infeasible points and non-finite rows are
+/// The frontier-eligible members of `indices` (merged indices) with
+/// their minimized keys: infeasible points and non-finite rows are
 /// excluded, mirroring [`ResultSet::minimized_keys`].
-// analyze::allow(indexing, scope = "fn", reason = "m indexes row-aligned columns; frontier indices map back through `map`, built alongside keys")
-fn skyline_of(
-    indices: &[u32],
-    feasible: &impl Fn(u32) -> bool,
-    columns: &[Vec<f64>],
-    objectives: &[Objective],
-) -> Vec<u32> {
-    let dims = objectives.len();
-    let mut keys = Vec::with_capacity(indices.len() * dims);
-    let mut map = Vec::with_capacity(indices.len());
-    'points: for &m in indices {
-        if !feasible(m) {
-            continue;
+// analyze::allow(indexing, scope = "fn", reason = "m indexes the row-aligned feasibility and value columns")
+fn eligible_rows<'a>(
+    indices: impl Iterator<Item = u32> + 'a,
+    feasible: &'a [bool],
+    columns: &'a [Vec<f64>],
+    objectives: &'a [Objective],
+) -> impl Iterator<Item = (u32, [f64; MAX_OBJECTIVES])> + 'a {
+    indices.filter_map(move |m| {
+        if !feasible[m as usize] {
+            return None;
         }
-        let m = m as usize;
-        for column in columns {
-            if !column[m].is_finite() {
-                continue 'points;
+        let mut row = [0.0f64; MAX_OBJECTIVES];
+        for (slot, (column, objective)) in row.iter_mut().zip(columns.iter().zip(objectives)) {
+            let value = column[m as usize];
+            if !value.is_finite() {
+                return None;
             }
+            *slot = objective.minimized(value);
         }
-        map.push(m as u32);
-        keys.extend(minimized_row(columns, objectives, m));
-    }
-    frontier::pareto_min(dims, &keys)
-        .into_iter()
-        .map(|i| map[i])
-        .collect()
+        Some((m, row))
+    })
 }
 
 /// frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)) for two
@@ -362,6 +359,8 @@ struct Merged<'c> {
     cached: &'c ResultSet,
     kept: Vec<PointRef>,
     columns: Vec<Vec<f64>>,
+    /// The feasibility column, row-aligned with `columns`.
+    feasible: Vec<bool>,
     /// The delta points, in merge order.
     fresh: Vec<QueryPoint>,
     /// The segment index `fresh` will take.
@@ -371,6 +370,9 @@ struct Merged<'c> {
     /// Merged positions of the cached frontier points that survived,
     /// ascending.
     frontier_survivors: Vec<u32>,
+    /// Minimized keys of the cached frontier points that did not
+    /// survive (retired or re-evaluated), row-major.
+    dead_keys: Vec<f64>,
     /// How far the cached frontier has been walked.
     frontier_cursor: usize,
 }
@@ -385,16 +387,19 @@ impl<'c> Merged<'c> {
             columns: (0..cached.objectives().len())
                 .map(|_| Vec::with_capacity(capacity))
                 .collect(),
+            feasible: Vec::with_capacity(capacity),
             fresh: Vec::with_capacity(delta),
             fresh_segment,
             of_delta: Vec::with_capacity(delta),
             frontier_survivors: Vec::with_capacity(cached.frontier().len()),
+            dead_keys: Vec::new(),
             frontier_cursor: 0,
         }
     }
 
     /// Appends the cached rows `lo..hi`, all survivors. Cached frontier
-    /// points below `hi` that no run covered were dead.
+    /// points below `lo` that no run covered were dead: their keys are
+    /// recorded for the frontier's promotion step.
     // analyze::allow(indexing, scope = "fn", reason = "lo <= hi <= cached.len(); the frontier cursor is checked against the frontier length")
     fn extend_cached(&mut self, lo: usize, hi: usize) {
         let frontier = self.cached.frontier();
@@ -405,6 +410,14 @@ impl<'c> Merged<'c> {
             if f >= lo {
                 self.frontier_survivors
                     .push((self.kept.len() + (f - lo)) as u32);
+            } else {
+                let objectives = self.cached.objectives();
+                self.dead_keys.extend(
+                    objectives
+                        .iter()
+                        .enumerate()
+                        .map(|(pos, o)| o.minimized(self.cached.column(pos)[f])),
+                );
             }
             self.frontier_cursor += 1;
         }
@@ -412,6 +425,8 @@ impl<'c> Merged<'c> {
         for (pos, column) in self.columns.iter_mut().enumerate() {
             column.extend_from_slice(&self.cached.column(pos)[lo..hi]);
         }
+        self.feasible
+            .extend_from_slice(&self.cached.feasibility()[lo..hi]);
     }
 
     /// Appends point `idx` of a delta slab.
@@ -427,6 +442,7 @@ impl<'c> Merged<'c> {
         for (pos, column) in self.columns.iter_mut().enumerate() {
             column.push(slab.column(pos)[idx]);
         }
+        self.feasible.push(slab.feasibility()[idx]);
     }
 }
 
@@ -642,7 +658,7 @@ pub(crate) fn repair_result(
         let Some(job) = (if alive { order.job_of(point) } else { None }) else {
             merged.extend_cached(run_lo, i);
             run_lo = i + 1;
-            if point.outcome.feasible && (0..dims).any(|pos| !cached.column(pos)[i].is_finite()) {
+            if cached.feasibility()[i] && (0..dims).any(|pos| !cached.column(pos)[i].is_finite()) {
                 nonfinite -= 1;
             }
             continue;
@@ -668,9 +684,11 @@ pub(crate) fn repair_result(
     let Merged {
         mut kept,
         mut columns,
+        mut feasible,
         fresh,
         of_delta,
         frontier_survivors,
+        dead_keys,
         ..
     } = merged;
     // The buffers were sized for every cached point surviving; release
@@ -679,6 +697,7 @@ pub(crate) fn repair_result(
     for column in &mut columns {
         column.shrink_to_fit();
     }
+    feasible.shrink_to_fit();
     if !fresh.is_empty() {
         segments.push(Arc::new(fresh));
     }
@@ -688,27 +707,38 @@ pub(crate) fn repair_result(
 
     let dropped = usize::try_from(jobs_total).expect("job counts fit usize") - kept.len();
 
-    // Frontier merge. If every cached frontier point survived, the
-    // survivor frontier IS the cached frontier (removing dominated
-    // points cannot promote others while all their dominators remain);
-    // otherwise recompute it over the survivors — still no physics.
-    let feasible = |m: u32| -> bool {
-        segments[kept[m as usize].segment as usize][kept[m as usize].index as usize]
-            .outcome
-            .feasible
-    };
+    // Frontier merge, with no physics. The survivors' frontier is the
+    // cached frontier's surviving members plus the survivors off it that
+    // only dead members dominated: with no dead member that is the
+    // surviving members alone, since removing dominated points promotes
+    // nothing while all their dominators remain.
     let objectives = plan.objectives();
-    let base: Vec<u32> = if frontier_survivors.len() == cached.frontier().len() {
-        frontier_survivors
+    let mut base: Vec<u32> = if dead_keys.is_empty() {
+        Vec::new()
     } else {
-        // Survivors are every merged position a delta point did not take.
-        let mut deltas = of_delta.iter().copied().peekable();
-        let survivor_indices: Vec<u32> = (0..kept.len() as u32)
-            .filter(|&m| deltas.next_if_eq(&m).is_none())
+        let live_keys: Vec<f64> = frontier_survivors
+            .iter()
+            .flat_map(|&m| minimized_row(&columns, objectives, m as usize))
             .collect();
-        skyline_of(&survivor_indices, &feasible, &columns, objectives)
+        // The candidates are every merged position that neither a delta
+        // point nor a surviving frontier member took.
+        let mut deltas = of_delta.iter().copied().peekable();
+        let mut members = frontier_survivors.iter().copied().peekable();
+        let off_frontier = (0..kept.len() as u32)
+            .filter(|&m| deltas.next_if_eq(&m).is_none() && members.next_if_eq(&m).is_none());
+        frontier::promoted(
+            dims,
+            &dead_keys,
+            &live_keys,
+            eligible_rows(off_frontier, &feasible, &columns, objectives),
+        )
     };
-    let delta_skyline = skyline_of(&of_delta, &feasible, &columns, objectives);
+    base.extend(frontier_survivors);
+    let mut delta_skyline = frontier::PrefilteredSkyline::new(dims);
+    for (m, row) in eligible_rows(of_delta.iter().copied(), &feasible, &columns, objectives) {
+        delta_skyline.offer(m, &row);
+    }
+    let (delta_skyline, _) = delta_skyline.finish();
     let merged_frontier = union_frontier(&base, &delta_skyline, &columns, objectives);
 
     Ok(Repair::Repaired(Box::new(ResultSet::from_segments(
@@ -716,6 +746,7 @@ pub(crate) fn repair_result(
         segments,
         kept,
         columns,
+        feasible,
         merged_frontier,
         uncharacterized,
         dropped,

@@ -75,7 +75,13 @@ use crate::{frontier, SkylineError};
 /// `Vec<f64>` per objective ([`column`](Self::column)) — the layout a
 /// serving tier wants for export, streaming top-k selection and
 /// columnar analytics. Point identity (airframe, candidate, knob
-/// setting, outcome) stays row-wise in [`points`](Self::points).
+/// setting, outcome) stays row-wise in [`points`](Self::points), with
+/// one exception: each stored row's `outcome.feasible` flag is also kept
+/// as a one-byte **feasibility column** beside the value columns, so
+/// ranking ([`top_k`](Self::top_k), [`ranked`](Self::ranked),
+/// [`best`](Self::best), [`survivors`](Self::survivors)) and
+/// [`minimized_keys`](Self::minimized_keys) scan columns only and never
+/// read a point.
 ///
 /// Ranked access scales down gracefully: [`top_k`](Self::top_k) selects
 /// the best *k* with a bounded heap in O(n log k) without materializing
@@ -130,6 +136,8 @@ pub struct ResultSet {
     /// One column per objective, each `len()` long, in each objective's
     /// natural (unnegated) unit.
     columns: Vec<Vec<f64>>,
+    /// Each stored row's `outcome.feasible`, row-aligned with `columns`.
+    feasible: Vec<bool>,
     frontier: Vec<usize>,
     uncharacterized: usize,
     dropped: usize,
@@ -194,10 +202,12 @@ pub(crate) struct PointRef {
 
 impl ResultSet {
     /// Builds a result whose `store` is exactly its kept point list.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_own_points(
         objectives: Vec<Objective>,
         points: Vec<QueryPoint>,
         columns: Vec<Vec<f64>>,
+        feasible: Vec<bool>,
         frontier: Vec<usize>,
         uncharacterized: usize,
         dropped: usize,
@@ -209,6 +219,7 @@ impl ResultSet {
             kept: None,
             points_cache: std::sync::OnceLock::new(),
             columns,
+            feasible,
             frontier,
             uncharacterized,
             dropped,
@@ -216,6 +227,7 @@ impl ResultSet {
             streamed: None,
             sim: None,
         }
+        .checked()
     }
 
     /// Builds a streamed-mode result: `stored_points` (and the column
@@ -226,6 +238,7 @@ impl ResultSet {
         objectives: Vec<Objective>,
         stored_points: Vec<QueryPoint>,
         columns: Vec<Vec<f64>>,
+        feasible: Vec<bool>,
         frontier: Vec<usize>,
         meta: StreamedMeta,
         uncharacterized: usize,
@@ -240,6 +253,7 @@ impl ResultSet {
             kept: None,
             points_cache: std::sync::OnceLock::new(),
             columns,
+            feasible,
             frontier,
             uncharacterized,
             dropped,
@@ -247,28 +261,25 @@ impl ResultSet {
             streamed: Some(meta),
             sim: None,
         }
+        .checked()
     }
 
     /// Rebuilds a (materializing) result whose point store has grown
     /// many repair-spliced segments into a single contiguous segment.
     /// Logically equal to `self` (same points, columns, frontier and
     /// counters) — only the storage layout changes, trading one copy of
-    /// the kept points for O(1)-segment reads afterwards.
-    pub(crate) fn compacted(&self) -> Self {
+    /// the kept points for O(1)-segment reads afterwards. The points are
+    /// gathered straight from the segments, never through
+    /// [`points`](Self::points)' lazy cache, and everything else moves.
+    pub(crate) fn compacted(self) -> Self {
         debug_assert!(self.streamed.is_none(), "streamed results have one segment");
         Self {
-            objectives: self.objectives.clone(),
-            segments: vec![Arc::new(self.points().to_vec())],
+            segments: vec![Arc::new(self.gather_points())],
             kept: None,
             points_cache: std::sync::OnceLock::new(),
-            columns: self.columns.clone(),
-            frontier: self.frontier.clone(),
-            uncharacterized: self.uncharacterized,
-            dropped: self.dropped,
-            nonfinite: self.nonfinite,
-            streamed: None,
-            sim: self.sim.clone(),
+            ..self
         }
+        .checked()
     }
 
     /// Builds a result over an explicit segmented store — the
@@ -281,6 +292,7 @@ impl ResultSet {
         segments: Vec<Arc<Vec<QueryPoint>>>,
         kept: Vec<PointRef>,
         columns: Vec<Vec<f64>>,
+        feasible: Vec<bool>,
         frontier: Vec<usize>,
         uncharacterized: usize,
         dropped: usize,
@@ -292,6 +304,7 @@ impl ResultSet {
             kept: Some(kept),
             points_cache: std::sync::OnceLock::new(),
             columns,
+            feasible,
             frontier,
             uncharacterized,
             dropped,
@@ -299,6 +312,26 @@ impl ResultSet {
             streamed: None,
             sim: None,
         }
+        .checked()
+    }
+
+    /// Every constructor's exit: debug builds check that the feasibility
+    /// column mirrors the stored points' `outcome.feasible`, row for row.
+    fn checked(self) -> Self {
+        debug_assert!(
+            self.feasible.len() == self.rows_len()
+                && self
+                    .iter_points()
+                    .zip(&self.feasible)
+                    .all(|(point, &feasible)| point.outcome.feasible == feasible),
+            "the feasibility column disagrees with the stored points"
+        );
+        self
+    }
+
+    /// The feasibility column: each stored row's `outcome.feasible`.
+    pub(crate) fn feasibility(&self) -> &[bool] {
+        &self.feasible
     }
 
     /// The point storage segments (for the repair path, which splices
@@ -485,11 +518,20 @@ impl ResultSet {
         );
         match &self.kept {
             None => &self.segments[0],
-            Some(kept) => self.points_cache.get_or_init(|| {
-                kept.iter()
-                    .map(|r| self.segments[r.segment as usize][r.index as usize])
-                    .collect()
-            }),
+            Some(_) => self.points_cache.get_or_init(|| self.gather_points()),
+        }
+    }
+
+    /// A fresh contiguous copy of every stored point, read through the
+    /// segments.
+    // analyze::allow(indexing, scope = "fn", reason = "segment 0 always exists; kept refs were built in-range by the enumeration pass")
+    fn gather_points(&self) -> Vec<QueryPoint> {
+        match &self.kept {
+            None => self.segments[0].to_vec(),
+            Some(kept) => kept
+                .iter()
+                .map(|r| self.segments[r.segment as usize][r.index as usize])
+                .collect(),
         }
     }
 
@@ -585,10 +627,8 @@ impl ResultSet {
     /// primary objective, ties in enumeration order. Total.
     // analyze::allow(indexing, scope = "fn", reason = "comparator only sees indices < len() produced by the ranking loops")
     fn rank_cmp(&self, a: usize, b: usize) -> Ordering {
-        self.point(b)
-            .outcome
-            .feasible
-            .cmp(&self.point(a).outcome.feasible)
+        self.feasible[b]
+            .cmp(&self.feasible[a])
             .then_with(|| {
                 let (va, vb) = (self.columns[0][a], self.columns[0][b]);
                 if self.objectives[0].maximize() {
@@ -682,11 +722,12 @@ impl ResultSet {
     /// The best feasible point by the primary objective, if any —
     /// bounded-heap selection, no full ranking.
     #[must_use]
+    // analyze::allow(indexing, scope = "fn", reason = "row_pos maps a top-k index to a stored row of the row-aligned feasibility column")
     pub fn best(&self) -> Option<&QueryPoint> {
         self.top_k(1)
             .first()
+            .filter(|&&i| self.feasible[self.row_pos(i)])
             .map(|&i| self.point(i))
-            .filter(|p| p.outcome.feasible)
     }
 
     /// One fixed-size window of the result, for paged serving.
@@ -799,8 +840,7 @@ impl ResultSet {
         let mut keys = Vec::new();
         let mut map = Vec::new();
         'points: for i in 0..self.len() {
-            let point = self.point(i);
-            if !point.outcome.feasible {
+            if !self.feasible[i] {
                 continue;
             }
             for column in &self.columns {
@@ -1734,6 +1774,7 @@ fn run_group(
     // what makes an 8-plan batch land near the cost of one query.
     struct PlanAccum {
         columns: Vec<Vec<f64>>,
+        feasible: Vec<bool>,
         kept_jobs: Vec<u32>,
         nonfinite: usize,
     }
@@ -1753,6 +1794,7 @@ fn run_group(
         .zip(&kept_counts)
         .map(|(exec, &kept)| PlanAccum {
             columns: vec![Vec::with_capacity(kept); exec.all_indices.len()],
+            feasible: Vec::with_capacity(kept),
             kept_jobs: Vec::with_capacity(kept),
             nonfinite: 0,
         })
@@ -1806,6 +1848,7 @@ fn run_group(
             for (column, &v) in accum.columns.iter_mut().zip(&row[..k]) {
                 column.push(v);
             }
+            accum.feasible.push(outcome.feasible);
             accum.kept_jobs.push(store_pos);
         }
         if outcome.feasible {
@@ -1872,8 +1915,8 @@ fn run_group(
                 let k = exec.all_indices.len();
                 let mut keys = Vec::new();
                 let mut map = Vec::new();
-                'points: for (i, &job) in accum.kept_jobs.iter().enumerate() {
-                    if !store[job as usize].outcome.feasible {
+                'points: for (i, &feasible) in accum.feasible.iter().enumerate() {
+                    if !feasible {
                         continue;
                     }
                     for column in &accum.columns {
@@ -1899,26 +1942,30 @@ fn run_group(
         .iter()
         .zip(accums)
         .zip(frontiers)
-        .map(|((exec, accum), frontier)| ResultSet {
-            objectives: exec.plan.objectives().to_vec(),
-            dropped: job_total - accum.kept_jobs.len(),
-            segments: vec![Arc::clone(&store)],
-            // A plan that kept every job reads the store directly —
-            // `points()` is then free, not a lazy copy.
-            kept: (accum.kept_jobs.len() != store.len()).then_some(
-                accum
-                    .kept_jobs
-                    .into_iter()
-                    .map(|index| PointRef { segment: 0, index })
-                    .collect(),
-            ),
-            points_cache: std::sync::OnceLock::new(),
-            columns: accum.columns,
-            frontier,
-            uncharacterized,
-            nonfinite: accum.nonfinite,
-            streamed: None,
-            sim: None,
+        .map(|((exec, accum), frontier)| {
+            ResultSet {
+                objectives: exec.plan.objectives().to_vec(),
+                dropped: job_total - accum.kept_jobs.len(),
+                segments: vec![Arc::clone(&store)],
+                // A plan that kept every job reads the store directly —
+                // `points()` is then free, not a lazy copy.
+                kept: (accum.kept_jobs.len() != store.len()).then_some(
+                    accum
+                        .kept_jobs
+                        .into_iter()
+                        .map(|index| PointRef { segment: 0, index })
+                        .collect(),
+                ),
+                points_cache: std::sync::OnceLock::new(),
+                columns: accum.columns,
+                feasible: accum.feasible,
+                frontier,
+                uncharacterized,
+                nonfinite: accum.nonfinite,
+                streamed: None,
+                sim: None,
+            }
+            .checked()
         })
         .collect())
 }

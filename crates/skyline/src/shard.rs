@@ -18,7 +18,8 @@
 //! * **Struct-of-arrays slabs.** Within a shard, objective values land
 //!   in contiguous per-column `f64` slabs and feasibility in a flat
 //!   mask, so the finite/accounting sweeps are branch-light column
-//!   scans over dense memory.
+//!   scans over dense memory. The merge carries the mask into the
+//!   result's feasibility column, which ranking reads.
 //! * **Local skylines.** Each shard reduces its eligible rows to a
 //!   local Pareto frontier (a cheap dominance prefilter, then one exact
 //!   skyline) before the serial merge.
@@ -89,12 +90,6 @@ pub const SHARD_SIZE: usize = 65536;
 /// prefix equals `ranked()[..STREAM_TOP_K]` of a retained result
 /// exactly (including tie order).
 pub const STREAM_TOP_K: usize = 64;
-
-/// How many recent prefilter survivors each eligible row is probed
-/// against before the exact local skyline. Purely a constant-factor
-/// dial: any value yields identical results (the prefilter only drops
-/// rows a retained row dominates).
-const PREFILTER_WINDOW: usize = 16;
 
 /// Job count above which a [`KeepPoints::Auto`] plan streams instead of
 /// retaining every point. Below this the full point store costs a few
@@ -484,18 +479,10 @@ pub(crate) fn run(
             .filter(|&(&feas, &fin)| feas && !fin)
             .count();
 
-        // Local Pareto frontier over the eligible rows, with a cheap
-        // dominance prefilter in front of the exact skyline. Enumeration
-        // order visits one (sensor, compute) pair's algorithms
-        // back-to-back, so a dominated row's dominator is usually a few
-        // rows back: probing the most recent survivors kills most rows
-        // in O(window) before the superlinear exact pass. Exactness is
-        // preserved — a discarded row is dominated by a *retained* one,
-        // so the survivor set's skyline is the full set's skyline.
+        // Local Pareto frontier over the eligible rows.
         let mut local_frontier: Vec<u32> = Vec::new();
         if with_frontier {
-            let mut keys: Vec<f64> = Vec::new();
-            let mut map: Vec<u32> = Vec::new();
+            let mut skyline = frontier::PrefilteredSkyline::new(k);
             let mut minkey = [0.0f64; MAX_OBJECTIVES];
             for r in 0..kept {
                 if !(feasible[r] && finite[r]) {
@@ -504,20 +491,9 @@ pub(crate) fn run(
                 for (slot, v) in minkey.iter_mut().zip(minimized_row(&cols, &objectives, r)) {
                     *slot = v;
                 }
-                let window = map.len().saturating_sub(PREFILTER_WINDOW);
-                let dominated = (window..map.len())
-                    .rev()
-                    .any(|m| frontier::dominates_min(&keys[m * k..m * k + k], &minkey[..k]));
-                if dominated {
-                    continue;
-                }
-                map.push(r as u32);
-                keys.extend_from_slice(&minkey[..k]);
+                skyline.offer(r as u32, &minkey);
             }
-            local_frontier = frontier::pareto_min(k, &keys)
-                .into_iter()
-                .map(|i| map[i])
-                .collect();
+            local_frontier = skyline.finish().0;
         }
         Ok(Slab {
             dropped,
@@ -648,6 +624,7 @@ fn merge_retained(
     let mut columns: Vec<Vec<f64>> = (0..objectives.len())
         .map(|_| Vec::with_capacity(total_kept))
         .collect();
+    let mut feasible: Vec<bool> = Vec::with_capacity(total_kept);
     let (mut dropped, mut nonfinite) = (0usize, 0usize);
     for slab in slabs {
         dropped += slab.dropped;
@@ -656,11 +633,13 @@ fn merge_retained(
         for (column, col) in columns.iter_mut().zip(&slab.cols) {
             column.extend_from_slice(col);
         }
+        feasible.extend_from_slice(&slab.feasible);
     }
     ResultSet::from_own_points(
         objectives,
         points,
         columns,
+        feasible,
         frontier,
         uncharacterized,
         dropped,
@@ -748,6 +727,7 @@ fn merge_streamed(
         objectives,
         stored_points,
         columns,
+        stored.iter().map(|&(_, s)| s.feasible).collect(),
         frontier.iter().map(|&(g, _)| g).collect(),
         meta,
         uncharacterized,

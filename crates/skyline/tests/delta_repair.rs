@@ -365,8 +365,8 @@ fn lru_eviction_caps_the_memo_cache() {
 /// than the cold pass it replaces (the bench records the full margin;
 /// CI asserts a conservative floor so the claim cannot silently rot).
 /// A second, nastier delta (retiring a platform, invalidating frontier
-/// points) then checks exactness of the slower survivor-skyline
-/// fallback at the same scale.
+/// points) then checks exactness of the dead-frontier promotion at the
+/// same scale.
 #[test]
 fn scale_delta_repair_is_exact_and_fast() {
     // 47³ = 103 823 candidates in release; 22³ ≈ 10⁴ under debug.
@@ -461,8 +461,9 @@ fn scale_delta_repair_is_exact_and_fast() {
         );
     }
 
-    // Fallback exactness at scale: retire a platform that carries
-    // frontier points, forcing the survivor-skyline recompute.
+    // Promotion exactness at scale: retire a platform that carries
+    // frontier points, so the survivors those points alone dominated
+    // must join the frontier.
     let retired = frontier_pairs[0].0.clone();
     store
         .apply(&CatalogDelta::new().retire_compute(&retired))

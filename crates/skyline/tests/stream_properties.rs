@@ -1,13 +1,17 @@
 //! Bit-identity of the sharded streaming executor: for every plan
 //! shape, a `KeepPoints::FrontierOnly` run must agree with the
-//! materializing fused pass **to the bit** — same frontier indices,
-//! bit-equal stored rows, the exact top-k ranking prefix, and identical
-//! dropped / uncharacterized / nonfinite accounting. Covers random
-//! plans over the paper catalog, multi-shard + multi-block synthetic
-//! spaces (candidate counts past `SHARD_SIZE`, sweeps and airframe
-//! subsets), the battery-backed endurance objective, the `Auto` mode
-//! decision, and delta `refresh` over streamed cache entries
-//! (untouched → same `Arc`, touched → exact cold re-stream).
+//! retaining (`KeepPoints::All`) run of the same plan **to the bit** —
+//! same frontier indices, bit-equal stored rows, the exact top-k ranking
+//! prefix, and identical dropped / uncharacterized / nonfinite
+//! accounting. Both runs execute on the shard kernel, so this suite pins
+//! the streaming reduction against the retaining merge;
+//! `kernel_oracle.rs` checks the kernel itself against references that
+//! bypass it. Covers random plans over the paper catalog, multi-shard +
+//! multi-block synthetic spaces (candidate counts past `SHARD_SIZE`,
+//! sweeps and airframe subsets), the battery-backed endurance
+//! objective, the `Auto` mode decision, and delta `refresh` over
+//! streamed cache entries (untouched → same `Arc`, touched → exact cold
+//! re-stream).
 
 use std::sync::Arc;
 
