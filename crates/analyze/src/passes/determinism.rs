@@ -15,10 +15,10 @@
 //!   order.
 //! * **Ad-hoc float formatting** — `{:.N}` / `{:e}` / `{:E}`
 //!   placeholders in format strings. Floats on wire paths go through
-//!   the canonical shortest-round-trip helpers (`fmt_float`,
-//!   `json_number`), which are `{v:?}`-based and byte-stable; a
-//!   precision-truncating format silently diverges from the parse
-//!   round-trip check.
+//!   the canonical shortest-round-trip helpers (`fmt_float`, and the
+//!   wire writer's `push_number` in `f1_components::json`), which are
+//!   `{v:?}`-based and byte-stable; a precision-truncating format
+//!   silently diverges from the parse round-trip check.
 //!
 //! Suppression: `// analyze::allow(determinism, reason = "…")` — used
 //! when the surrounding code restores determinism in a way the
@@ -42,6 +42,7 @@ pub fn is_scoped(rel: &str) -> bool {
             | "crates/skyline/src/plan.rs"
             | "crates/skyline/src/shard.rs"
             | "crates/components/src/store.rs"
+            | "crates/components/src/json.rs"
     )
 }
 
@@ -156,7 +157,7 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                         line,
                         "precision/exponent float formatting in a wire-adjacent file — floats \
                          must go through the canonical shortest-round-trip helper \
-                         (`fmt_float`/`json_number`), or justify with \
+                         (`fmt_float`/`json::push_number`), or justify with \
                          `// analyze::allow(determinism, reason = \"…\")`"
                             .to_owned(),
                     ));
@@ -520,6 +521,11 @@ mod tests {
 }
 ";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn the_wire_writer_is_in_scope() {
+        assert!(is_scoped("crates/components/src/json.rs"));
     }
 
     #[test]

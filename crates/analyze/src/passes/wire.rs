@@ -143,10 +143,48 @@ pub fn corpus() -> Result<Vec<(&'static str, String)>, String> {
         Some(&durability),
     ));
     out.push(("protocol_bodies.txt", bodies));
+    out.push(("escaped_names.txt", escaped_names()?));
     out.push(("catalog_delta.txt", delta_transcript(&store)?));
     let (log_record, store_snapshot) = store_framing()?;
     out.push(("store_log_record.txt", log_record));
     out.push(("store_snapshot.txt", store_snapshot));
+    Ok(out)
+}
+
+/// A delta whose sensor name needs every wire escape: a quote, a
+/// backslash, a newline, a tab, U+0001 and non-ASCII text.
+const ESCAPED_DELTA_JSON: &str = r#"{
+  "add": {
+    "sensors": [{"name": "Esc \"q\" \\ nl\n tab\t ctl\u0001 ünï ✓", "modality": "rgb",
+                 "rate_hz": 30, "range_m": 5, "mass_g": 10}]
+  }
+}"#;
+
+/// `to_json` and `top_body` over a small plan that enumerates only the
+/// [`ESCAPED_DELTA_JSON`] sensor, pinning the result-document escapes
+/// (`\u000a` for a newline, unlike the store's `\n`).
+fn escaped_names() -> Result<String, String> {
+    let store = Arc::new(CatalogStore::new(Catalog::paper()));
+    let delta = CatalogDelta::from_json(ESCAPED_DELTA_JSON)
+        .map_err(|e| format!("escaped delta parse: {e}"))?;
+    let snapshot = store
+        .apply(&delta)
+        .map_err(|e| format!("escaped delta apply: {e}"))?;
+    let sensor = snapshot
+        .catalog()
+        .sensor_id("Esc \"q\" \\ nl\n tab\t ctl\u{1} ünï ✓")
+        .map_err(|e| format!("escaped sensor lookup: {e}"))?;
+    let plan = QueryPlan::builder()
+        .objectives(&[Objective::SafeVelocity, Objective::TotalTdp])
+        .airframes(&[AirframeId::from_index(0)])
+        .sensors(&[sensor])
+        .build()
+        .map_err(|e| format!("escaped plan: {e}"))?;
+    let result = Session::over(Arc::clone(&store))
+        .run(&plan)
+        .map_err(|e| format!("escaped query: {e}"))?;
+    let mut out = result.to_json(snapshot.catalog());
+    out.push_str(&protocol::top_body(3, &result, &snapshot, false));
     Ok(out)
 }
 
@@ -383,6 +421,7 @@ mod tests {
                 "result_set.json",
                 "result_set_tier2.json",
                 "protocol_bodies.txt",
+                "escaped_names.txt",
                 "catalog_delta.txt",
                 "store_log_record.txt",
                 "store_snapshot.txt"
@@ -414,7 +453,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // Missing goldens: every entry is a finding.
         let missing = check(&dir, false);
-        assert_eq!(missing.len(), 7, "{missing:?}");
+        assert_eq!(missing.len(), 8, "{missing:?}");
         // Bless, then verify clean.
         assert!(check(&dir, true).is_empty());
         assert!(check(&dir, false).is_empty());

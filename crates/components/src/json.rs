@@ -1,4 +1,4 @@
-//! A minimal strict-JSON reader/writer shared by the wire formats.
+//! A minimal strict-JSON reader and the workspace's two JSON writers.
 //!
 //! The workspace's serde is an inert offline stub, so the delta wire
 //! format ([`CatalogDelta::from_json`](crate::CatalogDelta::from_json))
@@ -7,6 +7,22 @@
 //! object keys, trailing data and non-finite numbers are rejected, so a
 //! document that parses here round-trips byte-for-byte through
 //! [`quote`]/[`fmt_number`].
+//!
+//! Two string escapers live here, and their escapes differ on purpose:
+//!
+//! * [`push_string`]/[`push_number`] are the **wire writer**: every
+//!   served document (`ResultSet::to_json`, the `f1-serve` protocol
+//!   bodies) is appended through them into one buffer. Control
+//!   characters are always spelled `\u00XX`, so a newline is `\u000a`.
+//! * [`quote`] is the **store's** escaper: persisted delta, log,
+//!   snapshot and spill records use the short `\n`, `\t` and `\r`
+//!   forms, and their bytes on disk depend on that.
+//!
+//! Both escapers copy unescaped runs in bulk; the wire writer allocates
+//! nothing per value.
+#![warn(clippy::format_push_string)]
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 pub enum Value {
@@ -87,7 +103,8 @@ impl Value {
     }
 }
 
-/// Serializes a string as a quoted JSON string literal. The escapes it
+/// Serializes a string as a quoted JSON string literal in the store's
+/// escape style (short `\n`, `\t` and `\r` forms). The escapes it
 /// emits are exactly the ones [`parse`] resolves, so
 /// `parse(quote(s)) == s` for every `s` — the property the durable
 /// store leans on to embed whole JSON documents as string payloads
@@ -96,19 +113,57 @@ impl Value {
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s, true);
     out.push('"');
     out
+}
+
+/// Appends `s` as a quoted JSON string literal in the wire escape
+/// style: `\"`, `\\`, and `\u00XX` for every control character.
+/// Unescaped runs are copied in bulk.
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s, false);
+    out.push('"');
+}
+
+/// Appends `v` in its shortest round-trip form (`{v:?}`), or `null`
+/// when `v` is not finite — JSON has no `Infinity` or `NaN`.
+pub fn push_number(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends the escaped body of a string literal. `short_forms` selects
+/// the store's `\n`/`\t`/`\r` spellings over the wire's `\u00XX`.
+fn push_escaped(out: &mut String, s: &str, short_forms: bool) {
+    let mut rest = s;
+    while let Some((at, byte)) = rest
+        .bytes()
+        .enumerate()
+        .find(|&(_, b)| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        // The byte found is ASCII, so both splits fall on char
+        // boundaries.
+        let (run, tail) = rest.split_at(at);
+        out.push_str(run);
+        match (byte, short_forms) {
+            (b'"', _) => out.push_str("\\\""),
+            (b'\\', _) => out.push_str("\\\\"),
+            (b'\n', true) => out.push_str("\\n"),
+            (b'\t', true) => out.push_str("\\t"),
+            (b'\r', true) => out.push_str("\\r"),
+            (control, _) => {
+                let _ = write!(out, "\\u{control:04x}");
+            }
+        }
+        rest = tail.split_at(1).1;
+    }
+    out.push_str(rest);
 }
 
 /// Formats a finite float in its shortest round-trip form (the `{v:?}`
@@ -320,6 +375,139 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The wire string encoder [`push_string`] replaced, one `char` at a
+    /// time: the oracle its output must equal.
+    #[allow(clippy::format_push_string)] // the replaced body, kept verbatim
+    fn oracle_string(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// The wire number encoder [`push_number`] replaced.
+    fn oracle_number(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v:?}")
+        } else {
+            "null".to_owned()
+        }
+    }
+
+    /// The store escaper [`quote`] had before it copied runs in bulk.
+    #[allow(clippy::format_push_string)] // the replaced body, kept verbatim
+    fn oracle_quote(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn wire_string(s: &str) -> String {
+        let mut out = String::new();
+        push_string(&mut out, s);
+        out
+    }
+
+    fn wire_number(v: f64) -> String {
+        let mut out = String::new();
+        push_number(&mut out, v);
+        out
+    }
+
+    /// Quotes, backslashes, every control character, ASCII runs and one-
+    /// to four-byte UTF-8.
+    const AWKWARD: &str = "[\u{0}-\u{1f}\"\\a-zé✓😀 ]{0,48}";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn push_string_matches_the_oracle_and_round_trips(s in AWKWARD) {
+            let text = wire_string(&s);
+            prop_assert_eq!(&text, &oracle_string(&s));
+            prop_assert_eq!(parse(&text).unwrap().as_str().unwrap(), s);
+        }
+
+        #[test]
+        fn quote_keeps_its_short_escapes(s in AWKWARD) {
+            let text = quote(&s);
+            prop_assert_eq!(&text, &oracle_quote(&s));
+            prop_assert_eq!(parse(&text).unwrap().as_str().unwrap(), s);
+        }
+
+        #[test]
+        fn push_number_matches_debug_and_round_trips(bits in 0u64..u64::MAX) {
+            let v = f64::from_bits(bits);
+            let text = wire_number(v);
+            prop_assert_eq!(&text, &oracle_number(v));
+            if v.is_finite() {
+                prop_assert_eq!(parse(&text).unwrap().as_number().unwrap().to_bits(), bits);
+            }
+        }
+    }
+
+    #[test]
+    fn push_number_covers_the_format_boundaries() {
+        let step = |v: f64, by: i64| f64::from_bits(v.to_bits().wrapping_add_signed(by));
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        // `{v:?}` switches to exponent form below 1e-4 and from 1e16.
+        for edge in [1e-4, 1e16] {
+            for v in [edge, -edge] {
+                values.extend([step(v, -1), v, step(v, 1)]);
+            }
+        }
+        for v in values {
+            let text = wire_number(v);
+            assert_eq!(text, format!("{v:?}"));
+            let back = parse(&text).unwrap().as_number().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+        }
+        for v in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(wire_number(v), "null");
+        }
+        assert_eq!(wire_number(1.5), "1.5");
+    }
+
+    #[test]
+    fn push_string_spells_control_characters_in_hex() {
+        assert_eq!(wire_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\u000a\"");
+        assert_eq!(quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let mut out = String::from("[");
+        push_string(&mut out, "x");
+        push_number(&mut out, f64::INFINITY);
+        assert_eq!(out, "[\"x\"null", "the writer appends");
+    }
 
     #[test]
     fn quote_parse_round_trips_awkward_strings() {

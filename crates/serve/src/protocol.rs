@@ -25,11 +25,14 @@
 //! ...}}` — so a bad plan key, an out-of-catalog id or an overloaded
 //! queue come back as parseable errors on a live connection, never as a
 //! dropped socket.
+#![warn(clippy::format_push_string)]
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use f1_components::json::{push_number, push_string};
 use f1_components::EpochSnapshot;
 use f1_skyline::session::{CacheStats, ResultSet};
 use f1_skyline::tier2::SimStats;
@@ -174,60 +177,43 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Builds a structured error body.
 #[must_use]
 pub fn error_body(kind: ErrorKind, message: &str) -> String {
-    format!(
-        "{{\"error\": {{\"kind\": {}, \"message\": {}}}}}\n",
-        json_string(kind.as_str()),
-        json_string(message)
-    )
+    let mut out = String::with_capacity(48 + message.len());
+    out.push_str("{\"error\": {\"kind\": ");
+    push_string(&mut out, kind.as_str());
+    out.push_str(", \"message\": ");
+    push_string(&mut out, message);
+    out.push_str("}}\n");
+    out
 }
 
 /// The common response prologue: which epoch answered, its catalog
 /// digest, and whether the memo cache answered without a pass.
-fn envelope_head(snapshot: &EpochSnapshot, cached: bool) -> String {
-    format!(
-        "{{\"epoch\": {}, \"digest\": {}, \"cached\": {},\n",
+fn push_envelope_head(out: &mut String, snapshot: &EpochSnapshot, cached: bool) {
+    let _ = writeln!(
+        out,
+        "{{\"epoch\": {}, \"digest\": {}, \"cached\": {},",
         snapshot.epoch().get(),
         snapshot.digest(),
         cached
-    )
+    );
 }
 
 /// Builds the `query` response body: the envelope plus the full
-/// [`ResultSet::to_json`] document. The snapshot must be the epoch the
+/// [`ResultSet::to_json`] document, written into one buffer through
+/// [`ResultSet::write_json`]. The snapshot must be the epoch the
 /// plan executed at — names and digest are resolved against *that*
 /// catalog, so an old-epoch answer stays bit-identical after later
 /// deltas.
 #[must_use]
 pub fn query_body(result: &ResultSet, snapshot: &EpochSnapshot, cached: bool) -> String {
-    let mut out = envelope_head(snapshot, cached);
+    let mut out = String::new();
+    push_envelope_head(&mut out, snapshot, cached);
     out.push_str("\"result\": ");
-    out.push_str(result.to_json(snapshot.catalog()).trim_end());
+    result.write_json(snapshot.catalog(), &mut out);
+    out.truncate(out.trim_end().len());
     out.push_str("}\n");
     out
 }
@@ -239,7 +225,8 @@ pub fn query_body(result: &ResultSet, snapshot: &EpochSnapshot, cached: bool) ->
 /// would produce from the live result, without re-running any physics.
 #[must_use]
 pub fn warm_query_body(result_json: &str, snapshot: &EpochSnapshot, cached: bool) -> String {
-    let mut out = envelope_head(snapshot, cached);
+    let mut out = String::with_capacity(64 + result_json.len());
+    push_envelope_head(&mut out, snapshot, cached);
     out.push_str("\"result\": ");
     out.push_str(result_json.trim_end());
     out.push_str("}\n");
@@ -255,18 +242,20 @@ pub fn warm_query_body(result_json: &str, snapshot: &EpochSnapshot, cached: bool
 #[must_use]
 pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: bool) -> String {
     let catalog = snapshot.catalog();
-    let mut out = envelope_head(snapshot, cached);
-    out.push_str(&format!(
+    let mut out = String::new();
+    push_envelope_head(&mut out, snapshot, cached);
+    let _ = write!(
+        out,
         "\"count\": {}, \"dropped\": {}, \"frontier_size\": {}, \"objectives\": [",
         result.len(),
         result.dropped(),
         result.frontier().len()
-    ));
+    );
     for (i, o) in result.objectives().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&json_string(o.label()));
+        push_string(&mut out, o.label());
     }
     out.push_str("], \"top\": [");
     let mut emitted = 0usize;
@@ -280,29 +269,33 @@ pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: 
             out.push(',');
         }
         emitted += 1;
-        out.push_str("\n  {\"index\": ");
-        out.push_str(&index.to_string());
-        out.push_str(", \"airframe\": ");
-        out.push_str(&json_string(catalog.airframe_by_id(point.airframe).name()));
+        let _ = write!(out, "\n  {{\"index\": {index}, \"airframe\": ");
+        push_string(&mut out, catalog.airframe_by_id(point.airframe).name());
         out.push_str(", \"sensor\": ");
-        out.push_str(&json_string(
+        push_string(
+            &mut out,
             catalog.sensor_by_id(point.candidate.sensor).name(),
-        ));
+        );
         out.push_str(", \"compute\": ");
-        out.push_str(&json_string(
+        push_string(
+            &mut out,
             catalog.compute_by_id(point.candidate.compute).name(),
-        ));
+        );
         out.push_str(", \"algorithm\": ");
-        out.push_str(&json_string(
+        push_string(
+            &mut out,
             catalog.algorithm_by_id(point.candidate.algorithm).name(),
-        ));
-        out.push_str(&format!(", \"feasible\": {}", point.outcome.feasible));
-        out.push_str(", \"values\": [");
+        );
+        let _ = write!(
+            out,
+            ", \"feasible\": {}, \"values\": [",
+            point.outcome.feasible
+        );
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_number(*v));
+            push_number(&mut out, *v);
         }
         out.push_str("]}");
     }

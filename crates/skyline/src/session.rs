@@ -37,13 +37,16 @@
 //! assert_eq!(top, &result.ranked()[..3]);
 //! # Ok::<(), f1_skyline::SkylineError>(())
 //! ```
+#![warn(clippy::format_push_string)]
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
+use f1_components::json::{push_number, push_string};
 use f1_components::{
     Airframe, AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComponentError,
     ComputeId, ComputePlatform, EpochSnapshot, Sensor, SensorId, ThroughputTable,
@@ -403,10 +406,21 @@ impl ResultSet {
             .map_or_else(|| self.len(), |m| m.stored.len())
     }
 
-    /// The global index of stored row `r` (identity when materializing).
-    // analyze::allow(indexing, scope = "fn", reason = "r ranges over rows_len() == stored.len() at every call site")
-    fn row_global(&self, r: usize) -> usize {
-        self.streamed.as_ref().map_or(r, |m| m.stored[r])
+    /// The point in stored row `r`, read directly: a streamed result's
+    /// rows are its stored subset in order, so no index search is needed.
+    /// Callers pass `r < rows_len()`, except [`point`](Self::point),
+    /// whose `# Panics` contract covers an out-of-range index.
+    fn stored_point(&self, r: usize) -> &QueryPoint {
+        match (&self.streamed, &self.kept) {
+            (None, Some(kept)) => {
+                // analyze::allow(indexing, reason = "r < rows_len() == kept.len()")
+                let p = kept[r];
+                // analyze::allow(indexing, reason = "kept refs were built in-range by the enumeration pass")
+                &self.segments[p.segment as usize][p.index as usize]
+            }
+            // analyze::allow(indexing, reason = "segment 0 always exists and holds rows_len() rows here")
+            _ => &self.segments[0][r],
+        }
     }
 
     /// The plan's objectives, primary first.
@@ -427,18 +441,8 @@ impl ResultSet {
     /// not store the point (only frontier and top-k indices are
     /// addressable then).
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "documented `# Panics` accessor; try_point is the checked sibling the serving tier uses")
     pub fn point(&self, index: usize) -> &QueryPoint {
-        if self.streamed.is_some() {
-            return &self.segments[0][self.row_pos(index)];
-        }
-        match &self.kept {
-            None => &self.segments[0][index],
-            Some(kept) => {
-                let r = kept[index];
-                &self.segments[r.segment as usize][r.index as usize]
-            }
-        }
+        self.stored_point(self.row_pos(index))
     }
 
     /// Non-panicking [`point`](Self::point): `None` when `index` is out
@@ -448,24 +452,15 @@ impl ResultSet {
     /// through — a bad request becomes a structured error, not a dead
     /// worker.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "every index is checked against len() or comes from a binary_search hit")
     pub fn try_point(&self, index: usize) -> Option<&QueryPoint> {
         if index >= self.len() {
             return None;
         }
-        match &self.streamed {
-            Some(meta) => {
-                let r = meta.stored.binary_search(&index).ok()?;
-                Some(&self.segments[0][r])
-            }
-            None => match &self.kept {
-                None => Some(&self.segments[0][index]),
-                Some(kept) => {
-                    let r = kept[index];
-                    Some(&self.segments[r.segment as usize][r.index as usize])
-                }
-            },
-        }
+        let r = match &self.streamed {
+            Some(meta) => meta.stored.binary_search(&index).ok()?,
+            None => index,
+        };
+        Some(self.stored_point(r))
     }
 
     /// Non-panicking [`points`](Self::points): `None` for a streamed
@@ -539,7 +534,7 @@ impl ResultSet {
     /// the shared store. For a materializing result that is every kept
     /// point; for a streamed one, the stored (frontier ∪ top-k) subset.
     pub fn iter_points(&self) -> impl Iterator<Item = &QueryPoint> {
-        (0..self.rows_len()).map(|r| self.point(self.row_global(r)))
+        (0..self.rows_len()).map(|r| self.stored_point(r))
     }
 
     /// Number of points the plan kept. In streamed mode this is the
@@ -865,99 +860,97 @@ impl ResultSet {
     /// plus a `"stored"` array mapping each row to its global index
     /// (`"count"` stays the logical kept count), so consumers can tell
     /// the modes apart.
+    ///
+    /// A wrapper over [`write_json`](Self::write_json), which appends
+    /// the same bytes to a caller's buffer.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "pos enumerates self.objectives; columns are objective-aligned by construction")
     pub fn to_json(&self, catalog: &Catalog) -> String {
-        let mut out = String::with_capacity(64 + self.len() * 96);
+        let mut out = String::new();
+        self.write_json(catalog, &mut out);
+        out
+    }
+
+    /// Appends the [`to_json`](Self::to_json) document to `out` through
+    /// the wire writer ([`f1_components::json`]), with no allocation per
+    /// value. Space is reserved for the rows the document prints — the
+    /// stored rows, not a streamed result's logical kept count.
+    pub fn write_json(&self, catalog: &Catalog, out: &mut String) {
+        out.reserve(256 + self.rows_len() * (192 + 24 * self.objectives.len()));
         out.push_str("{\n  \"objectives\": [");
         for (i, o) in self.objectives.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!(
-                "{{\"label\": {}, \"unit\": {}, \"maximize\": {}}}",
-                json_string(o.label()),
-                json_string(o.unit()),
-                o.maximize()
-            ));
+            out.push_str("{\"label\": ");
+            push_string(out, o.label());
+            out.push_str(", \"unit\": ");
+            push_string(out, o.unit());
+            let _ = write!(out, ", \"maximize\": {}}}", o.maximize());
         }
-        out.push_str("],\n");
-        out.push_str(&format!(
-            "  \"count\": {}, \"dropped\": {}, \"uncharacterized\": {}, \"nonfinite\": {},\n",
+        let _ = write!(
+            out,
+            "],\n  \"count\": {}, \"dropped\": {}, \"uncharacterized\": {}, \"nonfinite\": {},\n",
             self.len(),
             self.dropped,
             self.uncharacterized,
             self.nonfinite
-        ));
+        );
         if let Some(meta) = &self.streamed {
             out.push_str("  \"stored\": [");
-            for (i, g) in meta.stored.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&g.to_string());
-            }
+            push_integers(out, &meta.stored);
             out.push_str("],\n");
         }
         out.push_str("  \"columns\": {");
-        for (pos, objective) in self.objectives.iter().enumerate() {
+        for (pos, (objective, column)) in self.objectives.iter().zip(&self.columns).enumerate() {
             if pos > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(objective.label()));
+            push_string(out, objective.label());
             out.push_str(": [");
-            for (i, v) in self.columns[pos].iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_number(*v));
-            }
+            push_numbers(out, column);
             out.push(']');
         }
         out.push_str("},\n  \"builds\": [");
-        for i in 0..self.rows_len() {
-            let point = self.point(self.row_global(i));
+        for (i, point) in self.iter_points().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    {\"airframe\": ");
-            out.push_str(&json_string(catalog.airframe_by_id(point.airframe).name()));
+            push_string(out, catalog.airframe_by_id(point.airframe).name());
             out.push_str(", \"sensor\": ");
-            out.push_str(&json_string(
-                catalog.sensor_by_id(point.candidate.sensor).name(),
-            ));
+            push_string(out, catalog.sensor_by_id(point.candidate.sensor).name());
             out.push_str(", \"compute\": ");
-            out.push_str(&json_string(
-                catalog.compute_by_id(point.candidate.compute).name(),
-            ));
+            push_string(out, catalog.compute_by_id(point.candidate.compute).name());
             out.push_str(", \"algorithm\": ");
-            out.push_str(&json_string(
+            push_string(
+                out,
                 catalog.algorithm_by_id(point.candidate.algorithm).name(),
-            ));
-            out.push_str(&format!(", \"feasible\": {}", point.outcome.feasible));
+            );
+            let _ = write!(out, ", \"feasible\": {}", point.outcome.feasible);
             if !point.setting.is_identity() {
                 let s = &point.setting;
-                out.push_str(&format!(
-                    ", \"setting\": {{\"tdp_scale\": {}, \"sensor_rate_scale\": {}, \
-                     \"sensor_range_scale\": {}, \"payload_delta_g\": {}, \
-                     \"weight_scale\": {}, \"rotor_pull_scale\": {}}}",
-                    json_number(s.tdp_scale),
-                    json_number(s.sensor_rate_scale),
-                    json_number(s.sensor_range_scale),
-                    json_number(s.payload_delta.get()),
-                    json_number(s.weight_scale),
-                    json_number(s.rotor_pull_scale),
-                ));
+                let fields = [
+                    ("tdp_scale", s.tdp_scale),
+                    ("sensor_rate_scale", s.sensor_rate_scale),
+                    ("sensor_range_scale", s.sensor_range_scale),
+                    ("payload_delta_g", s.payload_delta.get()),
+                    ("weight_scale", s.weight_scale),
+                    ("rotor_pull_scale", s.rotor_pull_scale),
+                ];
+                out.push_str(", \"setting\": {");
+                for (j, (key, v)) in fields.into_iter().enumerate() {
+                    if j > 0 {
+                        out.push_str(", ");
+                    }
+                    let _ = write!(out, "\"{key}\": ");
+                    push_number(out, v);
+                }
+                out.push('}');
             }
             out.push('}');
         }
         out.push_str("\n  ],\n  \"frontier\": [");
-        for (i, f) in self.frontier.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.to_string());
-        }
+        push_integers(out, &self.frontier);
         out.push(']');
         if let Some(sim) = &self.sim {
             out.push_str(",\n  \"sim\": {\n    \"objectives\": [");
@@ -965,27 +958,21 @@ impl ResultSet {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
-                    "{{\"label\": {}, \"maximize\": {}}}",
-                    json_string(o.label()),
-                    o.maximize()
-                ));
+                out.push_str("{\"label\": ");
+                push_string(out, o.label());
+                let _ = write!(out, ", \"maximize\": {}}}", o.maximize());
             }
             out.push_str("],\n    \"survivors\": [");
             for (i, row) in sim.rows.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "\n      {{\"id\": {}, \"index\": {}, \"values\": [",
                     row.candidate_id, row.index
-                ));
-                for (j, v) in row.values.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_number(*v));
-                }
+                );
+                push_numbers(out, &row.values);
                 out.push_str("]}");
             }
             out.push_str("\n    ],\n    \"report\": [");
@@ -993,25 +980,41 @@ impl ResultSet {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "\n      {{\"objective\": {}, \"analytic\": {}, \"tau\": {}, \
-                     \"agreement\": {}, \"outliers\": [{}]}}",
-                    json_string(entry.objective.label()),
-                    json_string(entry.analytic.label()),
-                    json_number(entry.tau),
-                    json_number(entry.agreement),
-                    entry
-                        .outliers
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ));
+                out.push_str("\n      {\"objective\": ");
+                push_string(out, entry.objective.label());
+                out.push_str(", \"analytic\": ");
+                push_string(out, entry.analytic.label());
+                out.push_str(", \"tau\": ");
+                push_number(out, entry.tau);
+                out.push_str(", \"agreement\": ");
+                push_number(out, entry.agreement);
+                out.push_str(", \"outliers\": [");
+                push_integers(out, &entry.outliers);
+                out.push_str("]}");
             }
             out.push_str("\n    ]\n  }");
         }
         out.push_str("\n}\n");
-        out
+    }
+}
+
+/// Appends `values` comma-separated through the wire number writer.
+fn push_numbers(out: &mut String, values: &[f64]) {
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_number(out, v);
+    }
+}
+
+/// Appends `values` comma-separated in decimal.
+fn push_integers<T: fmt::Display>(out: &mut String, values: &[T]) {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -1085,29 +1088,6 @@ impl<'a> ResultPage<'a> {
             .iter()
             .enumerate()
             .map(move |(i, p)| (start + i, p))
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_owned()
     }
 }
 
@@ -2932,9 +2912,35 @@ mod tests {
                 "{open}{close}"
             );
         }
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\u000a\"");
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert_eq!(json_number(1.5), "1.5");
+    }
+
+    #[test]
+    fn streamed_json_reserves_for_its_stored_rows() {
+        let session = session();
+        let plan = QueryPlan::builder()
+            .objectives(&[Objective::SafeVelocity, Objective::TotalTdp])
+            .sweep(KnobSweep::new(
+                Knob::TdpScale,
+                vec![0.5, 0.625, 0.75, 0.875, 1.0, 1.125, 1.25, 1.5],
+            ))
+            .keep_points(crate::plan::KeepPoints::FrontierOnly)
+            .build()
+            .unwrap();
+        let result = session.run(&plan).unwrap();
+        let stored = result.stored_indices().unwrap().len();
+        assert!(
+            result.len() > 10 * stored,
+            "{} kept, {stored} stored",
+            result.len()
+        );
+        let json = result.to_json(&session.catalog());
+        assert!(
+            json.capacity() < 4 * json.len(),
+            "capacity {} for a {}-byte document",
+            json.capacity(),
+            json.len()
+        );
+        f1_components::json::parse(&json).unwrap();
     }
 
     #[test]
