@@ -11,6 +11,10 @@
 //! **real encoders** over a fixed corpus of inputs and compares the
 //! bytes against checked-in goldens under `crates/analyze/golden/`.
 //!
+//! Result documents too large to pin verbatim (10³–10⁴ rows) are pinned
+//! as one FNV-1a digest line per document (`result_digests.txt`), so
+//! byte identity of every rendered result at scale is part of the gate.
+//!
 //! `f1-analyze --bless` regenerates the goldens after an *intentional*
 //! format change — the diff then shows the reviewer exactly what moved
 //! on the wire.
@@ -20,12 +24,14 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
-use f1_components::{catalog_digest, AirframeId, BatteryId, Catalog, CatalogDelta, CatalogStore};
+use f1_components::{
+    catalog_digest, AirframeId, BatteryId, Catalog, CatalogDelta, CatalogStore, EpochSnapshot,
+};
 use f1_serve::protocol;
 use f1_serve::{DurabilityStats, ErrorKind, SchedulerStats};
 use f1_skyline::plan::{KeepPoints, QueryPlan, SimObjective};
 use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
-use f1_skyline::session::{CacheStats, Session};
+use f1_skyline::session::{CacheStats, ResultSet, Session};
 use f1_skyline::tier2::SimStats;
 use f1_units::{MetersPerSecond, Watts};
 
@@ -148,7 +154,259 @@ pub fn corpus() -> Result<Vec<(&'static str, String)>, String> {
     let (log_record, store_snapshot) = store_framing()?;
     out.push(("store_log_record.txt", log_record));
     out.push(("store_snapshot.txt", store_snapshot));
+    out.push(("result_digests.txt", result_digests()?));
     Ok(out)
+}
+
+/// The four objectives of the digest corpus's widest plans.
+const FOUR_OBJECTIVES: [Objective; 4] = [
+    Objective::SafeVelocity,
+    Objective::TotalTdp,
+    Objective::PayloadMass,
+    Objective::MissionEnergyWhPerKm,
+];
+
+/// Appends one line per rendered document of `result`: `to_json`,
+/// `query_body` cached and uncached, and `top_body` at k = 0, 5 and
+/// 100, each as its byte length and FNV-1a 64 digest. A digest pins a
+/// 10⁴-row document byte for byte at the cost of one short line.
+fn push_digests(out: &mut String, label: &str, result: &ResultSet, snapshot: &EpochSnapshot) {
+    let documents = [
+        ("to_json", result.to_json(snapshot.catalog())),
+        ("query_cached", protocol::query_body(result, snapshot, true)),
+        (
+            "query_uncached",
+            protocol::query_body(result, snapshot, false),
+        ),
+        ("top_0", protocol::top_body(0, result, snapshot, false)),
+        ("top_5", protocol::top_body(5, result, snapshot, true)),
+        ("top_100", protocol::top_body(100, result, snapshot, false)),
+    ];
+    for (document, bytes) in documents {
+        let _ = writeln!(
+            out,
+            "{label} {document} {} {:016x}",
+            bytes.len(),
+            f1_store::frame::checksum(bytes.as_bytes())
+        );
+    }
+}
+
+/// How many sensors a retaining digest plan enumerates: a retained
+/// document prints every row, so retained plans take the first
+/// [`RETAINED_SENSORS`] sensors (about 2·10³ rows each) to keep the
+/// debug-built corpus within seconds; streamed plans print only their
+/// frontier and top-k, and take the whole airframe.
+const RETAINED_SENSORS: usize = 4;
+
+/// A plan on one airframe of the digest catalog (the first
+/// [`RETAINED_SENSORS`] sensors when it retains its points).
+fn digest_plan(
+    catalog: &Catalog,
+    airframe: AirframeId,
+    objectives: &[Objective],
+    keep: KeepPoints,
+) -> f1_skyline::PlanBuilder {
+    let builder = QueryPlan::builder()
+        .objectives(objectives)
+        .airframes(&[airframe])
+        .keep_points(keep);
+    if keep == KeepPoints::All {
+        let sensors: Vec<_> = catalog
+            .sensor_entries()
+            .take(RETAINED_SENSORS)
+            .map(|(id, _)| id)
+            .collect();
+        builder.sensors(&sensors)
+    } else {
+        builder
+    }
+}
+
+/// Result documents of 10³–10⁴ rows, digested: every plan runs on one
+/// airframe of `Catalog::synthesize(42, 22)`. Covers retained and
+/// streamed plans with two to four objectives, a TDP sweep whose
+/// infeasible builds print `null` energies, each member of an 8-plan
+/// TDP-cap batch, a tier-2 plan, and a retained and a streamed plan
+/// refreshed across a throughput patch and then across a compute
+/// retirement that kills frontier members.
+fn result_digests() -> Result<String, String> {
+    let build = |builder: f1_skyline::PlanBuilder, what: &str| {
+        builder.build().map_err(|e| format!("{what} plan: {e}"))
+    };
+    let store = Arc::new(CatalogStore::new(Catalog::synthesize(42, 22)));
+    let session = Session::over(Arc::clone(&store));
+    let snapshot = store.current();
+    let catalog = snapshot.catalog();
+    let airframe = catalog
+        .airframe_entries()
+        .next()
+        .map(|(id, _)| id)
+        .ok_or("the digest catalog has no airframe")?;
+    let mut out = String::new();
+    let run = |plan: &QueryPlan| session.run(plan).map_err(|e| format!("digest query: {e}"));
+
+    for keep in [KeepPoints::All, KeepPoints::FrontierOnly] {
+        let mode = if keep == KeepPoints::All {
+            "retained"
+        } else {
+            "streamed"
+        };
+        let shapes = [
+            digest_plan(catalog, airframe, &FOUR_OBJECTIVES[..2], keep)
+                .constraint(Constraint::MaxTotalTdp(Watts::new(30.0))),
+            digest_plan(
+                catalog,
+                airframe,
+                &[
+                    Objective::PayloadMass,
+                    Objective::SafeVelocity,
+                    Objective::TotalTdp,
+                ],
+                keep,
+            )
+            .constraint(Constraint::FeasibleOnly),
+            digest_plan(catalog, airframe, &FOUR_OBJECTIVES, keep)
+                .constraint(Constraint::MaxTotalTdp(Watts::new(20.0))),
+        ];
+        for (shape, builder) in shapes.into_iter().enumerate() {
+            let plan = build(builder, mode)?;
+            let label = format!("{mode}-{}obj", shape + 2);
+            push_digests(&mut out, &label, &*run(&plan)?, &snapshot);
+        }
+    }
+
+    // The weakest airframe, so the heavier heatsinks of the scaled-up
+    // TDPs leave infeasible builds, whose energies print as `null`.
+    let weakest = catalog
+        .airframe_entries()
+        .min_by(|a, b| {
+            let capacity = |frame: &f1_components::Airframe| frame.payload_capacity().get();
+            capacity(a.1).total_cmp(&capacity(b.1))
+        })
+        .map(|(id, _)| id)
+        .ok_or("the digest catalog has no airframe")?;
+    let sweep = build(
+        digest_plan(
+            catalog,
+            weakest,
+            &[Objective::SafeVelocity, Objective::MissionEnergyWhPerKm],
+            KeepPoints::All,
+        )
+        .sweep(KnobSweep::new(Knob::TdpScale, vec![0.5, 1.0, 2.0])),
+        "sweep",
+    )?;
+    let swept = run(&sweep)?;
+    if !swept.to_json(catalog).contains("null") {
+        return Err("the sweep plan prints no null energy".to_owned());
+    }
+    push_digests(&mut out, "tdp-sweep", &swept, &snapshot);
+
+    let batch: Vec<QueryPlan> = [60.0, 30.0, 16.0, 8.0, 4.0, 2.0, 1.0, 0.5]
+        .into_iter()
+        .map(|cap| {
+            build(
+                digest_plan(catalog, airframe, &FOUR_OBJECTIVES, KeepPoints::All)
+                    .constraint(Constraint::MaxTotalTdp(Watts::new(cap))),
+                "batch",
+            )
+        })
+        .collect::<Result<_, _>>()?;
+    let members = Session::over(Arc::clone(&store))
+        .run_batch(&batch)
+        .map_err(|e| format!("digest batch: {e}"))?;
+    for (i, member) in members.iter().enumerate() {
+        push_digests(&mut out, &format!("batch-{i}"), member, &snapshot);
+    }
+
+    let sensors: Vec<_> = catalog.sensor_entries().take(2).map(|(id, _)| id).collect();
+    let computes: Vec<_> = catalog
+        .compute_entries()
+        .take(6)
+        .map(|(id, _)| id)
+        .collect();
+    let tier2 = build(
+        QueryPlan::builder()
+            .objectives(&FOUR_OBJECTIVES[..2])
+            .airframes(&[airframe])
+            .sensors(&sensors)
+            .computes(&computes)
+            .sim_objective(SimObjective::MissionRobustness { trials: 2 })
+            .sim_objective(SimObjective::PipelineP99Latency)
+            .survivor_budget(3),
+        "tier-2",
+    )?;
+    let tier2_result = Session::over(Arc::clone(&store))
+        .with_tier2(Arc::new(f1_sim::SimHarness::default()))
+        .run(&tier2)
+        .map_err(|e| format!("digest tier-2 query: {e}"))?;
+    push_digests(&mut out, "tier2", &tier2_result, &snapshot);
+
+    refreshed_digests(&mut out, airframe)?;
+    Ok(out)
+}
+
+/// Retained and streamed plans refreshed across a throughput patch,
+/// then across the retirement of a compute that carries frontier
+/// members, on their own store.
+fn refreshed_digests(out: &mut String, airframe: AirframeId) -> Result<(), String> {
+    let store = Arc::new(CatalogStore::new(Catalog::synthesize(42, 22)));
+    let session = Session::over(Arc::clone(&store));
+    let genesis = store.current();
+    let catalog = Arc::clone(genesis.catalog());
+    let plans = [KeepPoints::All, KeepPoints::FrontierOnly]
+        .into_iter()
+        .map(|keep| {
+            digest_plan(&catalog, airframe, &FOUR_OBJECTIVES[..3], keep)
+                .constraint(Constraint::MaxTotalTdp(Watts::new(40.0)))
+                .build()
+                .map_err(|e| format!("refresh plan: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut frontier_compute = None;
+    for plan in &plans {
+        let result = session
+            .run(plan)
+            .map_err(|e| format!("refresh genesis query: {e}"))?;
+        frontier_compute = frontier_compute.or_else(|| {
+            result
+                .frontier()
+                .first()
+                .and_then(|&i| result.try_point(i))
+                .map(|p| p.candidate.compute)
+        });
+    }
+    let retired = frontier_compute.ok_or("the refresh plan has an empty frontier")?;
+    let (patched, algorithm, hz) = catalog
+        .compute_entries()
+        .filter(|&(id, _)| id != retired)
+        .find_map(|(_, compute)| {
+            catalog.algorithm_entries().find_map(|(g, algorithm)| {
+                catalog
+                    .throughput(compute.name(), algorithm.name())
+                    .ok()
+                    .map(|hz| (compute.name(), g, hz))
+            })
+        })
+        .ok_or("the digest catalog has no characterized pair")?;
+    let patch = CatalogDelta::new().patch_throughput(
+        patched,
+        catalog.algorithm_by_id(algorithm).name(),
+        f1_units::Hertz::new(hz.get() * 1.5),
+    );
+    let retire = CatalogDelta::new().retire_compute(catalog.compute_by_id(retired).name());
+    for (step, delta) in [("patch", patch), ("retire", retire)] {
+        let snapshot = store
+            .apply(&delta)
+            .map_err(|e| format!("refresh {step} delta: {e}"))?;
+        for (plan, mode) in plans.iter().zip(["retained", "streamed"]) {
+            let result = session
+                .refresh(plan)
+                .map_err(|e| format!("refresh {step} query: {e}"))?;
+            push_digests(out, &format!("{step}-{mode}"), &result, &snapshot);
+        }
+    }
+    Ok(())
 }
 
 /// A delta whose sensor name needs every wire escape: a quote, a
@@ -424,7 +682,8 @@ mod tests {
                 "escaped_names.txt",
                 "catalog_delta.txt",
                 "store_log_record.txt",
-                "store_snapshot.txt"
+                "store_snapshot.txt",
+                "result_digests.txt"
             ]
         );
     }
@@ -453,7 +712,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // Missing goldens: every entry is a finding.
         let missing = check(&dir, false);
-        assert_eq!(missing.len(), 8, "{missing:?}");
+        assert_eq!(missing.len(), 9, "{missing:?}");
         // Bless, then verify clean.
         assert!(check(&dir, true).is_empty());
         assert!(check(&dir, false).is_empty());
