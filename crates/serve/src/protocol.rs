@@ -235,10 +235,11 @@ pub fn warm_query_body(result_json: &str, snapshot: &EpochSnapshot, cached: bool
 
 /// Builds the `top` response body: the envelope plus the best `k`
 /// ranked builds with their objective rows — the compact shape a
-/// serving client polls at high rate. Point access goes through the
-/// non-panicking [`ResultSet::try_point`]/[`ResultSet::try_row`], so a
-/// streamed result with fewer stored rows than `k` degrades to what it
-/// kept instead of killing the worker.
+/// serving client polls at high rate. Rows are read through the
+/// non-panicking [`ResultSet::try_key`]/[`ResultSet::try_row`], which
+/// decode a build's names and read its feasibility without running the
+/// model, so a streamed result with fewer stored rows than `k` degrades
+/// to what it kept instead of killing the worker.
 #[must_use]
 pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: bool) -> String {
     let catalog = snapshot.catalog();
@@ -260,9 +261,9 @@ pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: 
     out.push_str("], \"top\": [");
     let mut emitted = 0usize;
     for index in result.top_k(k) {
-        // try_point/try_row: a streamed result only stores frontier ∪
+        // try_key/try_row: a streamed result only stores frontier ∪
         // top-k rows; anything it did not keep is skipped, not a panic.
-        let (Some(point), Some(row)) = (result.try_point(index), result.try_row(index)) else {
+        let (Some(key), Some(row)) = (result.try_key(index), result.try_row(index)) else {
             continue;
         };
         if emitted > 0 {
@@ -270,27 +271,20 @@ pub fn top_body(k: usize, result: &ResultSet, snapshot: &EpochSnapshot, cached: 
         }
         emitted += 1;
         let _ = write!(out, "\n  {{\"index\": {index}, \"airframe\": ");
-        push_string(&mut out, catalog.airframe_by_id(point.airframe).name());
+        push_string(&mut out, catalog.airframe_by_id(key.airframe).name());
         out.push_str(", \"sensor\": ");
-        push_string(
-            &mut out,
-            catalog.sensor_by_id(point.candidate.sensor).name(),
-        );
+        push_string(&mut out, catalog.sensor_by_id(key.candidate.sensor).name());
         out.push_str(", \"compute\": ");
         push_string(
             &mut out,
-            catalog.compute_by_id(point.candidate.compute).name(),
+            catalog.compute_by_id(key.candidate.compute).name(),
         );
         out.push_str(", \"algorithm\": ");
         push_string(
             &mut out,
-            catalog.algorithm_by_id(point.candidate.algorithm).name(),
+            catalog.algorithm_by_id(key.candidate.algorithm).name(),
         );
-        let _ = write!(
-            out,
-            ", \"feasible\": {}, \"values\": [",
-            point.outcome.feasible
-        );
+        let _ = write!(out, ", \"feasible\": {}, \"values\": [", key.feasible);
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
                 out.push(',');

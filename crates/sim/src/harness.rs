@@ -209,7 +209,7 @@ impl Tier2Evaluator for SimHarness {
         let jobs: Vec<Job> = survivors
             .iter()
             .map(|&index| {
-                let point = *ctx
+                let point = ctx
                     .result
                     .try_point(index)
                     .ok_or_else(|| SkylineError::Tier2 {
@@ -245,7 +245,7 @@ impl Tier2Evaluator for SimHarness {
             let (block, prior_result) = prior_block?;
             let row = block.row_for(job.id)?;
             let prior_point = prior_result.try_point(row.index)?;
-            (*prior_point == job.point).then(|| row.values.clone())
+            (prior_point == job.point).then(|| row.values.clone())
         };
 
         // Fan the survivor jobs through the session's work-stealing

@@ -39,7 +39,7 @@ use f1_skyline::chart::{roofline_chart, OperatingPoint};
 use f1_skyline::mission::{analyze_mission, MissionSpec};
 use f1_skyline::plan::{KeepPoints, QueryPlan};
 use f1_skyline::query::{Constraint, Objective};
-use f1_skyline::session::{ResultSet, Session};
+use f1_skyline::session::{ResultSet, RowKey, Session};
 use f1_skyline::UavSystem;
 use f1_units::{Hertz, Meters, Watts};
 
@@ -233,8 +233,16 @@ fn human_duration(d: Duration) -> String {
     }
 }
 
+/// The stored row at `index`: ranked, top-k and frontier indices are
+/// always stored.
+fn key(result: &ResultSet, index: usize) -> RowKey {
+    result
+        .try_key(index)
+        .expect("ranked, top-k and frontier indices are stored rows")
+}
+
 fn describe_point(catalog: &Catalog, result: &ResultSet, index: usize) -> String {
-    let point = result.point(index);
+    let point = key(result, index);
     let parts = format!(
         "{:<18} + {:<18} + {:<26}",
         catalog.sensor_by_id(point.candidate.sensor).name(),
@@ -360,14 +368,14 @@ fn dse_report(catalog: &Arc<Catalog>, args: &Args) -> Result<(), Box<dyn std::er
         let per_airframe: Vec<usize> = ranked
             .iter()
             .copied()
-            .filter(|&i| result.point(i).airframe == airframe_id)
+            .filter(|&i| key(&result, i).airframe == airframe_id)
             .collect();
         if per_airframe.is_empty() {
             continue;
         }
         let feasible = per_airframe
             .iter()
-            .filter(|&&i| result.point(i).outcome.feasible)
+            .filter(|&&i| key(&result, i).feasible)
             .count();
         println!(
             "━━ {}: {} candidates ({} feasible, {} uncharacterized pairs skipped) ━━",
@@ -377,7 +385,7 @@ fn dse_report(catalog: &Arc<Catalog>, args: &Args) -> Result<(), Box<dyn std::er
             result.uncharacterized(),
         );
         for &index in per_airframe.iter().take(args.dse_top) {
-            let verdict = if result.point(index).outcome.feasible {
+            let verdict = if key(&result, index).feasible {
                 describe_point(catalog, &result, index)
             } else {
                 format!("{} cannot hover", describe_point(catalog, &result, index))
@@ -389,7 +397,7 @@ fn dse_report(catalog: &Arc<Catalog>, args: &Args) -> Result<(), Box<dyn std::er
     if let Some(k) = args.top_k {
         println!("top {k} overall by {primary} (bounded-heap top_k, no full sort):");
         for index in result.top_k(k) {
-            let airframe = catalog.airframe_by_id(result.point(index).airframe).name();
+            let airframe = catalog.airframe_by_id(key(&result, index).airframe).name();
             println!(
                 "  {airframe:<18} {}",
                 describe_point(catalog, &result, index)
@@ -406,7 +414,7 @@ fn dse_report(catalog: &Arc<Catalog>, args: &Args) -> Result<(), Box<dyn std::er
             .join(", ")
     );
     for &index in result.frontier() {
-        let airframe = catalog.airframe_by_id(result.point(index).airframe).name();
+        let airframe = catalog.airframe_by_id(key(&result, index).airframe).name();
         println!(
             "  {airframe:<18} {}",
             describe_point(catalog, &result, index)

@@ -685,12 +685,14 @@ impl<'c> Engine<'c> {
     #[must_use]
     pub fn describe_query(&self, result: &ResultSet) -> Vec<DseResult> {
         let catalog = self.catalog();
+        let key = |index| {
+            result
+                .try_key(index)
+                .expect("ranked indices are stored rows")
+        };
         let mut groups: BTreeMap<AirframeId, Vec<usize>> = BTreeMap::new();
         for index in result.ranked() {
-            groups
-                .entry(result.point(index).airframe)
-                .or_default()
-                .push(index);
+            groups.entry(key(index).airframe).or_default().push(index);
         }
         self.airframe_ids()
             .iter()
@@ -726,7 +728,7 @@ impl<'c> Engine<'c> {
                 nonfinite: indices
                     .iter()
                     .filter(|&&i| {
-                        result.point(i).outcome.feasible
+                        key(i).feasible
                             && (0..result.objectives().len())
                                 .any(|p| !result.value(i, p).is_finite())
                     })

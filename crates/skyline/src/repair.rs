@@ -10,14 +10,16 @@
 //! * **Survivors** — candidates whose four parts are active at both
 //!   epochs and whose platform × algorithm throughput is unchanged —
 //!   evaluate to bit-identical outcomes, so their cached rows are copied
-//!   verbatim.
+//!   verbatim, re-indexed to their job in the new epoch's enumeration.
 //! * **Retired** candidates are masked out of the merged result.
 //! * **Net-new** candidates (any fresh part, or a re-characterized /
 //!   newly characterized throughput pair) are the only ones evaluated,
 //!   on the shard kernel like a cold run — as a handful of
 //!   cross-product *slabs* that exactly tile `new-space ∖ survivors`.
-//! * The merged point list is reassembled in the **new epoch's
-//!   enumeration order**, and the new frontier is obtained by merging
+//! * The merged rows — job indices beside the value and feasibility
+//!   columns, no points — are reassembled in the **new epoch's
+//!   enumeration order** over the new epoch's pass space, exactly the
+//!   space a cold run builds, and the new frontier is obtained by merging
 //!   the incremental skyline of the delta points into the survivors'
 //!   frontier (`frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D))`,
 //!   exact including ties). The survivors' frontier is the cached
@@ -37,8 +39,10 @@ use f1_components::{AirframeId, AlgorithmId, ComputeId, SensorId, ThroughputTabl
 
 use crate::frontier;
 use crate::plan::{KeepPoints, QueryPlan};
-use crate::query::{KnobSetting, Objective, QueryPoint, MAX_OBJECTIVES};
-use crate::session::{minimized_row, run_plans, EpochState, PassContext, PointRef, ResultSet};
+use crate::query::{Objective, MAX_OBJECTIVES};
+use crate::session::{minimized_row, run_plans, EpochState, PassContext, ResultSet};
+use crate::shard::PassSpace;
+use crate::sweep::parallel_map_indices;
 use crate::SkylineError;
 
 /// Outcome of a repair attempt.
@@ -47,7 +51,7 @@ pub(crate) enum Repair {
     /// result is the current-epoch answer as-is.
     Unchanged,
     /// The repaired result — bit-identical to a cold run at the new
-    /// epoch. Boxed: a `ResultSet` (columns + segments + streamed meta)
+    /// epoch. Boxed: a `ResultSet` (columns + jobs + streamed meta)
     /// dwarfs the other variants.
     Repaired(Box<ResultSet>),
     /// Repair is not applicable to this plan (e.g. duplicate subspace
@@ -186,7 +190,7 @@ impl CandIndex {
     }
 }
 
-/// Everything needed to place an evaluated point into the new epoch's
+/// Everything needed to place an evaluated row into the new epoch's
 /// global job order.
 struct NewOrder<'a> {
     airframes: &'a FamilyDelta,
@@ -194,7 +198,6 @@ struct NewOrder<'a> {
     computes: &'a FamilyDelta,
     algorithms: &'a FamilyDelta,
     cand: CandIndex,
-    settings: &'a [KnobSetting],
     /// Jobs per airframe block (`settings × candidates`).
     per_airframe: u64,
     /// Candidates per setting block.
@@ -202,18 +205,20 @@ struct NewOrder<'a> {
 }
 
 impl NewOrder<'_> {
-    /// The point's job index in the new epoch's enumeration, or `None`
-    /// when the point is no longer enumerated (a part retired or the
-    /// pair no longer characterized).
+    /// The job index in the new epoch's enumeration of row `job` of
+    /// `space` (whose knob settings are the plan's), or `None` when the
+    /// build is no longer enumerated (a part retired or the pair no
+    /// longer characterized).
     // analyze::allow(indexing, scope = "fn", reason = "new_pos tables are sized to the full id space; part indices are catalog ids")
-    fn job_of(&self, point: &QueryPoint) -> Option<u64> {
-        let a = self.airframes.new_pos[point.airframe.index()]?;
-        let s = self.sensors.new_pos[point.candidate.sensor.index()]?;
-        let c = self.computes.new_pos[point.candidate.compute.index()]?;
-        let g = self.algorithms.new_pos[point.candidate.algorithm.index()]?;
-        let setting = self.settings.iter().position(|x| x == &point.setting)? as u64;
+    fn job_of(&self, space: &PassSpace, job: u64) -> Option<u64> {
+        let coord = space.coord(job);
+        let (airframe, candidate, _) = space.key(coord);
+        let a = self.airframes.new_pos[airframe.index()]?;
+        let s = self.sensors.new_pos[candidate.sensor.index()]?;
+        let c = self.computes.new_pos[candidate.compute.index()]?;
+        let g = self.algorithms.new_pos[candidate.algorithm.index()]?;
         let cand = self.cand.pos(s, c, g)?;
-        Some(u64::from(a) * self.per_airframe + setting * self.n_cand + cand)
+        Some(u64::from(a) * self.per_airframe + coord.setting as u64 * self.n_cand + cand)
     }
 }
 
@@ -312,64 +317,87 @@ fn eligible_rows<'a>(
 /// survivor dominates, and only they can push a survivor out: a delta
 /// point that survivor `t` dominates cannot dominate another survivor,
 /// or `t` would too. Against a small delta set that is far fewer
-/// dominance probes than a skyline over the union.
+/// dominance probes than a skyline over the union. Both sides are
+/// sorted by their first key, since a dominator's first key is at most
+/// the dominated point's: a probe scans only that prefix, nearest first.
+// analyze::allow(indexing, scope = "fn", reason = "members index the row-aligned columns; a probe's prefix is a partition point of the same sorted rows")
 fn union_frontier(
     s: &[u32],
+    s_keys: &[f64],
     d: &[u32],
     columns: &[Vec<f64>],
     objectives: &[Objective],
 ) -> Vec<usize> {
     let dims = objectives.len();
-    let keys = |members: &[u32]| -> Vec<f64> {
+    // Members (with row-major `keys`) sorted by first key, with their
+    // keys in that order and the sorted first keys.
+    let sorted = |members: &[u32], keys: &[f64]| -> (Vec<u32>, Vec<f64>, Vec<f64>) {
+        let mut order: Vec<(f64, u32, usize)> = members
+            .iter()
+            .zip(keys.chunks_exact(dims))
+            .enumerate()
+            .map(|(i, (&m, row))| (row[0], m, i))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let rows = order
+            .iter()
+            .flat_map(|&(_, _, i)| &keys[i * dims..(i + 1) * dims])
+            .copied()
+            .collect();
+        (
+            order.iter().map(|&(_, m, _)| m).collect(),
+            rows,
+            order.iter().map(|&(first, ..)| first).collect(),
+        )
+    };
+    let undominated = |(members, rows, _): &(Vec<u32>, Vec<f64>, Vec<f64>),
+                       (_, others, firsts): &(Vec<u32>, Vec<f64>, Vec<f64>)| {
+        let mut kept: Vec<u32> = Vec::new();
+        for (&m, row) in members.iter().zip(rows.chunks_exact(dims)) {
+            let prefix = firsts.partition_point(|&f| f <= row[0]) * dims;
+            if !others[..prefix]
+                .chunks_exact(dims)
+                .rev()
+                .any(|other| frontier::dominates_min(other, row))
+            {
+                kept.push(m);
+            }
+        }
+        kept
+    };
+    let gather = |members: &[u32]| -> Vec<f64> {
         members
             .iter()
             .flat_map(|&m| minimized_row(columns, objectives, m as usize))
             .collect()
     };
-    let undominated = |members: &[u32], rows: &[f64], others: &[f64]| -> (Vec<u32>, Vec<f64>) {
-        let mut kept = (Vec::new(), Vec::new());
-        for (&m, row) in members.iter().zip(rows.chunks_exact(dims)) {
-            if !others
-                .chunks_exact(dims)
-                .any(|other| frontier::dominates_min(other, row))
-            {
-                kept.0.push(m);
-                kept.1.extend_from_slice(row);
-            }
-        }
-        kept
-    };
-    let s_keys = keys(s);
-    let (joining, joining_keys) = undominated(d, &keys(d), &s_keys);
-    let (mut out, _) = undominated(s, &s_keys, &joining_keys);
+    let survivors = sorted(s, s_keys);
+    let joining = undominated(&sorted(d, &gather(d)), &survivors);
+    let mut out = undominated(&survivors, &sorted(&joining, &gather(&joining)));
     out.extend(joining);
     out.sort_unstable();
     out.into_iter().map(|m| m as usize).collect()
 }
 
-/// The repaired result under construction: 8-byte point references
-/// plus the f64 columns. The surviving point rows are NOT copied: the
-/// store is `cached`'s segments plus ONE fresh segment gathering the
-/// (small) delta set — one segment per repair, not per slab, so chained
-/// refreshes reach `refresh`'s compaction threshold by repair count,
-/// not by slab count. Survivor *runs* (maximal stretches of consecutive
-/// cached indices with no delta point between them) go through bulk
-/// extends.
+/// The repaired result under construction: new-epoch job indices plus
+/// the f64 columns and the feasibility column. Survivor *runs* (maximal
+/// stretches of consecutive cached indices with no delta point between
+/// them) go through bulk extends of the columns; their jobs are pushed
+/// as they are mapped, so `jobs` runs ahead of the columns by the
+/// pending run.
 struct Merged<'c> {
     cached: &'c ResultSet,
-    kept: Vec<PointRef>,
+    jobs: Vec<u64>,
     columns: Vec<Vec<f64>>,
     /// The feasibility column, row-aligned with `columns`.
     feasible: Vec<bool>,
-    /// The delta points, in merge order.
-    fresh: Vec<QueryPoint>,
-    /// The segment index `fresh` will take.
-    fresh_segment: u32,
     /// Merged position of every delta point, ascending.
     of_delta: Vec<u32>,
     /// Merged positions of the cached frontier points that survived,
     /// ascending.
     frontier_survivors: Vec<u32>,
+    /// Their minimized keys, row-major, read while their run is copied.
+    live_keys: Vec<f64>,
     /// Minimized keys of the cached frontier points that did not
     /// survive (retired or re-evaluated), row-major.
     dead_keys: Vec<f64>,
@@ -379,49 +407,51 @@ struct Merged<'c> {
 
 impl<'c> Merged<'c> {
     /// Sized for every cached point surviving plus `delta` fresh ones.
-    fn new(cached: &'c ResultSet, fresh_segment: u32, delta: usize) -> Self {
+    fn new(cached: &'c ResultSet, delta: usize) -> Self {
         let capacity = cached.len() + delta;
         Self {
             cached,
-            kept: Vec::with_capacity(capacity),
+            jobs: Vec::with_capacity(capacity),
             columns: (0..cached.objectives().len())
                 .map(|_| Vec::with_capacity(capacity))
                 .collect(),
             feasible: Vec::with_capacity(capacity),
-            fresh: Vec::with_capacity(delta),
-            fresh_segment,
             of_delta: Vec::with_capacity(delta),
             frontier_survivors: Vec::with_capacity(cached.frontier().len()),
+            live_keys: Vec::new(),
             dead_keys: Vec::new(),
             frontier_cursor: 0,
         }
     }
 
-    /// Appends the cached rows `lo..hi`, all survivors. Cached frontier
-    /// points below `lo` that no run covered were dead: their keys are
-    /// recorded for the frontier's promotion step.
+    /// Appends the columns of cached rows `lo..hi`, all survivors, whose
+    /// new jobs were already pushed. Cached frontier points below `lo`
+    /// that no run covered were dead: their keys are recorded for the
+    /// frontier's promotion step.
     // analyze::allow(indexing, scope = "fn", reason = "lo <= hi <= cached.len(); the frontier cursor is checked against the frontier length")
     fn extend_cached(&mut self, lo: usize, hi: usize) {
-        let frontier = self.cached.frontier();
+        let (cached, frontier) = (self.cached, self.cached.frontier());
+        let key = |f: usize| {
+            let objectives = cached.objectives();
+            objectives
+                .iter()
+                .enumerate()
+                .map(move |(pos, o)| o.minimized(cached.column(pos)[f]))
+        };
         while let Some(&f) = frontier.get(self.frontier_cursor) {
             if f >= hi {
                 break;
             }
             if f >= lo {
                 self.frontier_survivors
-                    .push((self.kept.len() + (f - lo)) as u32);
+                    .push((self.feasible.len() + (f - lo)) as u32);
+                self.live_keys.extend(key(f));
             } else {
-                let objectives = self.cached.objectives();
-                self.dead_keys.extend(
-                    objectives
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, o)| o.minimized(self.cached.column(pos)[f])),
-                );
+                self.dead_keys.extend(key(f));
             }
             self.frontier_cursor += 1;
         }
-        self.kept.extend((lo..hi).map(|i| self.cached.point_ref(i)));
+        debug_assert_eq!(self.jobs.len(), self.feasible.len() + (hi - lo));
         for (pos, column) in self.columns.iter_mut().enumerate() {
             column.extend_from_slice(&self.cached.column(pos)[lo..hi]);
         }
@@ -429,16 +459,11 @@ impl<'c> Merged<'c> {
             .extend_from_slice(&self.cached.feasibility()[lo..hi]);
     }
 
-    /// Appends point `idx` of a delta slab.
+    /// Appends row `idx` of a delta slab, at new-epoch job `job`.
     // analyze::allow(indexing, scope = "fn", reason = "idx < slab.len(): delta points were collected from 0..slab.len()")
-    // analyze::allow(panic, scope = "fn", reason = "delta sets are a few thousand points at most, far inside u32")
-    fn push_delta(&mut self, slab: &ResultSet, idx: usize) {
-        self.of_delta.push(self.kept.len() as u32);
-        self.kept.push(PointRef {
-            segment: self.fresh_segment,
-            index: u32::try_from(self.fresh.len()).expect("delta sets stay small"),
-        });
-        self.fresh.push(*slab.point(idx));
+    fn push_delta(&mut self, slab: &ResultSet, idx: usize, job: u64) {
+        self.of_delta.push(self.jobs.len() as u32);
+        self.jobs.push(job);
         for (pos, column) in self.columns.iter_mut().enumerate() {
             column.push(slab.column(pos)[idx]);
         }
@@ -561,7 +586,6 @@ pub(crate) fn repair_result(
         computes: &computes,
         algorithms: &algorithms,
         cand,
-        settings,
         per_airframe,
         n_cand,
     };
@@ -602,15 +626,19 @@ pub(crate) fn repair_result(
     for (c, algos) in &changed_slabs {
         specs.push((&airframes.retained, &sensors.retained, c, algos));
     }
-    let mut slabs: Vec<ResultSet> = Vec::new();
-    for (a, s, c, g) in specs {
-        if a.is_empty() || s.is_empty() || c.is_empty() || g.is_empty() {
-            continue;
-        }
-        let slab = slab_plan(plan, a, s, c, g)?;
-        let mut results = run_plans(ctx, &[&slab], false)?;
-        slabs.push(results.pop().expect("one slab plan in, one result out"));
-    }
+    let slab_plans: Vec<QueryPlan> = specs
+        .into_iter()
+        .filter(|(a, s, c, g)| !(a.is_empty() || s.is_empty() || c.is_empty() || g.is_empty()))
+        .map(|(a, s, c, g)| slab_plan(plan, a, s, c, g))
+        .collect::<Result<_, _>>()?;
+    // Each slab is a pass of its own, most of them a single small shard:
+    // run them side by side.
+    let slabs: Vec<ResultSet> = parallel_map_indices(slab_plans.len(), 1, |i| {
+        run_plans(ctx, &[&slab_plans[i]], false)
+            .map(|mut results| results.pop().expect("one slab plan in, one result out"))
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
 
     // Collect and order the delta points by their slot in the new
     // enumeration. Each slab's own enumeration is already ascending in
@@ -618,9 +646,10 @@ pub(crate) fn repair_result(
     // (small) delta set is the simplest exact merge key.
     let mut delta: Vec<DeltaPoint> = Vec::new();
     for (slab_pos, slab) in slabs.iter().enumerate() {
-        for idx in 0..slab.len() {
+        let (space, jobs) = slab.rows();
+        for (idx, &job) in jobs.iter().enumerate() {
             let job = order
-                .job_of(slab.point(idx))
+                .job_of(space, job)
                 .expect("slab points are enumerated at the new epoch");
             delta.push(DeltaPoint {
                 job,
@@ -631,31 +660,60 @@ pub(crate) fn repair_result(
     }
     delta.sort_unstable_by_key(|d| d.job);
 
-    // One linear merge over the cached points into the new enumeration
+    // One linear merge over the cached rows into the new enumeration
     // order. Survivors keep all parts enumerated AND their throughput
     // pair unchanged (a changed pair re-evaluates through its slab);
     // they come out in ascending new-enumeration order — retained ids
     // keep their relative order, so the cached order IS the new order
     // restricted to survivors — and each delta point is emitted before
-    // the first survivor whose job follows it. `nonfinite` is maintained
-    // by *subtracting* the dead points' contribution from the cached
-    // count (deaths are the small set; a full recount would rescan
-    // every column).
+    // the first survivor whose job follows it. A cached row's new job is
+    // read from per-position tables of its old space (airframe, sensor
+    // and pair; the plan's settings are the same at both epochs).
+    // `nonfinite` is maintained by *subtracting* the dead points'
+    // contribution from the cached count (deaths are the small set; a
+    // full recount would rescan every column).
     let dims = plan.objectives().len();
-    let mut segments: Vec<Arc<Vec<QueryPoint>>> = cached.segments().to_vec();
-    let mut merged = Merged::new(cached, segments.len() as u32, delta.len());
+    let (old_space, old_jobs) = cached.rows();
+    let airframe_at: Vec<Option<u64>> = old_space
+        .airframes
+        .iter()
+        .map(|id| airframes.new_pos[id.index()].map(|a| u64::from(a) * per_airframe))
+        .collect();
+    let sensor_at: Vec<Option<u64>> = old_space
+        .sensors
+        .iter()
+        .map(|id| {
+            sensors.new_pos[id.index()].map(|s| u64::from(s) * u64::from(order.cand.per_sensor))
+        })
+        .collect();
+    let pair_at: Vec<Option<u64>> = old_space
+        .pairs
+        .iter()
+        .map(|p| {
+            if ctx.table.get(p.compute, p.algorithm) != Some(p.throughput) {
+                return None;
+            }
+            let c = computes.new_pos[p.compute.index()]?;
+            let g = algorithms.new_pos[p.algorithm.index()]?;
+            order.cand.pos(0, c, g)
+        })
+        .collect();
+    let mut merged = Merged::new(cached, delta.len());
     let mut nonfinite = cached.nonfinite();
     let mut pending = delta.iter().peekable();
     // First cached index of the survivor run not yet emitted.
     let mut run_lo = 0usize;
     let mut last_job = None::<u64>;
-    for i in 0..cached.len() {
-        let point = cached.point(i);
-        let alive = ctx
-            .table
-            .get(point.candidate.compute, point.candidate.algorithm)
-            == Some(point.candidate.throughput);
-        let Some(job) = (if alive { order.job_of(point) } else { None }) else {
+    for (i, coord) in old_space.coords(old_jobs).enumerate() {
+        let new_job = match (
+            airframe_at[coord.airframe],
+            sensor_at[coord.sensor],
+            pair_at[coord.pair],
+        ) {
+            (Some(a), Some(s), Some(p)) => Some(a + coord.setting as u64 * n_cand + s + p),
+            _ => None,
+        };
+        let Some(job) = new_job else {
             merged.extend_cached(run_lo, i);
             run_lo = i + 1;
             if cached.feasibility()[i] && (0..dims).any(|pos| !cached.column(pos)[i].is_finite()) {
@@ -669,43 +727,41 @@ pub(crate) fn repair_result(
             merged.extend_cached(run_lo, i);
             run_lo = i;
             while let Some(d) = pending.next_if(|d| d.job < job) {
-                merged.push_delta(&slabs[d.slab as usize], d.idx as usize);
+                merged.push_delta(&slabs[d.slab as usize], d.idx as usize, d.job);
             }
         }
         debug_assert!(
             pending.peek().map_or(true, |d| d.job != job),
             "slabs and survivors are disjoint"
         );
+        merged.jobs.push(job);
     }
     merged.extend_cached(run_lo, cached.len());
     for d in pending {
-        merged.push_delta(&slabs[d.slab as usize], d.idx as usize);
+        merged.push_delta(&slabs[d.slab as usize], d.idx as usize, d.job);
     }
     let Merged {
-        mut kept,
+        mut jobs,
         mut columns,
         mut feasible,
-        fresh,
         of_delta,
         frontier_survivors,
+        live_keys,
         dead_keys,
         ..
     } = merged;
     // The buffers were sized for every cached point surviving; release
     // what the dead ones left unused.
-    kept.shrink_to_fit();
+    jobs.shrink_to_fit();
     for column in &mut columns {
         column.shrink_to_fit();
     }
     feasible.shrink_to_fit();
-    if !fresh.is_empty() {
-        segments.push(Arc::new(fresh));
-    }
     // The slabs' nonfinite accounting transfers verbatim: every slab
     // point entered the merged result.
     nonfinite += slabs.iter().map(ResultSet::nonfinite).sum::<usize>();
 
-    let dropped = usize::try_from(jobs_total).expect("job counts fit usize") - kept.len();
+    let dropped = usize::try_from(jobs_total).expect("job counts fit usize") - jobs.len();
 
     // Frontier merge, with no physics. The survivors' frontier is the
     // cached frontier's surviving members plus the survivors off it that
@@ -713,38 +769,36 @@ pub(crate) fn repair_result(
     // surviving members alone, since removing dominated points promotes
     // nothing while all their dominators remain.
     let objectives = plan.objectives();
-    let mut base: Vec<u32> = if dead_keys.is_empty() {
-        Vec::new()
-    } else {
-        let live_keys: Vec<f64> = frontier_survivors
-            .iter()
-            .flat_map(|&m| minimized_row(&columns, objectives, m as usize))
-            .collect();
+    let (mut base, mut base_keys) = (frontier_survivors, live_keys);
+    if !dead_keys.is_empty() {
         // The candidates are every merged position that neither a delta
         // point nor a surviving frontier member took.
         let mut deltas = of_delta.iter().copied().peekable();
-        let mut members = frontier_survivors.iter().copied().peekable();
-        let off_frontier = (0..kept.len() as u32)
+        let mut members = base.iter().copied().peekable();
+        let off_frontier = (0..jobs.len() as u32)
             .filter(|&m| deltas.next_if_eq(&m).is_none() && members.next_if_eq(&m).is_none());
-        frontier::promoted(
+        let promoted = frontier::promoted(
             dims,
             &dead_keys,
-            &live_keys,
+            &base_keys,
             eligible_rows(off_frontier, &feasible, &columns, objectives),
-        )
-    };
-    base.extend(frontier_survivors);
+        );
+        for m in promoted {
+            base_keys.extend(minimized_row(&columns, objectives, m as usize));
+            base.push(m);
+        }
+    }
     let mut delta_skyline = frontier::PrefilteredSkyline::new(dims);
     for (m, row) in eligible_rows(of_delta.iter().copied(), &feasible, &columns, objectives) {
         delta_skyline.offer(m, &row);
     }
     let (delta_skyline, _) = delta_skyline.finish();
-    let merged_frontier = union_frontier(&base, &delta_skyline, &columns, objectives);
+    let merged_frontier = union_frontier(&base, &base_keys, &delta_skyline, &columns, objectives);
 
-    Ok(Repair::Repaired(Box::new(ResultSet::from_segments(
+    Ok(Repair::Repaired(Box::new(ResultSet::retained(
         objectives.to_vec(),
-        segments,
-        kept,
+        Arc::new(PassSpace::resolve(ctx, plan)?),
+        jobs,
         columns,
         feasible,
         merged_frontier,

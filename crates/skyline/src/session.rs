@@ -5,19 +5,25 @@
 //! A [`Session`] is the serving-side counterpart of
 //! [`Engine`](crate::dse::Engine): it owns its catalog (no lifetimes in
 //! the public API), is `Send + Sync`, and executes owned
-//! [`QueryPlan`]s:
+//! [`QueryPlan`]s on the shard kernel ([`crate::shard`]), the one
+//! executor, which hoists the algorithm-independent work per
+//! (sensor, compute) pair and reduces shards in parallel:
 //!
-//! * [`Session::run`] executes one plan on the shard kernel
-//!   ([`crate::shard`]), which hoists the algorithm-independent work per
-//!   (sensor, compute) pair and reduces shards in parallel.
-//! * [`Session::run_batch`] fuses a whole batch of plans into **one**
-//!   parallel pass — candidates are enumerated and the momentum-theory
-//!   outcome evaluated *once*, then each plan's constraint filter and
-//!   objective rows are applied in-pass — so eight what-if questions
-//!   over a 10⁵-candidate catalog cost barely more than one.
+//! * [`Session::run`] executes one plan.
+//! * [`Session::run_batch`] runs a whole batch of plans in as few
+//!   kernel passes as their evaluation signatures allow — candidates
+//!   are enumerated and the momentum-theory outcome evaluated *once*
+//!   per pass, then each plan's constraint filter and objective columns
+//!   are applied in-pass — so eight what-if questions over a
+//!   10⁵-candidate catalog cost well under twice one.
 //! * Completed results are memoized under each plan's
 //!   [canonical key](crate::plan::QueryPlan::key): a repeated query is a
 //!   cache lookup returning the same `Arc<ResultSet>`, not a pass.
+//!
+//! A result stores no points: each row is a job index into its pass's
+//! shared space beside the value and feasibility columns, and the point
+//! accessors rebuild a [`QueryPoint`] by value on demand (see
+//! [`ResultSet`]).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -39,52 +45,60 @@
 //! ```
 #![warn(clippy::format_push_string)]
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use f1_components::json::{push_number, push_string};
 use f1_components::{
-    Airframe, AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComponentError,
-    ComputeId, ComputePlatform, EpochSnapshot, Sensor, SensorId, ThroughputTable,
+    AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComputeId, EpochSnapshot,
+    SensorId, ThroughputTable,
 };
 use f1_model::heatsink::HeatsinkModel;
-use f1_model::mission::{hover_endurance, PowerModel};
 use f1_model::roofline::Saturation;
-use f1_units::{Grams, Hertz, Meters};
 use serde::{Deserialize, Serialize};
 
-use crate::dse::{evaluate_parts_with, Candidate, Outcome};
+use crate::dse::Candidate;
 use crate::plan::QueryPlan;
-use crate::query::{
-    Constraint, Knob, KnobSetting, MissionProfile, Objective, QueryPoint, MAX_OBJECTIVES,
-};
-use crate::sweep::{auto_chunk_size, parallel_map_indices};
+use crate::query::{KnobSetting, Objective, QueryPoint};
+use crate::shard::PassSpace;
 use crate::tier2::{SharedTier2, SimBlock, SimStats, Tier2Context};
-use crate::{frontier, SkylineError};
+use crate::SkylineError;
 
 // ---------------------------------------------------------------------
 // ResultSet
 // ---------------------------------------------------------------------
 
-/// The columnar result of executing one plan: every evaluated point that
-/// passed the constraints, per-objective value columns, and the Pareto
-/// frontier.
+/// The columnar result of executing one plan: every evaluated build
+/// that passed the constraints, per-objective value columns, and the
+/// Pareto frontier.
 ///
 /// Objective values are stored **column-major** — one contiguous
 /// `Vec<f64>` per objective ([`column`](Self::column)) — the layout a
 /// serving tier wants for export, streaming top-k selection and
-/// columnar analytics. Point identity (airframe, candidate, knob
-/// setting, outcome) stays row-wise in [`points`](Self::points), with
-/// one exception: each stored row's `outcome.feasible` flag is also kept
-/// as a one-byte **feasibility column** beside the value columns, so
-/// ranking ([`top_k`](Self::top_k), [`ranked`](Self::ranked),
-/// [`best`](Self::best), [`survivors`](Self::survivors)) and
-/// [`minimized_keys`](Self::minimized_keys) scan columns only and never
-/// read a point.
+/// columnar analytics. Each stored row's `outcome.feasible` flag is
+/// kept as a one-byte **feasibility column** beside them, so ranking
+/// ([`top_k`](Self::top_k), [`ranked`](Self::ranked),
+/// [`survivors`](Self::survivors)) and
+/// [`minimized_keys`](Self::minimized_keys) scan columns only.
+///
+/// A row stores no point. It is the build's **job index** into the
+/// pass's space — the resolved part lists, the characterized pairs with
+/// their throughputs, the knob settings and the variant parts — which
+/// every result of one pass shares behind an `Arc`. A retained row
+/// therefore costs a job index, one `f64` per objective and a flag.
+/// [`to_json`](Self::to_json) and [`try_key`](Self::try_key) decode a
+/// row's build identity from its index without running the model.
+/// [`point`](Self::point), [`try_point`](Self::try_point),
+/// [`iter_points`](Self::iter_points), [`frontier_points`](Self::frontier_points)
+/// and [`best`](Self::best) rebuild a [`QueryPoint`] **by value**,
+/// running the same kernel over the same parts, so the rebuilt point is
+/// bit-identical to the one the pass evaluated.
+/// [`points`](Self::points) rebuilds every row into a slice on first
+/// call (and caches it): a full rebuild kept for compatibility callers,
+/// which no serving path may call.
 ///
 /// Ranked access scales down gracefully: [`top_k`](Self::top_k) selects
 /// the best *k* with a bounded heap in O(n log k) without materializing
@@ -95,49 +109,31 @@ use crate::{frontier, SkylineError};
 /// The serde derives are inert markers today (`crates/ext/serde`); the
 /// working export format is [`to_json`](Self::to_json).
 ///
-/// Internally, result sets produced by one shared-pass batch all point
-/// into **one** `Arc`-shared store of evaluated points (a plan holds
-/// the indices its constraints kept), so an 8-plan batch materializes
-/// the heavyweight point rows once, not eight times. [`point`] and the
-/// iterators read through the indirection for free;
-/// [`points`](Self::points) materializes a contiguous slice lazily on
-/// first call.
-///
 /// # Streamed mode
 ///
 /// Plans whose [`KeepPoints`](crate::plan::KeepPoints) policy resolves
-/// to streaming never materialize the full point store: the shard
-/// kernel ([`crate::shard`]) keeps the Pareto frontier, a bounded top-k
-/// ([`crate::shard::STREAM_TOP_K`] indices) and the accounting
-/// counters, all **bit-identical** to a materializing run of the same
-/// plan and still addressed by the same global enumeration indices.
-/// Accessors that need an arbitrary point ([`points`](Self::points),
+/// to streaming store only the Pareto frontier and a bounded top-k
+/// ([`crate::shard::STREAM_TOP_K`] indices) beside the accounting
+/// counters, all **bit-identical** to a retaining run of the same plan
+/// and still addressed by the same global indices. Accessors that need
+/// an arbitrary row ([`points`](Self::points),
 /// [`minimized_keys`](Self::minimized_keys), [`point`](Self::point) on
 /// a non-stored index) panic with a clear message in streamed mode;
 /// [`frontier`](Self::frontier), [`top_k`](Self::top_k),
 /// [`best`](Self::best), [`to_json`](Self::to_json) and the counters
 /// work in both. [`is_streamed`](Self::is_streamed) and
 /// [`stored_indices`](Self::stored_indices) report the mode.
-///
-/// [`point`]: Self::point
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResultSet {
     objectives: Vec<Objective>,
-    /// Point storage **segments**. Segment 0 is the producing pass's
-    /// store (the points at least one plan of the batch kept, in
-    /// enumeration order, shared across the batch); incremental delta
-    /// repair splices the slab passes' stores as further segments, so a
-    /// repaired result shares the surviving point rows with the result
-    /// it was repaired from instead of duplicating tens of megabytes.
-    segments: Vec<Arc<Vec<QueryPoint>>>,
-    /// References into `segments` this plan kept, in enumeration order
-    /// (`None`: segment 0 *is* the point list).
-    kept: Option<Vec<PointRef>>,
-    /// Lazily materialized contiguous point list for
-    /// [`points`](Self::points) when `kept` is `Some`.
-    points_cache: std::sync::OnceLock<Vec<QueryPoint>>,
-    /// One column per objective, each `len()` long, in each objective's
-    /// natural (unnegated) unit.
+    /// The pass space every row's job index points into.
+    space: Arc<PassSpace>,
+    /// Each stored row's job index, ascending.
+    jobs: Vec<u64>,
+    /// The rebuilt point list behind [`points`](Self::points).
+    points_cache: OnceLock<Vec<QueryPoint>>,
+    /// One column per stored row set, in each objective's natural
+    /// (unnegated) unit.
     columns: Vec<Vec<f64>>,
     /// Each stored row's `outcome.feasible`, row-aligned with `columns`.
     feasible: Vec<bool>,
@@ -145,9 +141,9 @@ pub struct ResultSet {
     uncharacterized: usize,
     dropped: usize,
     nonfinite: usize,
-    /// `Some` when this result was produced in streaming mode:
-    /// segment 0 holds only the stored (frontier ∪ top-k) points and
-    /// `columns` only their rows, while indices everywhere stay global.
+    /// `Some` when this result was produced in streaming mode: `jobs`
+    /// and `columns` hold only the stored (frontier ∪ top-k) rows, while
+    /// indices everywhere stay global.
     streamed: Option<StreamedMeta>,
     /// The tier-2 simulation block, attached by the session after the
     /// tier-1 pass for plans with sim objectives (see [`crate::tier2`]).
@@ -156,29 +152,45 @@ pub struct ResultSet {
     sim: Option<SimBlock>,
 }
 
-/// The streamed-mode bookkeeping of a [`ResultSet`]: how many points
-/// the plan logically kept, which global indices were materialized, and
-/// the bounded top-k ranking.
+/// The streamed-mode bookkeeping of a [`ResultSet`]: how many rows the
+/// plan logically kept, which global indices were stored, and the
+/// bounded top-k ranking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct StreamedMeta {
-    /// Logical kept-point count (what `len()` reports).
+    /// Logical kept-row count (what `len()` reports).
     pub(crate) total_kept: usize,
-    /// Ascending global indices of the stored points — row `r` of
-    /// segment 0 and of every column is the point `stored[r]`.
+    /// Ascending global indices of the stored rows — stored row `r` is
+    /// the row `stored[r]`.
     pub(crate) stored: Vec<usize>,
-    /// Global indices of the best-ranked points, in rank order, at most
+    /// Global indices of the best-ranked rows, in rank order, at most
     /// [`crate::shard::STREAM_TOP_K`] of them. Always a subset of
     /// `stored`.
     pub(crate) topk: Vec<usize>,
 }
 
+/// A stored row read without running the model: the build's identity,
+/// decoded from the row's job index, and its feasibility flag from the
+/// feasibility column (see [`ResultSet::try_key`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowKey {
+    /// The airframe the build flies on.
+    pub airframe: AirframeId,
+    /// The discrete catalog candidate.
+    pub candidate: Candidate,
+    /// The knob setting the build was evaluated under.
+    pub setting: KnobSetting,
+    /// Whether the build can hover (`outcome.feasible`).
+    pub feasible: bool,
+}
+
 impl PartialEq for ResultSet {
-    /// Logical equality: same objectives, same point sequence (read
-    /// through the shared store without materializing), same columns,
-    /// frontier and accounting. Streamed results compare their stored
-    /// subset (plus the streamed bookkeeping itself); a streamed and a
-    /// materializing result are never equal — they answer different
-    /// queries even when produced from the same plan shape.
+    /// Logical equality: same objectives, same points (in order), same
+    /// columns, frontier and accounting. Two results over equal pass
+    /// spaces with equal job indices hold the same points; otherwise the
+    /// stored points are rebuilt and compared. Streamed results compare
+    /// their stored subset (plus the streamed bookkeeping itself); a
+    /// streamed and a retaining result are never equal — they answer
+    /// different queries even when produced from the same plan shape.
     fn eq(&self, other: &Self) -> bool {
         self.objectives == other.objectives
             && self.len() == other.len()
@@ -189,26 +201,19 @@ impl PartialEq for ResultSet {
             && self.nonfinite == other.nonfinite
             && self.streamed == other.streamed
             && self.sim == other.sim
-            && match &self.streamed {
-                None => (0..self.len()).all(|i| self.point(i) == other.point(i)),
-                Some(meta) => meta.stored.iter().all(|&i| self.point(i) == other.point(i)),
-            }
+            && self.jobs.len() == other.jobs.len()
+            && ((self.jobs == other.jobs && self.space == other.space)
+                || self.iter_points().eq(other.iter_points()))
     }
 }
 
-/// One kept point's location in a [`ResultSet`]'s segmented store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PointRef {
-    pub(crate) segment: u32,
-    pub(crate) index: u32,
-}
-
 impl ResultSet {
-    /// Builds a result whose `store` is exactly its kept point list.
+    /// Builds a retained result: one stored row per kept job.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_own_points(
+    pub(crate) fn retained(
         objectives: Vec<Objective>,
-        points: Vec<QueryPoint>,
+        space: Arc<PassSpace>,
+        jobs: Vec<u64>,
         columns: Vec<Vec<f64>>,
         feasible: Vec<bool>,
         frontier: Vec<usize>,
@@ -218,9 +223,9 @@ impl ResultSet {
     ) -> Self {
         Self {
             objectives,
-            segments: vec![Arc::new(points)],
-            kept: None,
-            points_cache: std::sync::OnceLock::new(),
+            space,
+            jobs,
+            points_cache: OnceLock::new(),
             columns,
             feasible,
             frontier,
@@ -233,13 +238,14 @@ impl ResultSet {
         .checked()
     }
 
-    /// Builds a streamed-mode result: `stored_points` (and the column
-    /// rows) cover only the frontier ∪ top-k survivors, ascending by
-    /// global index; `meta` carries the logical count and rankings.
+    /// Builds a streamed-mode result: `jobs` (and the column rows)
+    /// cover only the frontier ∪ top-k survivors, ascending by global
+    /// index; `meta` carries the logical count and rankings.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_streamed(
+    pub(crate) fn streamed(
         objectives: Vec<Objective>,
-        stored_points: Vec<QueryPoint>,
+        space: Arc<PassSpace>,
+        jobs: Vec<u64>,
         columns: Vec<Vec<f64>>,
         feasible: Vec<bool>,
         frontier: Vec<usize>,
@@ -248,86 +254,33 @@ impl ResultSet {
         dropped: usize,
         nonfinite: usize,
     ) -> Self {
-        debug_assert_eq!(stored_points.len(), meta.stored.len());
+        debug_assert_eq!(jobs.len(), meta.stored.len());
         debug_assert!(meta.stored.windows(2).all(|w| w[0] < w[1]));
         Self {
-            objectives,
-            segments: vec![Arc::new(stored_points)],
-            kept: None,
-            points_cache: std::sync::OnceLock::new(),
-            columns,
-            feasible,
-            frontier,
-            uncharacterized,
-            dropped,
-            nonfinite,
             streamed: Some(meta),
-            sim: None,
+            ..Self::retained(
+                objectives,
+                space,
+                jobs,
+                columns,
+                feasible,
+                frontier,
+                uncharacterized,
+                dropped,
+                nonfinite,
+            )
         }
-        .checked()
     }
 
-    /// Rebuilds a (materializing) result whose point store has grown
-    /// many repair-spliced segments into a single contiguous segment.
-    /// Logically equal to `self` (same points, columns, frontier and
-    /// counters) — only the storage layout changes, trading one copy of
-    /// the kept points for O(1)-segment reads afterwards. The points are
-    /// gathered straight from the segments, never through
-    /// [`points`](Self::points)' lazy cache, and everything else moves.
-    pub(crate) fn compacted(self) -> Self {
-        debug_assert!(self.streamed.is_none(), "streamed results have one segment");
-        Self {
-            segments: vec![Arc::new(self.gather_points())],
-            kept: None,
-            points_cache: std::sync::OnceLock::new(),
-            ..self
-        }
-        .checked()
-    }
-
-    /// Builds a result over an explicit segmented store — the
-    /// incremental-repair constructor: surviving points reference the
-    /// repaired result's segments, delta points reference the slab
-    /// passes' stores.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_segments(
-        objectives: Vec<Objective>,
-        segments: Vec<Arc<Vec<QueryPoint>>>,
-        kept: Vec<PointRef>,
-        columns: Vec<Vec<f64>>,
-        feasible: Vec<bool>,
-        frontier: Vec<usize>,
-        uncharacterized: usize,
-        dropped: usize,
-        nonfinite: usize,
-    ) -> Self {
-        Self {
-            objectives,
-            segments,
-            kept: Some(kept),
-            points_cache: std::sync::OnceLock::new(),
-            columns,
-            feasible,
-            frontier,
-            uncharacterized,
-            dropped,
-            nonfinite,
-            streamed: None,
-            sim: None,
-        }
-        .checked()
-    }
-
-    /// Every constructor's exit: debug builds check that the feasibility
-    /// column mirrors the stored points' `outcome.feasible`, row for row.
+    /// Every constructor's exit: debug builds check that the job and
+    /// feasibility columns are row-aligned with the value columns and
+    /// that jobs ascend (enumeration order).
     fn checked(self) -> Self {
         debug_assert!(
-            self.feasible.len() == self.rows_len()
-                && self
-                    .iter_points()
-                    .zip(&self.feasible)
-                    .all(|(point, &feasible)| point.outcome.feasible == feasible),
-            "the feasibility column disagrees with the stored points"
+            self.feasible.len() == self.jobs.len()
+                && self.columns.iter().all(|c| c.len() == self.jobs.len())
+                && self.jobs.windows(2).all(|w| w[0] < w[1]),
+            "stored rows are misaligned or out of enumeration order"
         );
         self
     }
@@ -337,25 +290,11 @@ impl ResultSet {
         &self.feasible
     }
 
-    /// The point storage segments (for the repair path, which splices
-    /// new segment lists from old ones).
-    pub(crate) fn segments(&self) -> &[Arc<Vec<QueryPoint>>] {
-        &self.segments
-    }
-
-    /// The segmented-store location of the point at `index`
-    /// (materializing results only — repair never splices a streamed
-    /// result).
-    // analyze::allow(indexing, scope = "fn", reason = "callers pass indices < len(), the kept vec length — crate-internal accessor")
-    pub(crate) fn point_ref(&self, index: usize) -> PointRef {
-        debug_assert!(self.streamed.is_none());
-        match &self.kept {
-            None => PointRef {
-                segment: 0,
-                index: index as u32,
-            },
-            Some(kept) => kept[index],
-        }
+    /// The pass space the rows index into, and each stored row's job
+    /// index (for the repair path, which re-indexes them at a new
+    /// epoch).
+    pub(crate) fn rows(&self) -> (&PassSpace, &[u64]) {
+        (&self.space, &self.jobs)
     }
 
     /// Whether this result was produced in streamed mode (frontier +
@@ -366,61 +305,45 @@ impl ResultSet {
         self.streamed.is_some()
     }
 
-    /// Global indices of the materialized points of a streamed result
-    /// (the frontier ∪ top-k survivors), ascending; `None` for a
-    /// materializing result, where every index `0..len()` is available.
+    /// Global indices of the stored rows of a streamed result (the
+    /// frontier ∪ top-k survivors), ascending; `None` for a retaining
+    /// result, where every index `0..len()` is available.
     #[must_use]
     pub fn stored_indices(&self) -> Option<&[usize]> {
         self.streamed.as_ref().map(|m| m.stored.as_slice())
     }
 
-    /// Number of point-store segments (1 after a cold pass or
-    /// compaction; delta repair splices more). Diagnostic — the
-    /// accessors hide segmentation entirely.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
+    /// Maps a global index to its stored row, `None` when the index is
+    /// out of range or a streamed result did not store it.
+    fn try_row_pos(&self, index: usize) -> Option<usize> {
+        match &self.streamed {
+            None => (index < self.jobs.len()).then_some(index),
+            Some(meta) => meta.stored.binary_search(&index).ok(),
+        }
     }
 
-    /// Maps a global point index to its row position in the stored
-    /// columns/points, panicking for an index a streamed result did not
-    /// keep.
-    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract for unstored streamed indices; serving code routes through try_point")
+    /// Maps a global index to its stored row, panicking for an index
+    /// out of range or not stored by a streamed result.
+    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract of the panicking accessors; serving code routes through the try_ forms")
     fn row_pos(&self, index: usize) -> usize {
-        match &self.streamed {
-            None => index,
-            Some(meta) => meta.stored.binary_search(&index).unwrap_or_else(|_| {
+        self.try_row_pos(index).unwrap_or_else(|| {
+            if self.streamed.is_some() {
                 panic!(
                     "point {index} is not materialized in this streamed result \
                      (only the frontier and top-k are stored; see stored_indices())"
                 )
-            }),
-        }
-    }
-
-    /// Number of stored rows (= `len()` for materializing results, the
-    /// stored-subset size for streamed ones).
-    fn rows_len(&self) -> usize {
-        self.streamed
-            .as_ref()
-            .map_or_else(|| self.len(), |m| m.stored.len())
-    }
-
-    /// The point in stored row `r`, read directly: a streamed result's
-    /// rows are its stored subset in order, so no index search is needed.
-    /// Callers pass `r < rows_len()`, except [`point`](Self::point),
-    /// whose `# Panics` contract covers an out-of-range index.
-    fn stored_point(&self, r: usize) -> &QueryPoint {
-        match (&self.streamed, &self.kept) {
-            (None, Some(kept)) => {
-                // analyze::allow(indexing, reason = "r < rows_len() == kept.len()")
-                let p = kept[r];
-                // analyze::allow(indexing, reason = "kept refs were built in-range by the enumeration pass")
-                &self.segments[p.segment as usize][p.index as usize]
             }
-            // analyze::allow(indexing, reason = "segment 0 always exists and holds rows_len() rows here")
-            _ => &self.segments[0][r],
-        }
+            panic!("point {index} is out of range for {} points", self.len())
+        })
+    }
+
+    /// The point in stored row `r`, rebuilt from its job index.
+    // analyze::allow(indexing, scope = "fn", reason = "callers pass a stored row r < jobs.len()")
+    // analyze::allow(panic, scope = "fn", reason = "the pass evaluated the same parts without error, and evaluation is deterministic")
+    fn stored_point(&self, r: usize) -> QueryPoint {
+        self.space
+            .point(self.jobs[r])
+            .expect("the pass evaluated this job without error")
     }
 
     /// The plan's objectives, primary first.
@@ -431,9 +354,8 @@ impl ResultSet {
 
     /// The point at `index`, in deterministic enumeration order
     /// (airframe-major, then knob setting, then sensor × compute ×
-    /// algorithm in name order). Reads through the batch-shared store —
-    /// prefer this (or the iterators) over [`points`](Self::points) when
-    /// a contiguous slice isn't needed.
+    /// algorithm in name order), rebuilt by value from the row's job
+    /// index.
     ///
     /// # Panics
     ///
@@ -441,30 +363,40 @@ impl ResultSet {
     /// not store the point (only frontier and top-k indices are
     /// addressable then).
     #[must_use]
-    pub fn point(&self, index: usize) -> &QueryPoint {
+    pub fn point(&self, index: usize) -> QueryPoint {
         self.stored_point(self.row_pos(index))
     }
 
     /// Non-panicking [`point`](Self::point): `None` when `index` is out
-    /// of range, or when a streamed result did not materialize the
-    /// point (only frontier ∪ top-k indices are stored then). This is
-    /// the accessor a serving tier should route client-supplied indices
+    /// of range, or when a streamed result did not store the point
+    /// (only frontier ∪ top-k indices are stored then). This is the
+    /// accessor a serving tier should route client-supplied indices
     /// through — a bad request becomes a structured error, not a dead
     /// worker.
     #[must_use]
-    pub fn try_point(&self, index: usize) -> Option<&QueryPoint> {
-        if index >= self.len() {
-            return None;
-        }
-        let r = match &self.streamed {
-            Some(meta) => meta.stored.binary_search(&index).ok()?,
-            None => index,
-        };
-        Some(self.stored_point(r))
+    pub fn try_point(&self, index: usize) -> Option<QueryPoint> {
+        self.try_row_pos(index).map(|r| self.stored_point(r))
+    }
+
+    /// The stored row at `index` without running the model: the build's
+    /// identity decoded from its job index and its feasibility flag.
+    /// `None` when `index` is out of range or a streamed result did not
+    /// store it. What the serving renderers read.
+    #[must_use]
+    // analyze::allow(indexing, scope = "fn", reason = "r is a stored row from try_row_pos; jobs and feasible are row-aligned")
+    pub fn try_key(&self, index: usize) -> Option<RowKey> {
+        let r = self.try_row_pos(index)?;
+        let (airframe, candidate, setting) = self.space.key(self.space.coord(self.jobs[r]));
+        Some(RowKey {
+            airframe,
+            candidate,
+            setting,
+            feasible: self.feasible[r],
+        })
     }
 
     /// Non-panicking [`points`](Self::points): `None` for a streamed
-    /// result, whose full point list was never materialized (use
+    /// result, whose full point list was never kept (use
     /// [`stored_indices`](Self::stored_indices) with
     /// [`try_point`](Self::try_point) instead).
     #[must_use]
@@ -479,74 +411,55 @@ impl ResultSet {
     /// `index` across the columns, `None` when the index is out of
     /// range or unstored in a streamed result.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "row index is a binary_search hit or checked against len(); columns are row-aligned")
+    // analyze::allow(indexing, scope = "fn", reason = "r is a stored row from try_row_pos; columns are row-aligned")
     pub fn try_row(&self, index: usize) -> Option<Vec<f64>> {
-        if index >= self.len() {
-            return None;
-        }
-        let r = match &self.streamed {
-            Some(meta) => meta.stored.binary_search(&index).ok()?,
-            None => index,
-        };
+        let r = self.try_row_pos(index)?;
         Some(self.columns.iter().map(|c| c[r]).collect())
     }
 
     /// Every kept point as a contiguous slice, in enumeration order.
-    /// When this result shares a batch's point store and kept only a
-    /// subset, the slice is materialized lazily on first call (and
-    /// cached); [`point`](Self::point), [`iter_points`](Self::iter_points)
-    /// and the ranked/paged accessors never pay that copy.
+    /// The slice is a **full rebuild** — every row's point is
+    /// re-evaluated from its job index on first call, then cached — kept
+    /// for compatibility callers; no serving path may call it. Prefer
+    /// [`try_key`](Self::try_key), [`point`](Self::point) or
+    /// [`iter_points`](Self::iter_points).
     ///
     /// # Panics
     ///
     /// Panics on a streamed result — the full point list was never
-    /// materialized. Use [`stored_indices`](Self::stored_indices) with
+    /// kept. Use [`stored_indices`](Self::stored_indices) with
     /// [`point`](Self::point), or [`iter_points`](Self::iter_points),
     /// which yields the stored subset.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "segment 0 always exists; kept refs were built in-range by the enumeration pass")
+    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract; the pass evaluated the same parts without error")
     pub fn points(&self) -> &[QueryPoint] {
         assert!(
             self.streamed.is_none(),
-            "a streamed result set does not materialize every point; \
+            "a streamed result set does not keep every point; \
              use stored_indices()/point(i) or iter_points()"
         );
-        match &self.kept {
-            None => &self.segments[0],
-            Some(_) => self.points_cache.get_or_init(|| self.gather_points()),
-        }
+        self.points_cache.get_or_init(|| {
+            self.space
+                .points(&self.jobs)
+                .expect("the pass evaluated these jobs without error")
+        })
     }
 
-    /// A fresh contiguous copy of every stored point, read through the
-    /// segments.
-    // analyze::allow(indexing, scope = "fn", reason = "segment 0 always exists; kept refs were built in-range by the enumeration pass")
-    fn gather_points(&self) -> Vec<QueryPoint> {
-        match &self.kept {
-            None => self.segments[0].to_vec(),
-            Some(kept) => kept
-                .iter()
-                .map(|r| self.segments[r.segment as usize][r.index as usize])
-                .collect(),
-        }
-    }
-
-    /// Iterates the stored points in enumeration order, reading through
-    /// the shared store. For a materializing result that is every kept
-    /// point; for a streamed one, the stored (frontier ∪ top-k) subset.
-    pub fn iter_points(&self) -> impl Iterator<Item = &QueryPoint> {
-        (0..self.rows_len()).map(|r| self.stored_point(r))
+    /// Iterates the stored points in enumeration order, each rebuilt by
+    /// value. For a retaining result that is every kept point; for a
+    /// streamed one, the stored (frontier ∪ top-k) subset.
+    pub fn iter_points(&self) -> impl Iterator<Item = QueryPoint> + '_ {
+        (0..self.jobs.len()).map(|r| self.stored_point(r))
     }
 
     /// Number of points the plan kept. In streamed mode this is the
     /// logical count — how many candidates passed the constraints — not
-    /// the (much smaller) number of stored points.
+    /// the (much smaller) number of stored rows.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "segments is never empty: every constructor seeds segment 0")
     pub fn len(&self) -> usize {
-        if let Some(meta) = &self.streamed {
-            return meta.total_kept;
-        }
-        self.kept.as_ref().map_or(self.segments[0].len(), Vec::len)
+        self.streamed
+            .as_ref()
+            .map_or(self.jobs.len(), |meta| meta.total_kept)
     }
 
     /// Whether the result holds no points.
@@ -605,16 +518,16 @@ impl ResultSet {
         self.columns.iter().map(|c| c[r]).collect()
     }
 
-    /// Indices (into [`points`](Self::points)) of the Pareto frontier
-    /// over all objectives jointly, ascending. Only feasible points with
-    /// finite objective values participate.
+    /// Indices of the Pareto frontier over all objectives jointly,
+    /// ascending. Only feasible points with finite objective values
+    /// participate.
     #[must_use]
     pub fn frontier(&self) -> &[usize] {
         &self.frontier
     }
 
-    /// The frontier as points, in enumeration order.
-    pub fn frontier_points(&self) -> impl Iterator<Item = &QueryPoint> {
+    /// The frontier as points rebuilt by value, in enumeration order.
+    pub fn frontier_points(&self) -> impl Iterator<Item = QueryPoint> + '_ {
         self.frontier.iter().map(|&i| self.point(i))
     }
 
@@ -714,11 +627,11 @@ impl ResultSet {
             .collect()
     }
 
-    /// The best feasible point by the primary objective, if any —
-    /// bounded-heap selection, no full ranking.
+    /// The best feasible point by the primary objective, if any,
+    /// rebuilt by value — bounded-heap selection, no full ranking.
     #[must_use]
     // analyze::allow(indexing, scope = "fn", reason = "row_pos maps a top-k index to a stored row of the row-aligned feasibility column")
-    pub fn best(&self) -> Option<&QueryPoint> {
+    pub fn best(&self) -> Option<QueryPoint> {
         self.top_k(1)
             .first()
             .filter(|&&i| self.feasible[self.row_pos(i)])
@@ -830,7 +743,7 @@ impl ResultSet {
     pub fn minimized_keys(&self) -> (Vec<f64>, Vec<usize>) {
         assert!(
             self.streamed.is_none(),
-            "a streamed result set never materialized its full frontier key domain"
+            "a streamed result set never kept its full frontier key domain"
         );
         let mut keys = Vec::new();
         let mut map = Vec::new();
@@ -853,8 +766,10 @@ impl ResultSet {
     /// document with the objective schema, the per-objective value
     /// columns (column-major, `null` for non-finite values — JSON has
     /// no `Infinity`), the catalog-resolved build identity of every
-    /// point, the frontier indices and the accounting counters. The
-    /// catalog must be the one the plan executed against.
+    /// stored row (decoded from its job index, with its flag from the
+    /// feasibility column — no physics runs), the frontier indices and
+    /// the accounting counters. The catalog must be the one the plan
+    /// executed against.
     ///
     /// A streamed result exports its stored (frontier ∪ top-k) rows
     /// plus a `"stored"` array mapping each row to its global index
@@ -875,7 +790,7 @@ impl ResultSet {
     /// value. Space is reserved for the rows the document prints — the
     /// stored rows, not a streamed result's logical kept count.
     pub fn write_json(&self, catalog: &Catalog, out: &mut String) {
-        out.reserve(256 + self.rows_len() * (192 + 24 * self.objectives.len()));
+        out.reserve(256 + self.jobs.len() * (192 + 24 * self.objectives.len()));
         out.push_str("{\n  \"objectives\": [");
         for (i, o) in self.objectives.iter().enumerate() {
             if i > 0 {
@@ -911,24 +826,23 @@ impl ResultSet {
             out.push(']');
         }
         out.push_str("},\n  \"builds\": [");
-        for (i, point) in self.iter_points().enumerate() {
+        let coords = self.space.coords(&self.jobs);
+        for (i, (coord, feasible)) in coords.zip(&self.feasible).enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            let (airframe, candidate, setting) = self.space.key(coord);
             out.push_str("\n    {\"airframe\": ");
-            push_string(out, catalog.airframe_by_id(point.airframe).name());
+            push_string(out, catalog.airframe_by_id(airframe).name());
             out.push_str(", \"sensor\": ");
-            push_string(out, catalog.sensor_by_id(point.candidate.sensor).name());
+            push_string(out, catalog.sensor_by_id(candidate.sensor).name());
             out.push_str(", \"compute\": ");
-            push_string(out, catalog.compute_by_id(point.candidate.compute).name());
+            push_string(out, catalog.compute_by_id(candidate.compute).name());
             out.push_str(", \"algorithm\": ");
-            push_string(
-                out,
-                catalog.algorithm_by_id(point.candidate.algorithm).name(),
-            );
-            let _ = write!(out, ", \"feasible\": {}", point.outcome.feasible);
-            if !point.setting.is_identity() {
-                let s = &point.setting;
+            push_string(out, catalog.algorithm_by_id(candidate.algorithm).name());
+            let _ = write!(out, ", \"feasible\": {feasible}");
+            if !setting.is_identity() {
+                let s = &setting;
                 let fields = [
                     ("tdp_scale", s.tdp_scale),
                     ("sensor_rate_scale", s.sensor_rate_scale),
@@ -1061,8 +975,8 @@ impl<'a> ResultPage<'a> {
         self.start == self.end
     }
 
-    /// The page's points, in enumeration order (materializes the parent
-    /// result's contiguous point list on first access — see
+    /// The page's points, in enumeration order (rebuilds the parent
+    /// result's whole point list on first access — see
     /// [`ResultSet::points`]).
     #[must_use]
     // analyze::allow(indexing, scope = "fn", reason = "page bounds were clamped to the result length in page()")
@@ -1091,10 +1005,6 @@ impl<'a> ResultPage<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// The fused shared-pass executor
-// ---------------------------------------------------------------------
-
 /// Everything a pass needs, borrowed: both [`Engine`](crate::dse::Engine)
 /// (catalog by reference) and [`Session`] (catalog behind `Arc`) project
 /// themselves into one of these, so the borrowed compatibility query and
@@ -1109,53 +1019,6 @@ pub(crate) struct PassContext<'a> {
     pub heatsink: &'a HeatsinkModel,
     pub saturation: Saturation,
 }
-
-/// Pre-built component variants for one knob setting, indexed by
-/// position in the group's resolved sensor/compute/airframe lists.
-/// Shared with the shard kernel ([`crate::shard`]), which resolves
-/// settings through the same construction so both executors evaluate
-/// byte-identical parts.
-pub(crate) struct VariantParts {
-    pub(crate) sensors: Vec<Sensor>,
-    pub(crate) computes: Vec<ComputePlatform>,
-    /// `Some` only when the setting scales an airframe knob (drone
-    /// weight / rotor pull); `None` shares the stock catalog airframes.
-    pub(crate) airframes: Option<Vec<Airframe>>,
-    pub(crate) extra_payload: Grams,
-}
-
-/// An indexed candidate: the public [`Candidate`] plus positions into
-/// the group's resolved lists (for variant lookup without id → position
-/// maps in the hot loop).
-#[derive(Clone, Copy)]
-struct IndexedCandidate {
-    candidate: Candidate,
-    sensor_pos: u32,
-    compute_pos: u32,
-}
-
-/// One odd-profile plan's verdict on one evaluated job. Plans whose
-/// mission profile differs from the group's shared profile cannot read
-/// the shared per-job value cache, so the pass materializes their rows
-/// explicitly (a rare path — co-profiled batches produce no rows at
-/// all).
-enum PlanRow {
-    /// Rejected by a constraint.
-    Dropped,
-    /// Passed every constraint: objective row (the first
-    /// `objectives.len()` slots are meaningful).
-    Kept([f64; MAX_OBJECTIVES]),
-}
-
-/// Per-job output of the fused pass: the shared outcome, the bitmask of
-/// member plans whose constraints admit it, the shared-profile value
-/// cache (each objective computed **once** per job, in
-/// [`Objective::ALL`] order, `NaN` where no kept plan needs it), and —
-/// only when the group has odd-profile members — their materialized
-/// rows. Everything is inline except the rare odd-row vector
-/// (`Vec::new()` does not allocate), so a batch pass allocates nothing
-/// per job.
-type JobOut = (Outcome, u64, [f64; MAX_OBJECTIVES], Vec<PlanRow>);
 
 /// Validates that every id a plan carries is in range for the catalog.
 fn validate_plan_ids(ctx: &PassContext<'_>, plan: &QueryPlan) -> Result<(), SkylineError> {
@@ -1213,11 +1076,11 @@ fn validate_plan_ids(ctx: &PassContext<'_>, plan: &QueryPlan) -> Result<(), Skyl
     Ok(())
 }
 
-/// Two plans can share one evaluation pass when everything that shapes
-/// the evaluated *outcomes* matches: the candidate subspace, the
-/// expanded knob settings and the mounted battery (its mass rides on
-/// every build). Objectives, constraints and mission profiles are
-/// per-plan, applied in-pass.
+/// Two plans can share one kernel pass when everything that shapes the
+/// evaluated *outcomes* matches: the candidate subspace, the expanded
+/// knob settings and the mounted battery (its mass rides on every
+/// build). Objectives, constraints, mission profiles and keep-points
+/// policies are per-plan, applied in-pass.
 fn same_pass(a: &QueryPlan, b: &QueryPlan) -> bool {
     a.airframes() == b.airframes()
         && a.sensors() == b.sensors()
@@ -1227,10 +1090,10 @@ fn same_pass(a: &QueryPlan, b: &QueryPlan) -> bool {
         && a.battery() == b.battery()
 }
 
-/// Runs a batch of plans. Plans with the same evaluation signature share
-/// one fused parallel pass; a plan alone in its pass runs on the shard
-/// kernel ([`crate::shard::run`]). Results come back aligned with
-/// `plans`.
+/// Runs a batch of plans on the shard kernel: plans with the same
+/// evaluation signature ([`same_pass`]) share one kernel pass, which
+/// evaluates each candidate once for all of them. Results come back
+/// aligned with `plans`.
 // analyze::allow(indexing, scope = "fn", reason = "slot indices come from enumerate() over plans and stay < plans.len()")
 // analyze::allow(panic, scope = "fn", reason = "the grouping loop assigns every plan index to exactly one group")
 pub(crate) fn run_plans(
@@ -1241,24 +1104,10 @@ pub(crate) fn run_plans(
     for plan in plans {
         validate_plan_ids(ctx, plan)?;
     }
-    let mut out: Vec<Option<ResultSet>> = (0..plans.len()).map(|_| None).collect();
-    // Plans whose keep-points policy resolves to streaming run through
-    // the shard kernel, one bounded-memory pass each — streaming a
-    // 10⁷-candidate member through the shared batch store would defeat
-    // the policy's whole point. The rest group by pass signature below.
-    let mut retaining: Vec<usize> = Vec::with_capacity(plans.len());
-    for (i, plan) in plans.iter().enumerate() {
-        if crate::shard::should_stream(ctx, plan) {
-            out[i] = Some(crate::shard::run(ctx, plan, with_frontier)?);
-        } else {
-            retaining.push(i);
-        }
-    }
     // Group by pass signature (order-preserving; batches are small, the
     // quadratic scan is noise next to a single evaluation).
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &i in &retaining {
-        let plan = plans[i];
+    for (i, plan) in plans.iter().enumerate() {
         match groups
             .iter_mut()
             .find(|members| same_pass(plans[members[0]], plan))
@@ -1267,19 +1116,14 @@ pub(crate) fn run_plans(
             None => groups.push(vec![i]),
         }
     }
+    let mut out: Vec<Option<ResultSet>> = (0..plans.len()).map(|_| None).collect();
     for members in groups {
-        // The per-job kept set is a u64 bitmask; a (pathological) group
-        // beyond 64 members re-runs the pass per 64-plan chunk.
-        for chunk in members.chunks(64) {
-            if let [only] = *chunk {
-                out[only] = Some(crate::shard::run(ctx, plans[only], with_frontier)?);
-                continue;
-            }
-            let group_plans: Vec<&QueryPlan> = chunk.iter().map(|&i| plans[i]).collect();
-            let results = run_group(ctx, &group_plans, with_frontier)?;
-            for (&slot, result) in chunk.iter().zip(results) {
-                out[slot] = Some(result);
-            }
+        let group: Vec<&QueryPlan> = members.iter().map(|&i| plans[i]).collect();
+        for (&slot, result) in members
+            .iter()
+            .zip(crate::shard::run(ctx, &group, with_frontier)?)
+        {
+            out[slot] = Some(result);
         }
     }
     Ok(out
@@ -1288,678 +1132,9 @@ pub(crate) fn run_plans(
         .collect())
 }
 
-/// Builds the per-setting component variants for one pass group.
-///
-/// This is where sweep variants are **validated**: every scaled sensor,
-/// compute platform and airframe is constructed (and domain-checked)
-/// here, before the batched parallel pass, so an out-of-domain knob
-/// value surfaces as [`SkylineError::KnobVariant`] naming the offending
-/// knob instead of aborting a running evaluation.
-pub(crate) fn build_variants(
-    ctx: &PassContext<'_>,
-    sensors: &[SensorId],
-    computes: &[ComputeId],
-    airframes: &[AirframeId],
-    settings: &[KnobSetting],
-    battery_mass: f64,
-) -> Result<Vec<VariantParts>, SkylineError> {
-    let catalog = ctx.catalog;
-    // A scaled magnitude must stay positive and finite *before* it
-    // reaches the unit types (whose constructors panic on non-finite
-    // values) or the component constructors.
-    let scaled = |base: f64, knob: Knob, scale: f64, field: &'static str| {
-        let value = base * scale;
-        if value.is_finite() && value > 0.0 {
-            Ok(value)
-        } else {
-            Err(SkylineError::KnobVariant {
-                knob: knob.table2_parameter(),
-                value: scale,
-                source: ComponentError::InvalidField {
-                    field,
-                    reason: format!("scaled magnitude must be positive and finite, got {value}"),
-                },
-            })
-        }
-    };
-    settings
-        .iter()
-        .map(|setting| {
-            let sensors = sensors
-                .iter()
-                .map(|&id| {
-                    let s = catalog.sensor_by_id(id);
-                    if setting.sensor_rate_scale == 1.0 && setting.sensor_range_scale == 1.0 {
-                        Ok(s.clone())
-                    } else {
-                        let rate = scaled(
-                            s.frame_rate().get(),
-                            Knob::SensorRateScale,
-                            setting.sensor_rate_scale,
-                            "frame_rate",
-                        )?;
-                        let range = scaled(
-                            s.range().get(),
-                            Knob::SensorRangeScale,
-                            setting.sensor_range_scale,
-                            "range",
-                        )?;
-                        // `scaled` has already validated both magnitudes;
-                        // any residual constructor error is a
-                        // catalog-field problem, not a knob one.
-                        Sensor::new(
-                            s.name(),
-                            s.modality(),
-                            Hertz::new(rate),
-                            Meters::new(range),
-                            s.mass(),
-                        )
-                        .map_err(SkylineError::from)
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let computes = computes
-                .iter()
-                .map(|&id| {
-                    let c = catalog.compute_by_id(id);
-                    if setting.tdp_scale == 1.0 {
-                        Ok(c.clone())
-                    } else {
-                        // Guards the product: `with_tdp_scaled` only
-                        // validates the factor, and an overflowed TDP
-                        // would panic inside the Watts constructor.
-                        scaled(c.tdp().get(), Knob::TdpScale, setting.tdp_scale, "tdp")?;
-                        c.with_tdp_scaled(setting.tdp_scale)
-                            .map_err(SkylineError::from)
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let airframes = if setting.weight_scale == 1.0 && setting.rotor_pull_scale == 1.0 {
-                None
-            } else {
-                Some(
-                    airframes
-                        .iter()
-                        .map(|&id| {
-                            let a = catalog.airframe_by_id(id);
-                            scaled(
-                                a.base_mass().get(),
-                                Knob::WeightScale,
-                                setting.weight_scale,
-                                "base_mass",
-                            )?;
-                            scaled(
-                                a.rotor_pull().get(),
-                                Knob::RotorPull,
-                                setting.rotor_pull_scale,
-                                "rotor_pull",
-                            )?;
-                            let a = if setting.weight_scale == 1.0 {
-                                a.clone()
-                            } else {
-                                a.with_base_mass_scaled(setting.weight_scale)?
-                            };
-                            if setting.rotor_pull_scale == 1.0 {
-                                Ok(a)
-                            } else {
-                                a.with_rotor_pull_scaled(setting.rotor_pull_scale)
-                                    .map_err(SkylineError::from)
-                            }
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            };
-            Ok(VariantParts {
-                sensors,
-                computes,
-                airframes,
-                extra_payload: Grams::new(battery_mass + setting.payload_delta.get()),
-            })
-        })
-        .collect()
-}
-
-/// Per-plan execution state precomputed before the pass.
-struct PlanExec<'p> {
-    plan: &'p QueryPlan,
-    /// Positions of the plan's objectives in [`Objective::ALL`] order —
-    /// the gather indices into the shared per-job value cache.
-    all_indices: Vec<usize>,
-    /// Bitmask over [`Objective::ALL`] positions.
-    obj_mask: u8,
-    /// Whether this plan reads the shared value cache: its objectives
-    /// are profile-independent, or its profile equals the group's
-    /// shared profile.
-    shared: bool,
-    /// Dense index into the per-job odd-row vector when `!shared`.
-    odd_pos: usize,
-}
-
-/// Fills the requested slots (an [`Objective::ALL`]-order bitmask) of
-/// one job's value cache. Each objective is computed **once per job**
-/// and the momentum-theory power model is derived once, no matter how
-/// many plans of the batch read the values.
-// analyze::allow(indexing, scope = "fn", reason = "idx enumerates Objective::ALL, whose length is MAX_OBJECTIVES")
-fn fill_values(
-    mask: u8,
-    vals: &mut [f64; MAX_OBJECTIVES],
-    airframe: &Airframe,
-    outcome: &Outcome,
-    battery_wh: Option<f64>,
-    profile: MissionProfile,
-) -> Result<(), SkylineError> {
-    let needs_power = mask & (ENERGY_BIT | ENDURANCE_BIT) != 0;
-    let power: Option<PowerModel> = if needs_power && outcome.feasible {
-        Some(crate::mission::power_model_for_parts(
-            airframe,
-            airframe.takeoff_mass(outcome.payload),
-            outcome.total_tdp,
-            profile.figure_of_merit,
-            profile.parasitic_coeff,
-        )?)
-    } else {
-        None
-    };
-    for (idx, objective) in Objective::ALL.iter().enumerate() {
-        if mask & (1 << idx) == 0 {
-            continue;
-        }
-        vals[idx] = match objective {
-            Objective::SafeVelocity => outcome.velocity.get(),
-            Objective::TotalTdp => outcome.total_tdp.get(),
-            Objective::PayloadMass => outcome.payload.get(),
-            Objective::MissionEnergyWhPerKm => match &power {
-                Some(p) if outcome.velocity.get() > 0.0 => {
-                    let v = outcome.velocity;
-                    p.power_at(v).get() * (1000.0 / v.get()) / 3600.0
-                }
-                _ => f64::INFINITY,
-            },
-            Objective::HoverEnduranceMin => match &power {
-                Some(p) => {
-                    let wh = battery_wh
-                        // analyze::allow(panic, reason = "plan validation rejects endurance objectives without a battery before execution")
-                        .expect("plan validation rejects endurance plans without a battery");
-                    hover_endurance(p, wh, profile.battery_reserve)?.get()
-                }
-                None => 0.0,
-            },
-        };
-    }
-    Ok(())
-}
-
-/// [`Objective::ALL`] bit of [`Objective::MissionEnergyWhPerKm`].
-const ENERGY_BIT: u8 = 1 << 3;
-/// [`Objective::ALL`] bit of [`Objective::HoverEnduranceMin`].
-const ENDURANCE_BIT: u8 = 1 << 4;
-
-/// Whether every constraint of the plan is **downward-closed** with
-/// respect to the plan's own minimized objective keys: a cap on a
-/// minimized objective, a floor on a maximized one, or plain
-/// feasibility (which the frontier domain already implies).
-///
-/// For such plans the kept set is dominance-downward-closed — if build
-/// `b` dominates build `a` and `a` passed the constraints, then `b`
-/// passed them too, because each constraint bounds an objective on
-/// which `b` is at least as good. Consequently
-/// `frontier(kept) = frontier(domain) ∩ kept` **exactly** (membership
-/// and tie handling): a dominated point stays dominated by a kept
-/// dominator, and no new frontier point can appear. A batch of
-/// co-shaped plans (same objective set, e.g. a Table II budget sweep)
-/// therefore shares **one** skyline pass plus O(n) intersections,
-/// instead of one skyline per plan.
-fn frontier_reducible(plan: &QueryPlan) -> bool {
-    plan.constraints().iter().all(|c| match c {
-        Constraint::FeasibleOnly => true,
-        Constraint::MinVelocity(_) => plan.objectives().contains(&Objective::SafeVelocity),
-        Constraint::MaxTotalTdp(_) => plan.objectives().contains(&Objective::TotalTdp),
-        Constraint::MaxPayload(_) => plan.objectives().contains(&Objective::PayloadMass),
-    })
-}
-
-/// Filters a component-id list to the catalog's active (non-retired)
-/// ids, borrowing when nothing is filtered — which is always the case
-/// for the session/engine default lists (built from active entries) and
-/// for explicit plan subspaces on an unretired catalog.
-pub(crate) fn active_ids<T: Copy>(list: &[T], is_active: impl Fn(T) -> bool) -> Cow<'_, [T]> {
-    if list.iter().all(|&id| is_active(id)) {
-        Cow::Borrowed(list)
-    } else {
-        Cow::Owned(list.iter().copied().filter(|&id| is_active(id)).collect())
-    }
-}
-
-/// Runs one pass group of two or more plans: a single fused batched
-/// parallel pass over every airframe × knob setting × characterized
-/// candidate — evaluation once, then each member plan's constraint
-/// filter and objective rows — followed by the per-plan O(n log n)
-/// frontiers, shared between co-shaped plans where
-/// [`frontier_reducible`] allows.
-// analyze::allow(indexing, scope = "fn", reason = "fused-pass kernel: every index derives from enumerate()/chunks over the slices it indexes; per-element re-checks cost measurable throughput here")
-fn run_group(
-    ctx: &PassContext<'_>,
-    plans: &[&QueryPlan],
-    with_frontier: bool,
-) -> Result<Vec<ResultSet>, SkylineError> {
-    let rep = plans[0];
-    let catalog = ctx.catalog;
-    // Retired components keep their ids but leave the design space:
-    // explicit plan subspaces are filtered here, so cold runs and
-    // incremental repairs agree on the enumeration at every epoch.
-    let airframes = active_ids(rep.airframes().unwrap_or(ctx.airframes), |id| {
-        catalog.airframe_is_active(id)
-    });
-    let sensors = active_ids(rep.sensors().unwrap_or(ctx.sensors), |id| {
-        catalog.sensor_is_active(id)
-    });
-    let computes = active_ids(rep.computes().unwrap_or(ctx.computes), |id| {
-        catalog.compute_is_active(id)
-    });
-    let algorithms = active_ids(rep.algorithms().unwrap_or(ctx.algorithms), |id| {
-        catalog.algorithm_is_active(id)
-    });
-    let (airframes, sensors, computes, algorithms): (
-        &[AirframeId],
-        &[SensorId],
-        &[ComputeId],
-        &[AlgorithmId],
-    ) = (&airframes, &sensors, &computes, &algorithms);
-    let settings = rep.settings();
-
-    // Same nesting order as Engine::candidates, so a default plan
-    // enumerates identically to the classic exploration.
-    let mut candidates: Vec<IndexedCandidate> = Vec::new();
-    for (sensor_pos, &sensor) in sensors.iter().enumerate() {
-        for (compute_pos, &compute) in computes.iter().enumerate() {
-            for &algorithm in algorithms {
-                if let Some(throughput) = ctx.table.get(compute, algorithm) {
-                    candidates.push(IndexedCandidate {
-                        candidate: Candidate {
-                            sensor,
-                            compute,
-                            algorithm,
-                            throughput,
-                        },
-                        sensor_pos: sensor_pos as u32,
-                        compute_pos: compute_pos as u32,
-                    });
-                }
-            }
-        }
-    }
-    let uncharacterized = sensors.len() * computes.len() * algorithms.len() - candidates.len();
-
-    let battery = rep.battery().map(|id| catalog.battery_by_id(id));
-    let battery_mass = battery.map_or(0.0, |b| b.mass().get());
-    let battery_wh = battery.map(f1_components::Battery::energy_watt_hours);
-    let variants = build_variants(ctx, sensors, computes, airframes, settings, battery_mass)?;
-    let airframe_refs: Vec<&Airframe> = airframes
-        .iter()
-        .map(|&id| catalog.airframe_by_id(id))
-        .collect();
-
-    // The profile the batch's value cache is computed under: the first
-    // power-needing plan's. Plans with profile-independent objectives
-    // share the cache regardless; a power-needing plan with a different
-    // profile is an "odd" member and materializes its own rows.
-    let shared_profile = plans
-        .iter()
-        .find(|p| p.needs_power())
-        .map(|p| p.mission_profile());
-    let mut odd_count = 0usize;
-    let execs: Vec<PlanExec<'_>> = plans
-        .iter()
-        .map(|plan| {
-            let all_indices: Vec<usize> = plan.objectives().iter().map(|o| o.all_index()).collect();
-            let obj_mask = all_indices.iter().fold(0u8, |m, &i| m | (1 << i));
-            let shared = !plan.needs_power() || shared_profile == Some(plan.mission_profile());
-            let odd_pos = if shared {
-                usize::MAX
-            } else {
-                odd_count += 1;
-                odd_count - 1
-            };
-            PlanExec {
-                plan,
-                all_indices,
-                obj_mask,
-                shared,
-                odd_pos,
-            }
-        })
-        .collect();
-
-    // Airframe-major job order (then setting, then candidate) — the
-    // explore_all compatibility wrapper relies on this layout. Jobs are
-    // plain indices into that nesting; the fused pass writes each
-    // (outcome, rows) straight into its slot of the output buffer, so
-    // input order is output order.
-    let per_airframe = settings.len() * candidates.len();
-    let job_count = airframes.len() * per_airframe;
-    // job_count > 0 implies candidates and settings are non-empty, so
-    // the decode divisions are safe whenever a job exists.
-    let decode = |job: usize| {
-        (
-            job / per_airframe,
-            (job / candidates.len()) % settings.len(),
-            job % candidates.len(),
-        )
-    };
-    let evaluated = parallel_map_indices(job_count, auto_chunk_size(job_count), |job| {
-        let (airframe_pos, setting_pos, candidate_pos) = decode(job);
-        let indexed = &candidates[candidate_pos];
-        let parts = &variants[setting_pos];
-        let airframe: &Airframe = parts
-            .airframes
-            .as_ref()
-            .map_or(airframe_refs[airframe_pos], |a| &a[airframe_pos]);
-        let outcome = evaluate_parts_with(
-            ctx.heatsink,
-            ctx.saturation,
-            airframe,
-            &parts.sensors[indexed.sensor_pos as usize],
-            &parts.computes[indexed.compute_pos as usize],
-            indexed.candidate.throughput,
-            parts.extra_payload,
-        )?;
-        // Cheap per-plan constraint filter first: objective values are
-        // only derived for points at least one plan keeps.
-        let mut kept_mask = 0u64;
-        for (i, exec) in execs.iter().enumerate() {
-            if exec.plan.constraints().iter().all(|c| c.admits(&outcome)) {
-                kept_mask |= 1 << i;
-            }
-        }
-        let mut vals = [f64::NAN; MAX_OBJECTIVES];
-        let mut odd_rows: Vec<PlanRow> = Vec::new();
-        if kept_mask != 0 {
-            // One value-cache fill for the union of the keeping shared
-            // plans' objectives: the power model and every objective are
-            // computed once per job regardless of batch width.
-            let mut union_mask = 0u8;
-            for (i, exec) in execs.iter().enumerate() {
-                if exec.shared && kept_mask & (1 << i) != 0 {
-                    union_mask |= exec.obj_mask;
-                }
-            }
-            if union_mask != 0 {
-                fill_values(
-                    union_mask,
-                    &mut vals,
-                    airframe,
-                    &outcome,
-                    battery_wh,
-                    shared_profile.unwrap_or_default(),
-                )?;
-            }
-            if odd_count > 0 {
-                odd_rows = Vec::with_capacity(odd_count);
-                for (i, exec) in execs.iter().enumerate().filter(|(_, e)| !e.shared) {
-                    if kept_mask & (1 << i) != 0 {
-                        let mut own = [f64::NAN; MAX_OBJECTIVES];
-                        fill_values(
-                            exec.obj_mask,
-                            &mut own,
-                            airframe,
-                            &outcome,
-                            battery_wh,
-                            exec.plan.mission_profile(),
-                        )?;
-                        let mut row = [0.0; MAX_OBJECTIVES];
-                        for (slot, &idx) in row.iter_mut().zip(&exec.all_indices) {
-                            *slot = own[idx];
-                        }
-                        odd_rows.push(PlanRow::Kept(row));
-                    } else {
-                        odd_rows.push(PlanRow::Dropped);
-                    }
-                }
-            }
-        }
-        Ok::<JobOut, SkylineError>((outcome, kept_mask, vals, odd_rows))
-    });
-
-    // Identify the shared-skyline sets up front (see
-    // `frontier_reducible`): one skyline over the union domain per
-    // distinct objective set with at least two reducible members; each
-    // member then intersects in O(n). The union of the members' kept
-    // sets is itself downward-closed, so restricting the domain to jobs
-    // some member kept is exact.
-    let mut share_sets: Vec<(u8, u64)> = Vec::new();
-    if with_frontier {
-        let mut counted: Vec<(u8, u64, usize)> = Vec::new();
-        for (i, exec) in execs.iter().enumerate() {
-            if exec.shared && frontier_reducible(exec.plan) {
-                match counted.iter_mut().find(|(mask, ..)| *mask == exec.obj_mask) {
-                    Some((_, bits, count)) => {
-                        *bits |= 1 << i;
-                        *count += 1;
-                    }
-                    None => counted.push((exec.obj_mask, 1 << i, 1)),
-                }
-            }
-        }
-        share_sets = counted
-            .into_iter()
-            .filter(|&(_, _, count)| count >= 2)
-            .map(|(mask, bits, _)| (mask, bits))
-            .collect();
-    }
-
-    // One fused sequential sweep over the evaluated buffer builds every
-    // member plan's points, columns and kept-job list plus each share
-    // set's skyline domain — the job buffer (tens of MB at 10⁵
-    // candidates) is streamed ONCE instead of once per plan, which is
-    // what makes an 8-plan batch land near the cost of one query.
-    struct PlanAccum {
-        columns: Vec<Vec<f64>>,
-        feasible: Vec<bool>,
-        kept_jobs: Vec<u32>,
-        nonfinite: usize,
-    }
-    // Exact preallocation from a cheap mask pre-scan: growth
-    // reallocations would otherwise rewrite each plan's point and
-    // column buffers about once over, interleaved across the batch.
-    let mut kept_counts = vec![0usize; execs.len()];
-    let mut union_count = 0usize;
-    for (_, kept_mask, _, _) in evaluated.iter().flatten() {
-        union_count += usize::from(*kept_mask != 0);
-        for (i, count) in kept_counts.iter_mut().enumerate() {
-            *count += usize::from(kept_mask & (1 << i) != 0);
-        }
-    }
-    let mut accums: Vec<PlanAccum> = execs
-        .iter()
-        .zip(&kept_counts)
-        .map(|(exec, &kept)| PlanAccum {
-            columns: vec![Vec::with_capacity(kept); exec.all_indices.len()],
-            feasible: Vec::with_capacity(kept),
-            kept_jobs: Vec::with_capacity(kept),
-            nonfinite: 0,
-        })
-        .collect();
-    // The batch-shared point store: the points at least one member
-    // plan kept, built ONCE in enumeration order (plans hold indices
-    // into it), so the heavyweight point rows are never materialized
-    // per plan — and jobs every plan dropped are never retained.
-    let mut store: Vec<QueryPoint> = Vec::with_capacity(union_count);
-    // (keys, job map) per share set, filled during the sweep.
-    let mut domains: Vec<(Vec<f64>, Vec<u32>)> = share_sets
-        .iter()
-        .map(|_| (Vec::new(), Vec::new()))
-        .collect();
-    let job_total = evaluated.len();
-    for (job, result) in evaluated.into_iter().enumerate() {
-        // Propagate the first evaluation error in enumeration order
-        // (unreachable for catalog parts and validated variants).
-        let (outcome, kept_mask, vals, odd_rows) = result?;
-        if kept_mask == 0 {
-            continue;
-        }
-        let (airframe_pos, setting_pos, candidate_pos) = decode(job);
-        store.push(QueryPoint {
-            airframe: airframes[airframe_pos],
-            candidate: candidates[candidate_pos].candidate,
-            setting: settings[setting_pos],
-            outcome,
-        });
-        let store_pos = (store.len() - 1) as u32;
-        for (plan_pos, (exec, accum)) in execs.iter().zip(&mut accums).enumerate() {
-            if kept_mask & (1 << plan_pos) == 0 {
-                continue;
-            }
-            let k = exec.all_indices.len();
-            let mut row = [0.0; MAX_OBJECTIVES];
-            if exec.shared {
-                for (slot, &idx) in row.iter_mut().zip(&exec.all_indices) {
-                    *slot = vals[idx];
-                }
-            } else {
-                match &odd_rows[exec.odd_pos] {
-                    PlanRow::Kept(r) => row = *r,
-                    // analyze::allow(panic, reason = "the kept bit is only set in the same iteration that stored the odd row")
-                    PlanRow::Dropped => unreachable!("kept bit set for a dropped odd row"),
-                }
-            }
-            if outcome.feasible && row[..k].iter().any(|v| !v.is_finite()) {
-                accum.nonfinite += 1;
-            }
-            for (column, &v) in accum.columns.iter_mut().zip(&row[..k]) {
-                column.push(v);
-            }
-            accum.feasible.push(outcome.feasible);
-            accum.kept_jobs.push(store_pos);
-        }
-        if outcome.feasible {
-            'sets: for (&(mask, bits), (keys, map)) in share_sets.iter().zip(&mut domains) {
-                if kept_mask & bits == 0 {
-                    continue;
-                }
-                for (idx, v) in vals.iter().enumerate() {
-                    if mask & (1 << idx) != 0 && !v.is_finite() {
-                        continue 'sets;
-                    }
-                }
-                map.push(store_pos);
-                for (idx, objective) in Objective::ALL.iter().enumerate() {
-                    if mask & (1 << idx) != 0 {
-                        keys.push(objective.minimized(vals[idx]));
-                    }
-                }
-            }
-        }
-    }
-
-    // One skyline per share set over its union domain.
-    let share_frontiers: Vec<Vec<u32>> = share_sets
-        .iter()
-        .zip(&domains)
-        .map(|(&(mask, _), (keys, map))| {
-            frontier::pareto_min(mask.count_ones() as usize, keys)
-                .iter()
-                .map(|&i| map[i])
-                .collect()
-        })
-        .collect();
-
-    // Per-plan frontiers: share-set members intersect (exact by the
-    // downward-closure argument), the rest run their own skyline — in
-    // parallel, since at 10⁵ points the d≥4 skyline of a non-reducible
-    // plan is the per-plan cost that would otherwise serialize a batch.
-    let frontiers: Vec<Vec<usize>> = if with_frontier {
-        parallel_map_indices(plans.len(), 1, |plan_pos| {
-            let exec = &execs[plan_pos];
-            let accum = &accums[plan_pos];
-            let bit = 1u64 << plan_pos;
-            let shared = share_sets
-                .iter()
-                .position(|&(mask, bits)| mask == exec.obj_mask && bits & bit != 0);
-            if let Some(set_pos) = shared {
-                // Intersect the shared skyline's store positions with
-                // this plan's kept list (both ascending), mapping to
-                // kept positions.
-                let kept_jobs = &accum.kept_jobs;
-                let mut out = Vec::new();
-                let mut ki = 0usize;
-                for &frontier_pos in &share_frontiers[set_pos] {
-                    while ki < kept_jobs.len() && kept_jobs[ki] < frontier_pos {
-                        ki += 1;
-                    }
-                    if ki < kept_jobs.len() && kept_jobs[ki] == frontier_pos {
-                        out.push(ki);
-                    }
-                }
-                out
-            } else {
-                let k = exec.all_indices.len();
-                let mut keys = Vec::new();
-                let mut map = Vec::new();
-                'points: for (i, &feasible) in accum.feasible.iter().enumerate() {
-                    if !feasible {
-                        continue;
-                    }
-                    for column in &accum.columns {
-                        if !column[i].is_finite() {
-                            continue 'points;
-                        }
-                    }
-                    map.push(i);
-                    keys.extend(minimized_row(&accum.columns, exec.plan.objectives(), i));
-                }
-                frontier::pareto_min(k, &keys)
-                    .into_iter()
-                    .map(|i| map[i])
-                    .collect()
-            }
-        })
-    } else {
-        vec![Vec::new(); plans.len()]
-    };
-
-    let store = Arc::new(store);
-    Ok(execs
-        .iter()
-        .zip(accums)
-        .zip(frontiers)
-        .map(|((exec, accum), frontier)| {
-            ResultSet {
-                objectives: exec.plan.objectives().to_vec(),
-                dropped: job_total - accum.kept_jobs.len(),
-                segments: vec![Arc::clone(&store)],
-                // A plan that kept every job reads the store directly —
-                // `points()` is then free, not a lazy copy.
-                kept: (accum.kept_jobs.len() != store.len()).then_some(
-                    accum
-                        .kept_jobs
-                        .into_iter()
-                        .map(|index| PointRef { segment: 0, index })
-                        .collect(),
-                ),
-                points_cache: std::sync::OnceLock::new(),
-                columns: accum.columns,
-                feasible: accum.feasible,
-                frontier,
-                uncharacterized,
-                nonfinite: accum.nonfinite,
-                streamed: None,
-                sim: None,
-            }
-            .checked()
-        })
-        .collect())
-}
-
 // ---------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------
-
-/// Segment-count threshold past which [`Session::refresh`] compacts a
-/// repaired result's spliced point store back into one contiguous
-/// segment. Each delta repair adds roughly one segment per slab pass;
-/// compaction bounds the indirection long-lived sessions accumulate
-/// while keeping the amortized copy cost a small fraction of repairs.
-pub const COMPACT_SEGMENT_THRESHOLD: usize = 8;
 
 /// Cache accounting of a [`Session`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2448,17 +1623,6 @@ impl Session {
                     crate::repair::Repair::Repaired(result) => {
                         self.repairs.fetch_add(1, AtomicOrdering::Relaxed);
                         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-                        // Chained refreshes splice ~#slabs segments into
-                        // the point store per delta; past the threshold,
-                        // fold them back into one contiguous segment
-                        // (logically equal — only the layout changes) so
-                        // long-lived sessions never accumulate unbounded
-                        // segment indirection.
-                        let result = if result.segment_count() > COMPACT_SEGMENT_THRESHOLD {
-                            result.compacted()
-                        } else {
-                            *result
-                        };
                         // Re-attach tier 2 with the prior result in
                         // hand: survivors whose tier-1 point is
                         // unchanged reuse their sim rows, everything
@@ -2466,7 +1630,7 @@ impl Session {
                         // run either way (seeds depend only on plan key
                         // and candidate identity).
                         let result =
-                            Arc::new(self.attach_tier2(plan, &state, result, Some(&cached))?);
+                            Arc::new(self.attach_tier2(plan, &state, *result, Some(&cached))?);
                         self.insert(plan.key(), epoch, Arc::clone(&result));
                         return Ok(result);
                     }
@@ -2566,12 +1730,11 @@ impl Session {
         out
     }
 
-    /// Executes a batch of plans (at the current epoch) in as few fused
+    /// Executes a batch of plans (at the current epoch) in as few kernel
     /// passes as their evaluation signatures allow — plans over the same
     /// subspace, knob settings and battery share **one** enumeration +
-    /// evaluation, with each plan's constraints and objective rows
-    /// applied in-pass, and a plan alone in its signature runs on the
-    /// shard kernel as [`run`](Self::run) does. Cached plans are served
+    /// evaluation, with each plan's constraints and objective columns
+    /// applied in-pass. Cached plans are served
     /// from the memo cache without joining a pass; duplicate plans
     /// within the batch are deduplicated by canonical key. Results come
     /// back aligned with `plans`.
@@ -2706,7 +1869,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Constraint, KnobSweep};
+    use crate::query::{Constraint, Knob, KnobSweep};
     use f1_components::names;
     use f1_units::Watts;
 

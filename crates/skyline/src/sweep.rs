@@ -14,9 +14,8 @@
 //! slot. Nothing is sent over a channel and nothing is re-sorted
 //! afterwards — input order *is* output order by construction.
 //!
-//! Callers choose the chunk size: [`auto_chunk_size`] derives one from
-//! the job count and the available parallelism, and a caller whose jobs
-//! are already coarse (the shard kernel's shards) passes 1.
+//! Callers choose the chunk size: a caller whose jobs are already
+//! coarse (the shard kernel's shards) passes 1.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -27,30 +26,6 @@ fn worker_count(items: usize) -> usize {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .min(items.max(1))
-}
-
-/// How many chunks per worker [`auto_chunk_size`] aims for. More chunks
-/// than workers is what makes work-stealing effective: a worker stuck on
-/// an expensive chunk strands at most `1/AUTO_CHUNKS_PER_WORKER` of its
-/// fair share behind it.
-const AUTO_CHUNKS_PER_WORKER: usize = 8;
-
-/// Upper bound on an autotuned chunk. Past this, bigger chunks stop
-/// saving measurable scheduling overhead (one atomic claim per chunk)
-/// and only worsen tail imbalance on huge job counts.
-const AUTO_MAX_CHUNK: usize = 4096;
-
-/// Derives a work-stealing chunk size from the job count and the
-/// machine's available parallelism.
-///
-/// Targets eight chunks per worker — enough granularity for stealing
-/// to smooth uneven per-job cost — clamped to `1..=4096` so tiny
-/// workloads still split and huge ones don't degenerate into a handful
-/// of giant chunks.
-#[must_use]
-pub fn auto_chunk_size(jobs: usize) -> usize {
-    let workers = worker_count(jobs);
-    (jobs / (workers * AUTO_CHUNKS_PER_WORKER).max(1)).clamp(1, AUTO_MAX_CHUNK)
 }
 
 /// Applies `f` to every input on a pool of scoped worker threads,
@@ -86,9 +61,6 @@ where
 /// it, and no per-item channel traffic or output re-sort happens at any
 /// scale.
 ///
-/// Use [`auto_chunk_size`] to derive `chunk_size` from the workload
-/// unless a caller has pinned an explicit override.
-///
 /// # Panics
 ///
 /// Panics if `chunk_size == 0`; propagates the first panic from `f`
@@ -116,9 +88,11 @@ where
     F: Fn(usize) -> R + Sync,
 {
     assert!(chunk_size > 0, "chunk size must be positive");
-    let chunks = count.div_ceil(chunk_size);
-    let workers = worker_count(count).min(chunks.max(1));
-    if workers <= 1 || count < 2 {
+    if count < 2 {
+        return (0..count).map(f).collect();
+    }
+    let workers = worker_count(count).min(count.div_ceil(chunk_size));
+    if workers <= 1 {
         return (0..count).map(f).collect();
     }
 
@@ -305,31 +279,6 @@ mod tests {
     fn tiny_inputs_work() {
         assert_eq!(parallel_map(Vec::<i32>::new(), |x| *x), Vec::<i32>::new());
         assert_eq!(parallel_map(vec![7], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn auto_chunk_size_stays_in_bounds() {
-        assert_eq!(auto_chunk_size(0), 1);
-        assert_eq!(auto_chunk_size(1), 1);
-        for jobs in [10usize, 1_000, 100_000, 1_000_000, 10_000_000] {
-            let chunk = auto_chunk_size(jobs);
-            assert!((1..=4096).contains(&chunk), "jobs {jobs} chunk {chunk}");
-            // Enough chunks for stealing whenever the workload allows it.
-            let workers = worker_count(jobs);
-            if jobs >= workers * AUTO_CHUNKS_PER_WORKER && chunk < AUTO_MAX_CHUNK {
-                assert!(
-                    jobs.div_ceil(chunk) >= workers * AUTO_CHUNKS_PER_WORKER,
-                    "jobs {jobs} chunk {chunk}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn auto_chunk_size_grows_with_job_count() {
-        let small = auto_chunk_size(1_000);
-        let large = auto_chunk_size(1_000_000);
-        assert!(large >= small);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use f1_components::{
 };
 use f1_skyline::plan::{KeepPoints, QueryPlan};
 use f1_skyline::query::{Knob, KnobSweep, Objective};
-use f1_skyline::session::{ResultSet, Session, COMPACT_SEGMENT_THRESHOLD};
+use f1_skyline::session::{ResultSet, Session};
 use f1_skyline::SkylineError;
 use f1_units::{Grams, Hertz, Meters, Millimeters, Watts};
 
@@ -484,18 +484,16 @@ fn timed_refresh(store: &Arc<CatalogStore>, plan: &QueryPlan) -> Duration {
     start.elapsed()
 }
 
-/// Chained refreshes splice new point-store segments per repaired slab;
-/// past [`COMPACT_SEGMENT_THRESHOLD`] the session folds them back into
-/// one contiguous segment. Long-lived sessions must see bounded
-/// indirection AND bit-identical results straight through a compaction.
+/// Chained refreshes repair each result from the previous repair:
+/// every link of a 12-delta chain must stay bit-identical to a cold
+/// run at its epoch.
 #[test]
-fn chained_refreshes_compact_segment_growth() {
+fn chained_refreshes_stay_bit_identical() {
     let plan = QueryPlan::builder().build().unwrap();
     let store = Arc::new(CatalogStore::new(Catalog::paper()));
     let session = Session::over(Arc::clone(&store));
     session.run(&plan).unwrap();
 
-    let mut counts = Vec::new();
     for i in 0..12u32 {
         store
             .apply(&CatalogDelta::new().patch_throughput(
@@ -505,25 +503,10 @@ fn chained_refreshes_compact_segment_growth() {
             ))
             .unwrap();
         let repaired = session.refresh(&plan).unwrap();
-        counts.push(repaired.segment_count());
-        assert!(
-            repaired.segment_count() <= COMPACT_SEGMENT_THRESHOLD,
-            "segment count stays bounded: {counts:?}"
-        );
+        let cold = Session::over(Arc::clone(&store)).run(&plan).unwrap();
+        assert_bit_identical(&repaired, &cold);
     }
     assert_eq!(session.cache_stats().repairs, 12, "every delta repaired");
-    assert!(
-        counts.iter().any(|&c| c > 1),
-        "repairs do splice segments: {counts:?}"
-    );
-    assert!(
-        counts.windows(2).any(|w| w[1] < w[0]),
-        "compaction folded segments back down: {counts:?}"
-    );
-
-    let cold = Session::over(Arc::clone(&store)).run(&plan).unwrap();
-    let repaired = session.refresh(&plan).unwrap();
-    assert_bit_identical(&repaired, &cold);
 }
 
 /// Duplicate subspace ids and duplicate sweep values canonicalize at

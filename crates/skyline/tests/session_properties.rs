@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use f1_components::Catalog;
-use f1_skyline::plan::QueryPlan;
-use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
+use f1_skyline::plan::{KeepPoints, QueryPlan};
+use f1_skyline::query::{Constraint, Knob, KnobSweep, MissionProfile, Objective};
 use f1_skyline::session::{ResultSet, Session};
 use f1_skyline::SkylineError;
 use f1_units::{Grams, MetersPerSecond, Watts};
@@ -119,7 +119,12 @@ proptest! {
 
     /// A shared-pass batch returns exactly what each plan produces when
     /// run standalone — points, columns, frontier, and the dropped /
-    /// nonfinite accounting.
+    /// nonfinite accounting. The co-passable members vary everything a
+    /// pass evaluates per plan: a mounted battery with hover endurance,
+    /// mission profiles that differ between members, constraints on
+    /// objectives the plan does not rank (so its frontier cannot reduce
+    /// through a shared skyline), co-shaped members that share one, and
+    /// streaming members.
     #[test]
     fn batch_matches_standalone(seed in 0u64..1_000_000, extra in 2usize..6) {
         let catalog = Arc::new(Catalog::paper());
@@ -128,14 +133,71 @@ proptest! {
         // the batch spans more than one pass group.
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let shared_sweep = KnobSweep::new(Knob::TdpScale, vec![1.0, rng.gen_range(0.4f64..0.9)]);
+        // Half the batches mount a battery on every co-passable member
+        // (it is part of the pass signature), letting hover endurance
+        // join one objective list.
+        let battery = (rng.gen_range(0u32..2) == 0)
+            .then(|| catalog.battery_entries().next().map(|(id, _)| id))
+            .flatten();
+        // The first two members are co-shaped and reducible: one
+        // objective list and TDP caps only. The rest draw one of two
+        // lists with a power objective, so members that share a list
+        // can still differ in mission profile, constraints and mode.
+        let lists: Vec<Vec<Objective>> = (0..2u64)
+            .map(|l| {
+                let mut objectives = random_plan(seed.wrapping_add(l), false)
+                    .objectives()
+                    .to_vec();
+                let power = if battery.is_some() && l == 1 {
+                    Objective::HoverEnduranceMin
+                } else {
+                    Objective::MissionEnergyWhPerKm
+                };
+                // List 0 carries TotalTdp, so its TDP caps can reduce.
+                let mut required = vec![power];
+                if l == 0 {
+                    required.push(Objective::TotalTdp);
+                }
+                for objective in required {
+                    if !objectives.contains(&objective) {
+                        objectives.push(objective);
+                    }
+                }
+                objectives
+            })
+            .collect();
         let mut plans: Vec<QueryPlan> = (0..extra)
             .map(|i| {
+                let objectives = if i < 2 {
+                    vec![Objective::TotalTdp, Objective::SafeVelocity]
+                } else {
+                    lists[(i / 2 + 1) % 2].clone()
+                };
                 let mut builder = QueryPlan::builder()
-                    .objectives(random_plan(seed.wrapping_add(i as u64), false).objectives())
+                    .objectives(&objectives)
                     .sweep(shared_sweep.clone());
+                if let Some(battery) = battery {
+                    builder = builder.battery(battery);
+                }
                 builder = builder.constraint(Constraint::MaxTotalTdp(Watts::new(
                     rng.gen_range(0.5f64..40.0),
                 )));
+                if i >= 2 {
+                    if rng.gen_range(0u32..2) == 0 {
+                        builder = builder.constraint(Constraint::MinVelocity(
+                            MetersPerSecond::new(rng.gen_range(0.01f64..5.0)),
+                        ));
+                    }
+                    if rng.gen_range(0u32..2) == 0 {
+                        builder = builder.mission_profile(MissionProfile {
+                            figure_of_merit: rng.gen_range(0.5f64..0.8),
+                            ..MissionProfile::default()
+                        });
+                    }
+                    if rng.gen_range(0u32..3) == 0 {
+                        builder = builder.keep_points(KeepPoints::FrontierOnly);
+                    }
+                }
                 builder.build().unwrap()
             })
             .collect();
