@@ -207,19 +207,14 @@ fn digest_plan(
     objectives: &[Objective],
     keep: KeepPoints,
 ) -> f1_skyline::PlanBuilder {
+    let sensors: Vec<_> = catalog.sensor_entries().map(|(id, _)| id).collect();
     let builder = QueryPlan::builder()
         .objectives(objectives)
         .airframes(&[airframe])
         .keep_points(keep);
-    if keep == KeepPoints::All {
-        let sensors: Vec<_> = catalog
-            .sensor_entries()
-            .take(RETAINED_SENSORS)
-            .map(|(id, _)| id)
-            .collect();
-        builder.sensors(&sensors)
-    } else {
-        builder
+    match keep {
+        KeepPoints::All => builder.sensors(&sensors[..RETAINED_SENSORS]),
+        _ => builder,
     }
 }
 
@@ -231,117 +226,105 @@ fn digest_plan(
 /// refreshed across a throughput patch and then across a compute
 /// retirement that kills frontier members.
 fn result_digests() -> Result<String, String> {
-    let build = |builder: f1_skyline::PlanBuilder, what: &str| {
-        builder.build().map_err(|e| format!("{what} plan: {e}"))
-    };
     let store = Arc::new(CatalogStore::new(Catalog::synthesize(42, 22)));
-    let session = Session::over(Arc::clone(&store));
+    let session =
+        Session::over(Arc::clone(&store)).with_tier2(Arc::new(f1_sim::SimHarness::default()));
     let snapshot = store.current();
     let catalog = snapshot.catalog();
-    let airframe = catalog
-        .airframe_entries()
-        .next()
-        .map(|(id, _)| id)
-        .ok_or("the digest catalog has no airframe")?;
-    let mut out = String::new();
-    let run = |plan: &QueryPlan| session.run(plan).map_err(|e| format!("digest query: {e}"));
-
-    for keep in [KeepPoints::All, KeepPoints::FrontierOnly] {
-        let mode = if keep == KeepPoints::All {
-            "retained"
-        } else {
-            "streamed"
-        };
-        let shapes = [
-            digest_plan(catalog, airframe, &FOUR_OBJECTIVES[..2], keep)
-                .constraint(Constraint::MaxTotalTdp(Watts::new(30.0))),
-            digest_plan(
-                catalog,
-                airframe,
-                &[
-                    Objective::PayloadMass,
-                    Objective::SafeVelocity,
-                    Objective::TotalTdp,
-                ],
-                keep,
-            )
-            .constraint(Constraint::FeasibleOnly),
-            digest_plan(catalog, airframe, &FOUR_OBJECTIVES, keep)
-                .constraint(Constraint::MaxTotalTdp(Watts::new(20.0))),
-        ];
-        for (shape, builder) in shapes.into_iter().enumerate() {
-            let plan = build(builder, mode)?;
-            let label = format!("{mode}-{}obj", shape + 2);
-            push_digests(&mut out, &label, &*run(&plan)?, &snapshot);
-        }
-    }
-
+    let ids: Vec<AirframeId> = catalog.airframe_entries().map(|(id, _)| id).collect();
+    let airframe = *ids.first().ok_or("the digest catalog has no airframe")?;
     // The weakest airframe, so the heavier heatsinks of the scaled-up
     // TDPs leave infeasible builds, whose energies print as `null`.
-    let weakest = catalog
-        .airframe_entries()
-        .min_by(|a, b| {
-            let capacity = |frame: &f1_components::Airframe| frame.payload_capacity().get();
-            capacity(a.1).total_cmp(&capacity(b.1))
-        })
-        .map(|(id, _)| id)
+    let capacity = |id: &AirframeId| catalog.airframe_by_id(*id).payload_capacity().get();
+    let weakest = *ids
+        .iter()
+        .min_by(|a, b| capacity(a).total_cmp(&capacity(b)))
         .ok_or("the digest catalog has no airframe")?;
-    let sweep = build(
-        digest_plan(
-            catalog,
-            weakest,
-            &[Objective::SafeVelocity, Objective::MissionEnergyWhPerKm],
-            KeepPoints::All,
-        )
-        .sweep(KnobSweep::new(Knob::TdpScale, vec![0.5, 1.0, 2.0])),
-        "sweep",
-    )?;
-    let swept = run(&sweep)?;
-    if !swept.to_json(catalog).contains("null") {
-        return Err("the sweep plan prints no null energy".to_owned());
-    }
-    push_digests(&mut out, "tdp-sweep", &swept, &snapshot);
+    let cap = |w| Constraint::MaxTotalTdp(Watts::new(w));
 
+    let mut singles: Vec<(String, f1_skyline::PlanBuilder)> = Vec::new();
+    for (keep, mode) in [
+        (KeepPoints::All, "retained"),
+        (KeepPoints::FrontierOnly, "streamed"),
+    ] {
+        let three = [
+            Objective::PayloadMass,
+            Objective::SafeVelocity,
+            Objective::TotalTdp,
+        ];
+        singles.extend(
+            [
+                (
+                    2,
+                    digest_plan(catalog, airframe, &FOUR_OBJECTIVES[..2], keep)
+                        .constraint(cap(30.0)),
+                ),
+                (
+                    3,
+                    digest_plan(catalog, airframe, &three, keep)
+                        .constraint(Constraint::FeasibleOnly),
+                ),
+                (
+                    4,
+                    digest_plan(catalog, airframe, &FOUR_OBJECTIVES, keep).constraint(cap(20.0)),
+                ),
+            ]
+            .map(|(k, builder)| (format!("{mode}-{k}obj"), builder)),
+        );
+    }
+    let energy = [Objective::SafeVelocity, Objective::MissionEnergyWhPerKm];
+    singles.push((
+        "tdp-sweep".to_owned(),
+        digest_plan(catalog, weakest, &energy, KeepPoints::All)
+            .sweep(KnobSweep::new(Knob::TdpScale, vec![0.5, 1.0, 2.0])),
+    ));
     let batch: Vec<QueryPlan> = [60.0, 30.0, 16.0, 8.0, 4.0, 2.0, 1.0, 0.5]
         .into_iter()
-        .map(|cap| {
-            build(
-                digest_plan(catalog, airframe, &FOUR_OBJECTIVES, KeepPoints::All)
-                    .constraint(Constraint::MaxTotalTdp(Watts::new(cap))),
-                "batch",
-            )
+        .map(|w| {
+            digest_plan(catalog, airframe, &FOUR_OBJECTIVES, KeepPoints::All).constraint(cap(w))
         })
+        .map(|builder| builder.build().map_err(|e| format!("batch plan: {e}")))
         .collect::<Result<_, _>>()?;
-    let members = Session::over(Arc::clone(&store))
-        .run_batch(&batch)
-        .map_err(|e| format!("digest batch: {e}"))?;
-    for (i, member) in members.iter().enumerate() {
-        push_digests(&mut out, &format!("batch-{i}"), member, &snapshot);
-    }
-
     let sensors: Vec<_> = catalog.sensor_entries().take(2).map(|(id, _)| id).collect();
     let computes: Vec<_> = catalog
         .compute_entries()
         .take(6)
         .map(|(id, _)| id)
         .collect();
-    let tier2 = build(
-        QueryPlan::builder()
-            .objectives(&FOUR_OBJECTIVES[..2])
-            .airframes(&[airframe])
-            .sensors(&sensors)
-            .computes(&computes)
-            .sim_objective(SimObjective::MissionRobustness { trials: 2 })
-            .sim_objective(SimObjective::PipelineP99Latency)
-            .survivor_budget(3),
-        "tier-2",
-    )?;
-    let tier2_result = Session::over(Arc::clone(&store))
-        .with_tier2(Arc::new(f1_sim::SimHarness::default()))
-        .run(&tier2)
-        .map_err(|e| format!("digest tier-2 query: {e}"))?;
-    push_digests(&mut out, "tier2", &tier2_result, &snapshot);
+    let tier2 = QueryPlan::builder()
+        .objectives(&FOUR_OBJECTIVES[..2])
+        .airframes(&[airframe])
+        .sensors(&sensors)
+        .computes(&computes)
+        .sim_objective(SimObjective::MissionRobustness { trials: 2 })
+        .sim_objective(SimObjective::PipelineP99Latency)
+        .survivor_budget(3);
 
+    let mut documents: Vec<(String, Arc<ResultSet>)> = Vec::new();
+    for (label, builder) in singles {
+        let plan = builder.build().map_err(|e| format!("{label} plan: {e}"))?;
+        let result = session
+            .run(&plan)
+            .map_err(|e| format!("{label} query: {e}"))?;
+        documents.push((label, result));
+    }
+    if !documents[6].1.to_json(catalog).contains("null") {
+        return Err("the sweep plan prints no null energy".to_owned());
+    }
+    let members = session
+        .run_batch(&batch)
+        .map_err(|e| format!("batch: {e}"))?;
+    documents.extend((0..).map(|i| format!("batch-{i}")).zip(members));
+    let tier2 = tier2.build().map_err(|e| format!("tier-2 plan: {e}"))?;
+    let result = session
+        .run(&tier2)
+        .map_err(|e| format!("tier-2 query: {e}"))?;
+    documents.push(("tier2".to_owned(), result));
+
+    let mut out = String::new();
+    for (label, result) in &documents {
+        push_digests(&mut out, label, result, &snapshot);
+    }
     refreshed_digests(&mut out, airframe)?;
     Ok(out)
 }
@@ -352,8 +335,7 @@ fn result_digests() -> Result<String, String> {
 fn refreshed_digests(out: &mut String, airframe: AirframeId) -> Result<(), String> {
     let store = Arc::new(CatalogStore::new(Catalog::synthesize(42, 22)));
     let session = Session::over(Arc::clone(&store));
-    let genesis = store.current();
-    let catalog = Arc::clone(genesis.catalog());
+    let catalog = Arc::clone(store.current().catalog());
     let plans = [KeepPoints::All, KeepPoints::FrontierOnly]
         .into_iter()
         .map(|keep| {
@@ -369,33 +351,32 @@ fn refreshed_digests(out: &mut String, airframe: AirframeId) -> Result<(), Strin
             .run(plan)
             .map_err(|e| format!("refresh genesis query: {e}"))?;
         frontier_compute = frontier_compute.or_else(|| {
-            result
-                .frontier()
-                .first()
-                .and_then(|&i| result.try_point(i))
-                .map(|p| p.candidate.compute)
+            let first = *result.frontier().first()?;
+            Some(result.try_key(first)?.candidate.compute)
         });
     }
     let retired = frontier_compute.ok_or("the refresh plan has an empty frontier")?;
-    let (patched, algorithm, hz) = catalog
+    let (compute, algorithm, hz) = catalog
         .compute_entries()
         .filter(|&(id, _)| id != retired)
-        .find_map(|(_, compute)| {
-            catalog.algorithm_entries().find_map(|(g, algorithm)| {
-                catalog
-                    .throughput(compute.name(), algorithm.name())
-                    .ok()
-                    .map(|hz| (compute.name(), g, hz))
-            })
+        .flat_map(|(_, c)| {
+            catalog
+                .algorithm_entries()
+                .map(move |(_, g)| (c.name(), g.name()))
         })
+        .find_map(|(c, g)| Some((c, g, catalog.throughput(c, g).ok()?)))
         .ok_or("the digest catalog has no characterized pair")?;
-    let patch = CatalogDelta::new().patch_throughput(
-        patched,
-        catalog.algorithm_by_id(algorithm).name(),
-        f1_units::Hertz::new(hz.get() * 1.5),
-    );
-    let retire = CatalogDelta::new().retire_compute(catalog.compute_by_id(retired).name());
-    for (step, delta) in [("patch", patch), ("retire", retire)] {
+    let deltas = [
+        (
+            "patch",
+            CatalogDelta::new().patch_throughput(compute, algorithm, hz * 1.5),
+        ),
+        (
+            "retire",
+            CatalogDelta::new().retire_compute(catalog.compute_by_id(retired).name()),
+        ),
+    ];
+    for (step, delta) in deltas {
         let snapshot = store
             .apply(&delta)
             .map_err(|e| format!("refresh {step} delta: {e}"))?;

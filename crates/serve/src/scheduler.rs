@@ -7,8 +7,8 @@
 //! window (a few milliseconds, [`SchedulerConfig::window`]); every
 //! compatible cache-miss plan that arrives inside the window joins the
 //! same [`Session::run_batch_at`] call, where plans with the same
-//! evaluation signature share **one** fused enumeration + evaluation
-//! pass. A bursty all-miss workload therefore pays ~one pass per
+//! evaluation signature share **one** enumeration + evaluation pass on
+//! the shard kernel. A bursty all-miss workload therefore pays ~one pass per
 //! window, not one pass per request.
 //!
 //! Epochs make rolling catalog updates stall-free: each job carries the
@@ -47,7 +47,7 @@ pub struct SchedulerConfig {
     /// Most requests one batch may coalesce.
     pub max_batch: usize,
     /// Executor threads draining the queue. Each batch runs on one
-    /// executor (the fused pass is internally parallel); extra
+    /// executor (the kernel pass is internally parallel); extra
     /// executors let independent batches overlap.
     pub executors: usize,
 }
@@ -392,7 +392,7 @@ fn execute_batch(inner: &Inner, batch: Vec<Job>) {
             plans.push(job.plan);
             replies.push(job.reply);
         }
-        // Contain panics from the fused pass: the executor thread must
+        // Contain panics from the kernel pass: the executor thread must
         // outlive any one bad batch. On a panic the replies are dropped,
         // so each waiting connection observes the closed channel and
         // answers a structured `err internal` instead of hanging.

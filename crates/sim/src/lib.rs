@@ -1,7 +1,7 @@
 //! # `f1-sim` — two-tier simulation evaluation (fig. 7 generalized)
 //!
 //! The F-1 model is analytic and fast — millions of candidate builds per
-//! second through the fused DSE pass — but the paper's own validation
+//! second through the DSE shard kernel — but the paper's own validation
 //! (§IV, fig. 7) shows it is optimistic by 5.1–9.5 % against real flights
 //! because it omits brake lag, drag, disturbances and decision phase.
 //! `f1-skyline` therefore exposes a *two-tier* evaluation hook

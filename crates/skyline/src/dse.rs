@@ -548,10 +548,9 @@ impl<'c> Engine<'c> {
 }
 
 /// The engine-free evaluation core: one set of parts on one airframe,
-/// under a heatsink model and knee saturation. This is the hot-loop body
-/// shared by [`Engine::evaluate_parts_loaded`] and the fused shared-pass
-/// executor of [`crate::session`] (which has no engine, only a
-/// [`Session`](crate::session::Session) snapshot).
+/// under a heatsink model and knee saturation: the body of
+/// [`Engine::evaluate_parts_loaded`], which the shard kernel of
+/// [`crate::shard`] splits into [`pair_stage`] and [`algo_stage`].
 ///
 /// This intentionally mirrors the single-compute, no-battery slice of
 /// [`UavSystem`](crate::UavSystem)'s payload/safety composition without

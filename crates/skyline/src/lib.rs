@@ -21,10 +21,10 @@
 //!   constraints and Table II knob sweeps compiled onto the engine.
 //! * [`plan`] / [`session`] — the compile/execute split for serving:
 //!   owned `Send + Sync` [`QueryPlan`]s with canonical cache keys,
-//!   executed (batches of one evaluation signature in one fused shared
+//!   executed (batches of one evaluation signature in one kernel
 //!   pass, and memoized) by a [`Session`] over an `Arc<Catalog>`, producing columnar
 //!   [`ResultSet`]s with bounded-heap top-k and paged iteration.
-//! * [`shard`] — the shard kernel behind every single-plan pass:
+//! * [`shard`] — the shard kernel behind every pass:
 //!   (airframe × knob setting)-aligned shards evaluated over
 //!   struct-of-arrays slabs with per-pair hoisting, each reduced to its
 //!   local skyline and, per the plan's [`KeepPoints`], either retained

@@ -11,7 +11,7 @@
 //! **no engine or catalog lifetime** anywhere in the type. Plans execute
 //! against a [`Session`](crate::Session), which runs each plan on the
 //! shard kernel (batches of plans with one evaluation signature in one
-//! fused parallel pass) and memoizes results under each plan's
+//! parallel pass) and memoizes results under each plan's
 //! [canonical key](QueryPlan::key).
 //!
 //! ```

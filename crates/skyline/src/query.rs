@@ -100,8 +100,8 @@ impl Objective {
         }
     }
 
-    /// Position of this objective in [`Objective::ALL`] — the slot it
-    /// occupies in the shared-pass executor's per-job value cache.
+    /// Position of this objective in [`Objective::ALL`] — its bit in
+    /// the shard kernel's objective-set masks.
     pub(crate) fn all_index(self) -> usize {
         match self {
             Self::SafeVelocity => 0,
@@ -493,7 +493,7 @@ pub struct QueryPoint {
 
 /// The number of distinct objectives a query can carry
 /// ([`Objective::ALL`] — objective lists are deduplicated), which bounds
-/// the fused per-job objective row at a stack array.
+/// a kernel row at a stack array.
 pub(crate) const MAX_OBJECTIVES: usize = Objective::ALL.len();
 
 /// A builder-style, composable design-space query over an [`Engine`].

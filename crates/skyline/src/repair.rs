@@ -38,10 +38,10 @@ use std::sync::Arc;
 use f1_components::{AirframeId, AlgorithmId, ComputeId, SensorId, ThroughputTable};
 
 use crate::frontier;
-use crate::plan::{KeepPoints, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::query::{Objective, MAX_OBJECTIVES};
-use crate::session::{minimized_row, run_plans, EpochState, PassContext, ResultSet};
-use crate::shard::PassSpace;
+use crate::session::{minimized_row, EpochState, PassContext, ResultSet};
+use crate::shard::{Coord, PassSpace};
 use crate::sweep::parallel_map_indices;
 use crate::SkylineError;
 
@@ -190,8 +190,8 @@ impl CandIndex {
     }
 }
 
-/// Everything needed to place an evaluated row into the new epoch's
-/// global job order.
+/// The new epoch's enumeration order, for placing rows evaluated in
+/// any pass space of the plan (whose knob settings are the plan's).
 struct NewOrder<'a> {
     airframes: &'a FamilyDelta,
     sensors: &'a FamilyDelta,
@@ -205,20 +205,47 @@ struct NewOrder<'a> {
 }
 
 impl NewOrder<'_> {
-    /// The job index in the new epoch's enumeration of row `job` of
-    /// `space` (whose knob settings are the plan's), or `None` when the
-    /// build is no longer enumerated (a part retired or the pair no
-    /// longer characterized).
+    /// Per-position tables of `space`: the new-order offset of each of
+    /// its airframes, sensors and pairs, `None` for a part no longer
+    /// enumerated or a pair whose throughput is no longer `table`'s.
     // analyze::allow(indexing, scope = "fn", reason = "new_pos tables are sized to the full id space; part indices are catalog ids")
-    fn job_of(&self, space: &PassSpace, job: u64) -> Option<u64> {
-        let coord = space.coord(job);
-        let (airframe, candidate, _) = space.key(coord);
-        let a = self.airframes.new_pos[airframe.index()]?;
-        let s = self.sensors.new_pos[candidate.sensor.index()]?;
-        let c = self.computes.new_pos[candidate.compute.index()]?;
-        let g = self.algorithms.new_pos[candidate.algorithm.index()]?;
-        let cand = self.cand.pos(s, c, g)?;
-        Some(u64::from(a) * self.per_airframe + coord.setting as u64 * self.n_cand + cand)
+    fn tables(&self, space: &PassSpace, table: &ThroughputTable) -> [Vec<Option<u64>>; 3] {
+        let per_sensor = u64::from(self.cand.per_sensor);
+        [
+            space
+                .airframes
+                .iter()
+                .map(|id| Some(u64::from(self.airframes.new_pos[id.index()]?) * self.per_airframe))
+                .collect(),
+            space
+                .sensors
+                .iter()
+                .map(|id| Some(u64::from(self.sensors.new_pos[id.index()]?) * per_sensor))
+                .collect(),
+            space
+                .pairs
+                .iter()
+                .map(|p| {
+                    if table.get(p.compute, p.algorithm) != Some(p.throughput) {
+                        return None;
+                    }
+                    let c = self.computes.new_pos[p.compute.index()]?;
+                    let g = self.algorithms.new_pos[p.algorithm.index()]?;
+                    self.cand.pos(0, c, g)
+                })
+                .collect(),
+        ]
+    }
+
+    /// The new-order job of `coord` through its space's `tables`.
+    // analyze::allow(indexing, scope = "fn", reason = "coordinates are decoded from jobs of the space the tables were built for")
+    fn job(&self, [airframe, sensor, pair]: &[Vec<Option<u64>>; 3], coord: Coord) -> Option<u64> {
+        Some(
+            airframe[coord.airframe]?
+                + coord.setting as u64 * self.n_cand
+                + sensor[coord.sensor]?
+                + pair[coord.pair]?,
+        )
     }
 }
 
@@ -232,36 +259,6 @@ struct DeltaPoint {
     job: u64,
     slab: u32,
     idx: u32,
-}
-
-/// Builds a plan identical to `plan` except restricted to one
-/// cross-product slab of the delta space. The slab always retains its
-/// points, whatever its size: the merge splices every one of them.
-fn slab_plan(
-    plan: &QueryPlan,
-    airframes: &[u32],
-    sensors: &[u32],
-    computes: &[u32],
-    algorithms: &[u32],
-) -> Result<QueryPlan, SkylineError> {
-    let mut builder = QueryPlan::builder()
-        .objectives(plan.objectives())
-        .mission_profile(plan.mission_profile())
-        .keep_points(KeepPoints::All)
-        .airframes(&raw_ids::<AirframeId>(airframes))
-        .sensors(&raw_ids::<SensorId>(sensors))
-        .computes(&raw_ids::<ComputeId>(computes))
-        .algorithms(&raw_ids::<AlgorithmId>(algorithms));
-    for &constraint in plan.constraints() {
-        builder = builder.constraint(constraint);
-    }
-    for sweep in plan.sweeps() {
-        builder = builder.sweep(sweep.clone());
-    }
-    if let Some(battery) = plan.battery() {
-        builder = builder.battery(battery);
-    }
-    builder.build()
 }
 
 fn raw_ids<T: From<RawId>>(ids: &[u32]) -> Vec<T> {
@@ -626,15 +623,21 @@ pub(crate) fn repair_result(
     for (c, algos) in &changed_slabs {
         specs.push((&airframes.retained, &sensors.retained, c, algos));
     }
-    let slab_plans: Vec<QueryPlan> = specs
-        .into_iter()
-        .filter(|(a, s, c, g)| !(a.is_empty() || s.is_empty() || c.is_empty() || g.is_empty()))
-        .map(|(a, s, c, g)| slab_plan(plan, a, s, c, g))
-        .collect::<Result<_, _>>()?;
-    // Each slab is a pass of its own, most of them a single small shard:
-    // run them side by side.
-    let slabs: Vec<ResultSet> = parallel_map_indices(slab_plans.len(), 1, |i| {
-        run_plans(ctx, &[&slab_plans[i]], false)
+    specs.retain(|(a, s, c, g)| !(a.is_empty() || s.is_empty() || c.is_empty() || g.is_empty()));
+    // Each slab is a pass of the plan over its own parts (retaining every
+    // row: no frontier pass), most of them a single small shard: run
+    // them side by side.
+    let slabs: Vec<ResultSet> = parallel_map_indices(specs.len(), 1, |i| {
+        let (a, s, c, g) = specs[i];
+        let space = PassSpace::over(
+            ctx,
+            plan,
+            raw_ids(a),
+            raw_ids(s),
+            &raw_ids::<ComputeId>(c),
+            &raw_ids::<AlgorithmId>(g),
+        )?;
+        crate::shard::run_over(Arc::new(space), ctx, &[plan], false)
             .map(|mut results| results.pop().expect("one slab plan in, one result out"))
     })
     .into_iter()
@@ -647,9 +650,10 @@ pub(crate) fn repair_result(
     let mut delta: Vec<DeltaPoint> = Vec::new();
     for (slab_pos, slab) in slabs.iter().enumerate() {
         let (space, jobs) = slab.rows();
-        for (idx, &job) in jobs.iter().enumerate() {
+        let tables = order.tables(space, ctx.table);
+        for (idx, coord) in space.coords(jobs).enumerate() {
             let job = order
-                .job_of(space, job)
+                .job(&tables, coord)
                 .expect("slab points are enumerated at the new epoch");
             delta.push(DeltaPoint {
                 job,
@@ -666,38 +670,14 @@ pub(crate) fn repair_result(
     // they come out in ascending new-enumeration order — retained ids
     // keep their relative order, so the cached order IS the new order
     // restricted to survivors — and each delta point is emitted before
-    // the first survivor whose job follows it. A cached row's new job is
-    // read from per-position tables of its old space (airframe, sensor
-    // and pair; the plan's settings are the same at both epochs).
+    // the first survivor whose job follows it; a cached row's new job is
+    // read from per-position tables of its old space.
     // `nonfinite` is maintained by *subtracting* the dead points'
     // contribution from the cached count (deaths are the small set; a
     // full recount would rescan every column).
     let dims = plan.objectives().len();
     let (old_space, old_jobs) = cached.rows();
-    let airframe_at: Vec<Option<u64>> = old_space
-        .airframes
-        .iter()
-        .map(|id| airframes.new_pos[id.index()].map(|a| u64::from(a) * per_airframe))
-        .collect();
-    let sensor_at: Vec<Option<u64>> = old_space
-        .sensors
-        .iter()
-        .map(|id| {
-            sensors.new_pos[id.index()].map(|s| u64::from(s) * u64::from(order.cand.per_sensor))
-        })
-        .collect();
-    let pair_at: Vec<Option<u64>> = old_space
-        .pairs
-        .iter()
-        .map(|p| {
-            if ctx.table.get(p.compute, p.algorithm) != Some(p.throughput) {
-                return None;
-            }
-            let c = computes.new_pos[p.compute.index()]?;
-            let g = algorithms.new_pos[p.algorithm.index()]?;
-            order.cand.pos(0, c, g)
-        })
-        .collect();
+    let tables = order.tables(old_space, ctx.table);
     let mut merged = Merged::new(cached, delta.len());
     let mut nonfinite = cached.nonfinite();
     let mut pending = delta.iter().peekable();
@@ -705,15 +685,7 @@ pub(crate) fn repair_result(
     let mut run_lo = 0usize;
     let mut last_job = None::<u64>;
     for (i, coord) in old_space.coords(old_jobs).enumerate() {
-        let new_job = match (
-            airframe_at[coord.airframe],
-            sensor_at[coord.sensor],
-            pair_at[coord.pair],
-        ) {
-            (Some(a), Some(s), Some(p)) => Some(a + coord.setting as u64 * n_cand + s + p),
-            _ => None,
-        };
-        let Some(job) = new_job else {
+        let Some(job) = order.job(&tables, coord) else {
             merged.extend_cached(run_lo, i);
             run_lo = i + 1;
             if cached.feasibility()[i] && (0..dims).any(|pos| !cached.column(pos)[i].is_finite()) {

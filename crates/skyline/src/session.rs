@@ -431,18 +431,14 @@ impl ResultSet {
     /// [`point`](Self::point), or [`iter_points`](Self::iter_points),
     /// which yields the stored subset.
     #[must_use]
-    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract; the pass evaluated the same parts without error")
     pub fn points(&self) -> &[QueryPoint] {
         assert!(
             self.streamed.is_none(),
             "a streamed result set does not keep every point; \
              use stored_indices()/point(i) or iter_points()"
         );
-        self.points_cache.get_or_init(|| {
-            self.space
-                .points(&self.jobs)
-                .expect("the pass evaluated these jobs without error")
-        })
+        self.points_cache
+            .get_or_init(|| (0..self.jobs.len()).map(|r| self.stored_point(r)).collect())
     }
 
     /// Iterates the stored points in enumeration order, each rebuilt by
@@ -1749,7 +1745,7 @@ impl Session {
     /// [`run_batch`](Self::run_batch) pinned at a published epoch — the
     /// scheduler-side batch admission hook: a micro-batching server
     /// groups concurrently admitted requests by their admission epoch
-    /// and coalesces each group into one shared pass, so a catalog
+    /// and coalesces each group into one kernel pass, so a catalog
     /// delta published mid-window never bleeds into results admitted
     /// before it.
     ///

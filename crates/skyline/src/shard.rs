@@ -19,8 +19,7 @@
 //!   compute-major pair list, so the algorithm-independent
 //!   `pair_stage` — payload, dynamics, safety roofline — is computed
 //!   once per (sensor, compute) pair, and the mission power model once
-//!   per pair and distinct mission profile. Each candidate's mission
-//!   energy is computed once per profile however many plans read it.
+//!   per pair and distinct mission profile.
 //! * **Struct-of-arrays slabs.** Within a shard, each plan's objective
 //!   values land in contiguous per-column `f64` slabs and its
 //!   feasibility in a flat mask; the merge carries the mask into the
@@ -120,9 +119,7 @@ pub const STREAM_AUTO_THRESHOLD: usize = 2_000_000;
 struct VariantParts {
     sensors: Vec<Sensor>,
     computes: Vec<ComputePlatform>,
-    /// `Some` only when the setting scales an airframe knob (drone
-    /// weight / rotor pull); `None` shares the stock airframes.
-    airframes: Option<Vec<Airframe>>,
+    airframes: Vec<Airframe>,
     extra_payload: Grams,
 }
 
@@ -161,8 +158,6 @@ pub(crate) struct PassSpace {
     pub(crate) pairs: Vec<PairEntry>,
     pub(crate) settings: Vec<KnobSetting>,
     variants: Vec<VariantParts>,
-    /// The catalog airframes, position-aligned with `airframes`.
-    stock: Vec<Airframe>,
     heatsink: HeatsinkModel,
     saturation: Saturation,
     /// Sensor × compute × algorithm combinations of the subspace whose
@@ -184,23 +179,46 @@ impl PassSpace {
         let catalog = ctx.catalog;
         let airframes = active_ids(plan.airframes().unwrap_or(ctx.airframes), |id| {
             catalog.airframe_is_active(id)
-        })
-        .into_owned();
+        });
         let sensors = active_ids(plan.sensors().unwrap_or(ctx.sensors), |id| {
             catalog.sensor_is_active(id)
-        })
-        .into_owned();
+        });
         let computes = active_ids(plan.computes().unwrap_or(ctx.computes), |id| {
             catalog.compute_is_active(id)
         });
         let algorithms = active_ids(plan.algorithms().unwrap_or(ctx.algorithms), |id| {
             catalog.algorithm_is_active(id)
         });
+        Self::over(
+            ctx,
+            plan,
+            airframes.into_owned(),
+            sensors.into_owned(),
+            &computes,
+            &algorithms,
+        )
+    }
+
+    /// The space of `plan`'s knob settings and battery over explicit part
+    /// lists, all active at `ctx`'s epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`SkylineError::KnobVariant`] for an out-of-domain sweep variant.
+    pub(crate) fn over(
+        ctx: &PassContext<'_>,
+        plan: &QueryPlan,
+        airframes: Vec<AirframeId>,
+        sensors: Vec<SensorId>,
+        computes: &[ComputeId],
+        algorithms: &[AlgorithmId],
+    ) -> Result<Self, SkylineError> {
+        let catalog = ctx.catalog;
         let mut pairs = Vec::new();
         for (compute_pos, &compute) in computes.iter().enumerate() {
             for (_, algorithm, throughput) in ctx
                 .table
-                .characterized_pairs(std::slice::from_ref(&compute), &algorithms)
+                .characterized_pairs(std::slice::from_ref(&compute), algorithms)
             {
                 pairs.push(PairEntry {
                     compute_pos: compute_pos as u32,
@@ -216,17 +234,13 @@ impl PassSpace {
         let variants = build_variants(
             ctx,
             &sensors,
-            &computes,
+            computes,
             &airframes,
             plan.settings(),
             battery_mass,
         )?;
         Ok(Self {
             uncharacterized: sensors.len() * (computes.len() * algorithms.len() - pairs.len()),
-            stock: airframes
-                .iter()
-                .map(|&id| catalog.airframe_by_id(id).clone())
-                .collect(),
             airframes,
             sensors,
             pairs,
@@ -247,14 +261,11 @@ impl PassSpace {
         self.airframes.len() * self.settings.len() * self.cand_count()
     }
 
-    /// The airframe a setting's builds fly: scaled when the setting
+    /// The airframe a setting's builds fly, scaled when the setting
     /// scales an airframe knob.
     // analyze::allow(indexing, scope = "fn", reason = "positions come from coordinates decoded in this space")
     fn airframe(&self, airframe: usize, setting: usize) -> &Airframe {
-        self.variants[setting]
-            .airframes
-            .as_ref()
-            .map_or(&self.stock[airframe], |scaled| &scaled[airframe])
+        &self.variants[setting].airframes[airframe]
     }
 
     /// The coordinates of `job` (a job of this space).
@@ -308,66 +319,29 @@ impl PassSpace {
         )
     }
 
-    /// The pair stage of the (sensor, compute) pair at `coord`.
-    // analyze::allow(indexing, scope = "fn", reason = "coordinates are decoded from jobs of this space")
-    fn stage(&self, coord: Coord) -> Result<PairStage, SkylineError> {
-        let parts = &self.variants[coord.setting];
-        pair_stage(
-            &self.heatsink,
-            self.saturation,
-            self.airframe(coord.airframe, coord.setting),
-            &parts.sensors[coord.sensor],
-            &parts.computes[self.pairs[coord.pair].compute_pos as usize],
-            parts.extra_payload,
-        )
-    }
-
-    /// The point at `coord`, finished from its pair's `stage`.
-    // analyze::allow(indexing, scope = "fn", reason = "coordinates are decoded from jobs of this space")
-    fn finish(&self, coord: Coord, stage: &PairStage) -> Result<QueryPoint, SkylineError> {
-        let (airframe, candidate, setting) = self.key(coord);
-        let outcome = algo_stage(
-            stage,
-            self.airframe(coord.airframe, coord.setting),
-            &self.variants[coord.setting].sensors[coord.sensor],
-            candidate.throughput,
-        )?;
-        Ok(QueryPoint {
-            airframe,
-            candidate,
-            setting,
-            outcome,
-        })
-    }
-
     /// Rebuilds the point of `job` — bit-identical to what the pass
     /// evaluated: the same kernel over the same parts.
+    // analyze::allow(indexing, scope = "fn", reason = "coordinates are decoded from jobs of this space")
     pub(crate) fn point(&self, job: u64) -> Result<QueryPoint, SkylineError> {
         let coord = self.coord(job);
-        self.finish(coord, &self.stage(coord)?)
-    }
-
-    /// Rebuilds the points of `jobs`, computing each pair stage once
-    /// per run of jobs on one (sensor, compute) pair.
-    // analyze::allow(indexing, scope = "fn", reason = "coordinates are decoded from jobs of this space")
-    pub(crate) fn points(&self, jobs: &[u64]) -> Result<Vec<QueryPoint>, SkylineError> {
-        let mut out = Vec::with_capacity(jobs.len());
-        let mut hoisted: Option<((usize, usize, usize, u32), PairStage)> = None;
-        for coord in self.coords(jobs) {
-            let at = (
-                coord.airframe,
-                coord.setting,
-                coord.sensor,
-                self.pairs[coord.pair].compute_pos,
-            );
-            let stage = match hoisted {
-                Some((key, stage)) if key == at => stage,
-                _ => self.stage(coord)?,
-            };
-            hoisted = Some((at, stage));
-            out.push(self.finish(coord, &stage)?);
-        }
-        Ok(out)
+        let (id, candidate, setting) = self.key(coord);
+        let parts = &self.variants[coord.setting];
+        let airframe = self.airframe(coord.airframe, coord.setting);
+        let sensor = &parts.sensors[coord.sensor];
+        let stage = pair_stage(
+            &self.heatsink,
+            self.saturation,
+            airframe,
+            sensor,
+            &parts.computes[self.pairs[coord.pair].compute_pos as usize],
+            parts.extra_payload,
+        )?;
+        Ok(QueryPoint {
+            airframe: id,
+            candidate,
+            setting,
+            outcome: algo_stage(&stage, airframe, sensor, candidate.throughput)?,
+        })
     }
 }
 
@@ -469,41 +443,35 @@ fn build_variants(
                     }
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let airframes = if setting.weight_scale == 1.0 && setting.rotor_pull_scale == 1.0 {
-                None
-            } else {
-                Some(
-                    airframes
-                        .iter()
-                        .map(|&id| {
-                            let a = catalog.airframe_by_id(id);
-                            scaled(
-                                a.base_mass().get(),
-                                Knob::WeightScale,
-                                setting.weight_scale,
-                                "base_mass",
-                            )?;
-                            scaled(
-                                a.rotor_pull().get(),
-                                Knob::RotorPull,
-                                setting.rotor_pull_scale,
-                                "rotor_pull",
-                            )?;
-                            let a = if setting.weight_scale == 1.0 {
-                                a.clone()
-                            } else {
-                                a.with_base_mass_scaled(setting.weight_scale)?
-                            };
-                            if setting.rotor_pull_scale == 1.0 {
-                                Ok(a)
-                            } else {
-                                a.with_rotor_pull_scaled(setting.rotor_pull_scale)
-                                    .map_err(SkylineError::from)
-                            }
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            };
+            let airframes = airframes
+                .iter()
+                .map(|&id| {
+                    let a = catalog.airframe_by_id(id);
+                    scaled(
+                        a.base_mass().get(),
+                        Knob::WeightScale,
+                        setting.weight_scale,
+                        "base_mass",
+                    )?;
+                    scaled(
+                        a.rotor_pull().get(),
+                        Knob::RotorPull,
+                        setting.rotor_pull_scale,
+                        "rotor_pull",
+                    )?;
+                    let a = if setting.weight_scale == 1.0 {
+                        a.clone()
+                    } else {
+                        a.with_base_mass_scaled(setting.weight_scale)?
+                    };
+                    if setting.rotor_pull_scale == 1.0 {
+                        Ok(a)
+                    } else {
+                        a.with_rotor_pull_scaled(setting.rotor_pull_scale)
+                            .map_err(SkylineError::from)
+                    }
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             Ok(VariantParts {
                 sensors,
                 computes,
@@ -597,9 +565,6 @@ struct ProfilePower {
     ready: bool,
     power: Option<PowerModel>,
     endurance: f64,
-    /// The job `energy` was computed for.
-    energy_job: u64,
-    energy: f64,
 }
 
 impl ProfilePower {
@@ -610,8 +575,6 @@ impl ProfilePower {
             ready: false,
             power: None,
             endurance: 0.0,
-            energy_job: u64::MAX,
-            energy: 0.0,
         }
     }
 
@@ -647,17 +610,12 @@ impl ProfilePower {
         Ok(())
     }
 
-    /// The mission energy per km of the candidate `job`, computed once
-    /// per candidate.
-    fn energy(&mut self, job: u64, v: MetersPerSecond) -> f64 {
-        if self.energy_job != job {
-            self.energy_job = job;
-            self.energy = match &self.power {
-                Some(p) if v.get() > 0.0 => p.power_at(v).get() * (1000.0 / v.get()) / 3600.0,
-                _ => f64::INFINITY,
-            };
+    /// The mission energy per km at cruise velocity `v`.
+    fn energy(&self, v: MetersPerSecond) -> f64 {
+        match &self.power {
+            Some(p) if v.get() > 0.0 => p.power_at(v).get() * (1000.0 / v.get()) / 3600.0,
+            _ => f64::INFINITY,
         }
-        self.energy
     }
 }
 
@@ -777,28 +735,49 @@ struct ShardOut {
 }
 
 /// Runs a group of plans with one evaluation signature (see
-/// `session::same_pass`) through the shard kernel, one result per plan
-/// in order: a retained [`ResultSet`] (every kept row) or a streamed
-/// one (exact frontier, exact bounded top-k, exact accounting), as
-/// each plan's [`KeepPoints`] policy decides.
+/// `session::same_pass`) through the shard kernel over the first plan's
+/// resolved space; see [`run_over`].
 ///
 /// # Errors
 ///
-/// [`SkylineError::KnobVariant`] for an out-of-domain sweep variant
-/// (before any shard runs), plus evaluation-kernel model errors
-/// ([`SkylineError::Model`]), which catalog parts and validated
-/// variants never produce.
-// analyze::allow(indexing, scope = "fn", reason = "kernel: positions index the part lists, slabs, sets and groups they were enumerated from")
-// analyze::allow(panic, scope = "fn", reason = "pair stages, profile slots and merged result slots are set before use; job positions are usizes, at most 64 bits wide")
+/// As [`run_over`], and [`SkylineError::KnobVariant`] for an
+/// out-of-domain sweep variant.
 pub(crate) fn run(
     ctx: &PassContext<'_>,
     plans: &[&QueryPlan],
     with_frontier: bool,
 ) -> Result<Vec<ResultSet>, SkylineError> {
-    let Some(&first) = plans.first() else {
-        return Ok(Vec::new());
-    };
-    let space = Arc::new(PassSpace::resolve(ctx, first)?);
+    match plans.first() {
+        Some(first) => run_over(
+            Arc::new(PassSpace::resolve(ctx, first)?),
+            ctx,
+            plans,
+            with_frontier,
+        ),
+        None => Ok(Vec::new()),
+    }
+}
+
+/// Runs plans that share `space`'s evaluation signature through the
+/// shard kernel, one result per plan in order: a retained [`ResultSet`]
+/// (every kept row) or a streamed one (exact frontier, exact bounded
+/// top-k, exact accounting), as each plan's [`KeepPoints`] policy
+/// decides. Without a frontier pass every plan retains: the callers
+/// that skip the frontier (delta-repair slabs, the classic explore
+/// wrappers) read every row.
+///
+/// # Errors
+///
+/// Evaluation-kernel model errors ([`SkylineError::Model`]), which
+/// catalog parts and validated variants never produce.
+// analyze::allow(indexing, scope = "fn", reason = "kernel: positions index the part lists, slabs, sets and groups they were enumerated from")
+// analyze::allow(panic, scope = "fn", reason = "pair stages, profile slots and merged result slots are set before use; job positions are usizes, at most 64 bits wide")
+pub(crate) fn run_over(
+    space: Arc<PassSpace>,
+    ctx: &PassContext<'_>,
+    plans: &[&QueryPlan],
+    with_frontier: bool,
+) -> Result<Vec<ResultSet>, SkylineError> {
     let settings = space.settings.len();
     let cand_count = space.cand_count();
     let job_count = space.job_count();
@@ -806,8 +785,9 @@ pub(crate) fn run(
         cand_count <= u32::MAX as usize,
         "per-block candidate space exceeds the shard kernel's u32 coordinates"
     );
-    let battery_wh = first
-        .battery()
+    let battery_wh = plans
+        .first()
+        .and_then(|plan| plan.battery())
         .map(|id| ctx.catalog.battery_by_id(id).energy_watt_hours());
 
     // Distinct mission profiles of the power-needing plans, the value
@@ -832,7 +812,7 @@ pub(crate) fn run(
             profiles[slot].1 |= objectives.contains(&Objective::HoverEnduranceMin);
             slot
         });
-        let stream = streams(plan.keep_points(), job_count);
+        let stream = with_frontier && streams(plan.keep_points(), job_count);
         let set = match sets
             .iter()
             .position(|v| v.objectives == objectives && v.profile == profile)
@@ -996,7 +976,7 @@ pub(crate) fn run(
                             if objective == Objective::HoverEnduranceMin {
                                 power.endurance
                             } else {
-                                power.energy(job, outcome.velocity)
+                                power.energy(outcome.velocity)
                             }
                         }
                     };

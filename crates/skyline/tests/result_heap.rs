@@ -1,15 +1,8 @@
-//! Heap per stored row of a retained result.
-//!
-//! A retained [`ResultSet`] keeps one compact row per kept candidate:
-//! a job index into the pass's shared space beside the value columns
-//! and the feasibility column. This test counts the live heap a
-//! retained 4-objective result holds on a 10⁴-candidate airframe and
-//! bounds it per row, so a change that brings back per-row points (a
-//! 192-byte `QueryPoint` each) fails here rather than in a benchmark's
-//! memory peak.
-//!
-//! The file holds a single test: the counting allocator is process
-//! wide, and a concurrent test would add its own allocations.
+//! Heap per stored row of a retained result: a job index into the
+//! pass's shared space, the value columns and the feasibility column,
+//! counted by a global allocator on a 10⁴-candidate airframe. A change
+//! that brings back per-row points (192 bytes each) fails here. The file
+//! holds one test because the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -64,9 +57,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// The bound: a job index, four `f64` values and a feasibility byte
-/// take 41 bytes, so 96 leaves room for allocator slack but not for a
-/// point per row (192 bytes on their own).
+/// A job index, four values and a flag take 41 bytes; a point alone 192.
 const MAX_BYTES_PER_ROW: usize = 96;
 
 #[test]
