@@ -238,37 +238,15 @@ impl ResultSet {
         .checked()
     }
 
-    /// Builds a streamed-mode result: `jobs` (and the column rows)
-    /// cover only the frontier ∪ top-k survivors, ascending by global
-    /// index; `meta` carries the logical count and rankings.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn streamed(
-        objectives: Vec<Objective>,
-        space: Arc<PassSpace>,
-        jobs: Vec<u64>,
-        columns: Vec<Vec<f64>>,
-        feasible: Vec<bool>,
-        frontier: Vec<usize>,
-        meta: StreamedMeta,
-        uncharacterized: usize,
-        dropped: usize,
-        nonfinite: usize,
-    ) -> Self {
-        debug_assert_eq!(jobs.len(), meta.stored.len());
+    /// Marks a result built over only its stored (frontier ∪ top-k) rows,
+    /// ascending by global index, as streamed: `meta` carries the logical
+    /// count and rankings.
+    pub(crate) fn streamed(self, meta: StreamedMeta) -> Self {
+        debug_assert_eq!(self.jobs.len(), meta.stored.len());
         debug_assert!(meta.stored.windows(2).all(|w| w[0] < w[1]));
         Self {
             streamed: Some(meta),
-            ..Self::retained(
-                objectives,
-                space,
-                jobs,
-                columns,
-                feasible,
-                frontier,
-                uncharacterized,
-                dropped,
-                nonfinite,
-            )
+            ..self
         }
     }
 

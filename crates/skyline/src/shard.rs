@@ -1356,16 +1356,16 @@ fn merge_streamed(
         stored: stored.iter().map(|&(g, _)| g).collect(),
         topk: topk.iter().map(|&(g, _)| g).collect(),
     };
-    ResultSet::streamed(
+    ResultSet::retained(
         objectives,
         Arc::clone(space),
         stored.iter().map(|&(_, s)| s.job).collect(),
         columns,
         stored.iter().map(|&(_, s)| s.feasible).collect(),
         members.iter().map(|&(g, _)| g).collect(),
-        meta,
         space.uncharacterized,
         dropped,
         nonfinite,
     )
+    .streamed(meta)
 }

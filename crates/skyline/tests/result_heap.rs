@@ -21,9 +21,10 @@ static ALLOCATOR: Counting = Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract, and returns its result; the
-// counting touches only one atomic.
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract, and return its result; the
+// counting touches only one atomic. The default `realloc` and
+// `alloc_zeroed` go through these two, so every byte is counted.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -34,26 +35,9 @@ unsafe impl GlobalAlloc for Counting {
         ptr
     }
 
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        ptr
-    }
-
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            LIVE.fetch_add(new_size, Relaxed);
-            LIVE.fetch_sub(layout.size(), Relaxed);
-        }
-        moved
     }
 }
 
