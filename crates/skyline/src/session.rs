@@ -132,8 +132,8 @@ pub struct ResultSet {
     jobs: Vec<u64>,
     /// The rebuilt point list behind [`points`](Self::points).
     points_cache: OnceLock<Vec<QueryPoint>>,
-    /// One column per stored row set, in each objective's natural
-    /// (unnegated) unit.
+    /// One column per objective, one entry per stored row, in each
+    /// objective's natural (unnegated) unit.
     columns: Vec<Vec<f64>>,
     /// Each stored row's `outcome.feasible`, row-aligned with `columns`.
     feasible: Vec<bool>,
