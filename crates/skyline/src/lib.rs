@@ -81,7 +81,7 @@ pub mod tier2;
 pub use error::SkylineError;
 pub use knobs::{KnobDescription, Knobs};
 pub use plan::{KeepPoints, PlanBuilder, QueryPlan, SimObjective};
-pub use session::{CacheStats, ResultSet, Session};
+pub use session::{CacheStats, ResultSet, RowKey, Session};
 pub use system::{Recommendation, SystemAnalysis, UavSystem, UavSystemBuilder};
 pub use tier2::{
     SimBlock, SimRow, SimStats, SimUsage, Tier2Context, Tier2Evaluation, Tier2Evaluator,
