@@ -14,6 +14,8 @@
 //! Result documents too large to pin verbatim (10³–10⁴ rows) are pinned
 //! as one FNV-1a digest line per document (`result_digests.txt`), so
 //! byte identity of every rendered result at scale is part of the gate.
+//! `float_spellings.txt` pins how the wire writer spells edge-case
+//! floats, one `bits spelling` line each.
 //!
 //! `f1-analyze --bless` regenerates the goldens after an *intentional*
 //! format change — the diff then shows the reviewer exactly what moved
@@ -155,7 +157,79 @@ pub fn corpus() -> Result<Vec<(&'static str, String)>, String> {
     out.push(("store_log_record.txt", log_record));
     out.push(("store_snapshot.txt", store_snapshot));
     out.push(("result_digests.txt", result_digests()?));
+    out.push(("float_spellings.txt", float_spellings()));
     Ok(out)
+}
+
+/// Edge-case floats through the wire writer, one `bits spelling` line
+/// each: exact decimal ties, both layout switches at ±1 ulp, the ends
+/// of the normal and subnormal ranges, integers around 2⁵³ and 1e16,
+/// and the non-finite values that spell `null`. It pins the wire
+/// spelling in this repository rather than in the toolchain.
+fn float_spellings() -> String {
+    let step = |v: f64, by: i64| f64::from_bits(v.to_bits().wrapping_add_signed(by));
+    let mut values = vec![
+        0.0,
+        -0.0,
+        1.0,
+        -1.5,
+        0.1,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        123.456,
+        // Exact decimal ties, spelled rounding up.
+        1_658_206_780_088_562.25,
+        233_115_890_514_796.125,
+        -1_658_206_780_088_562.25,
+        1e-5,
+        1.5e16,
+        1e21,
+        1e22,
+        1e23,
+        1e100,
+        1e-100,
+        1e-307,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE / 2.0,
+        step(f64::MIN_POSITIVE, -1),
+        f64::MIN_POSITIVE,
+        step(f64::MIN_POSITIVE, 1),
+        step(f64::MAX, -1),
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        2f64.powi(63),
+        2f64.powi(-1022) * 3.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    // The layout switches to exponent form below 1e-4 and from 1e16.
+    for edge in [1e-4, 1e16] {
+        for v in [edge, -edge] {
+            values.extend([step(v, -1), v, step(v, 1)]);
+        }
+    }
+    // Integers from 1e15 to 1e17, where the spacing of doubles passes
+    // 1 (at 2⁵³) and the spelling leaves plain decimal form.
+    values.extend([
+        1e15,
+        1e15 + 1.0,
+        4_503_599_627_370_497.0,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        12_345_678_901_234_568.0,
+        99_999_999_999_999_984.0,
+        1e17,
+    ]);
+    let mut out = String::new();
+    for v in values {
+        let _ = write!(out, "{:016x} ", v.to_bits());
+        f1_components::json::push_number(&mut out, v);
+        out.push('\n');
+    }
+    out
 }
 
 /// The four objectives of the digest corpus's widest plans.
@@ -664,7 +738,8 @@ mod tests {
                 "catalog_delta.txt",
                 "store_log_record.txt",
                 "store_snapshot.txt",
-                "result_digests.txt"
+                "result_digests.txt",
+                "float_spellings.txt"
             ]
         );
     }
@@ -693,7 +768,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // Missing goldens: every entry is a finding.
         let missing = check(&dir, false);
-        assert_eq!(missing.len(), 9, "{missing:?}");
+        assert_eq!(missing.len(), 10, "{missing:?}");
         // Bless, then verify clean.
         assert!(check(&dir, true).is_empty());
         assert!(check(&dir, false).is_empty());
