@@ -15,9 +15,10 @@
 //!   order.
 //! * **Ad-hoc float formatting** — `{:.N}` / `{:e}` / `{:E}`
 //!   placeholders in format strings. Floats on wire paths go through
-//!   the canonical shortest-round-trip helpers (`fmt_float`, and the
-//!   wire writer's `push_number` in `f1_components::json`), which are
-//!   `{v:?}`-based and byte-stable; a precision-truncating format
+//!   the one canonical shortest-round-trip speller, the wire writer's
+//!   `push_number` in `f1_components::json` (plan keys reach it through
+//!   `fmt_float`): an in-repo Ryū writer whose bytes equal `{v:?}` and
+//!   which `float_spellings.txt` pins. A precision-truncating format
 //!   silently diverges from the parse round-trip check.
 //!
 //! Suppression: `// analyze::allow(determinism, reason = "…")` — used
@@ -43,6 +44,7 @@ pub fn is_scoped(rel: &str) -> bool {
             | "crates/skyline/src/shard.rs"
             | "crates/components/src/store.rs"
             | "crates/components/src/json.rs"
+            | "crates/components/src/json/ryu.rs"
     )
 }
 
@@ -156,8 +158,8 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                         &file.rel,
                         line,
                         "precision/exponent float formatting in a wire-adjacent file — floats \
-                         must go through the canonical shortest-round-trip helper \
-                         (`fmt_float`/`json::push_number`), or justify with \
+                         must go through the canonical shortest-round-trip writer \
+                         (`json::push_number`, or `fmt_float` for plan keys), or justify with \
                          `// analyze::allow(determinism, reason = \"…\")`"
                             .to_owned(),
                     ));
@@ -526,6 +528,13 @@ mod tests {
     #[test]
     fn the_wire_writer_is_in_scope() {
         assert!(is_scoped("crates/components/src/json.rs"));
+    }
+
+    #[test]
+    fn the_float_writer_is_in_scope() {
+        let path = "crates/components/src/json/ryu.rs";
+        assert!(is_scoped(path));
+        assert!(crate::passes::panics::is_designated(path));
     }
 
     #[test]

@@ -23,8 +23,9 @@ use crate::source::SourceFile;
 /// Relative paths the audit covers: `serve/*`, `store/*`, the tier-2
 /// simulation harness (`sim/*` — it runs inside every query with sim
 /// objectives), the `skyline` session/plan/repair/shard modules, the
-/// components store and the strict-JSON parser (it decodes every wire
-/// request and every durable log record).
+/// components store, the strict-JSON parser (it decodes every wire
+/// request and every durable log record) and the float writer behind
+/// it (it spells every number of every response).
 #[must_use]
 pub fn is_designated(rel: &str) -> bool {
     rel.starts_with("crates/serve/src/")
@@ -38,6 +39,7 @@ pub fn is_designated(rel: &str) -> bool {
                 | "crates/skyline/src/shard.rs"
                 | "crates/components/src/store.rs"
                 | "crates/components/src/json.rs"
+                | "crates/components/src/json/ryu.rs"
         )
 }
 

@@ -166,6 +166,7 @@ pub fn corpus() -> Result<Vec<(&'static str, String)>, String> {
 /// of the normal and subnormal ranges, integers around 2⁵³ and 1e16,
 /// and the non-finite values that spell `null`. It pins the wire
 /// spelling in this repository rather than in the toolchain.
+#[allow(clippy::excessive_precision)] // the ties are written exactly
 fn float_spellings() -> String {
     let step = |v: f64, by: i64| f64::from_bits(v.to_bits().wrapping_add_signed(by));
     let mut values = vec![

@@ -20,9 +20,21 @@
 //!
 //! Both escapers copy unescaped runs in bulk; the wire writer allocates
 //! nothing per value.
+//!
+//! Floats have one speller, behind [`push_number`] and [`fmt_number`]
+//! (and the canonical plan keys, which call [`push_number`]): the
+//! shortest decimal that reads back as the same bits, laid out as
+//! Rust's `{v:?}` lays it out. It generates digits with Ryū (Adams,
+//! "Ryū: Fast Float-to-String Conversion", PLDI 2018) over committed
+//! 128-bit power-of-five tables. On an exact decimal tie it rounds up,
+//! as the standard library does, where the paper rounds to even; its
+//! bytes therefore equal `{v:?}`'s, and
+//! `crates/analyze/golden/float_spellings.txt` pins them.
 #![warn(clippy::format_push_string)]
 
 use std::fmt::Write as _;
+
+mod ryu;
 
 /// A parsed JSON value.
 pub enum Value {
@@ -127,12 +139,18 @@ pub fn push_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `v` in its shortest round-trip form (`{v:?}`), or `null`
-/// when `v` is not finite — JSON has no `Infinity` or `NaN`.
+/// Appends `v` in its shortest round-trip form, or `null` when `v` is
+/// not finite — JSON has no `Infinity` or `NaN`.
+///
+/// The digits are Ryū's shortest (Adams, PLDI 2018), except that an
+/// exact decimal tie rounds up (`233115890514796.125` spells
+/// `233115890514796.13`), and the layout is `{v:?}`'s: plain decimal
+/// with at least one fractional digit (`1.0`) for 1e-4 ≤ |v| < 1e16,
+/// `d.ddde-N` or `d.dddeN` outside it, and `0.0`/`-0.0` for zeros. The
+/// spelling is byte for byte what `{v:?}` writes.
 pub fn push_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{v:?}");
+        ryu::push_finite(out, v);
     } else {
         out.push_str("null");
     }
@@ -166,13 +184,16 @@ fn push_escaped(out: &mut String, s: &str, short_forms: bool) {
     out.push_str(rest);
 }
 
-/// Formats a finite float in its shortest round-trip form (the `{v:?}`
-/// canonical spelling every wire format in the workspace uses), or
-/// `None` for non-finite values (which JSON cannot represent and the
-/// strict reader rejects).
+/// Formats a finite float in the [`push_number`] spelling every wire
+/// format in the workspace uses, or `None` for non-finite values (which
+/// JSON cannot represent and the strict reader rejects).
 #[must_use]
 pub fn fmt_number(v: f64) -> Option<String> {
-    v.is_finite().then(|| format!("{v:?}"))
+    v.is_finite().then(|| {
+        let mut out = String::new();
+        ryu::push_finite(&mut out, v);
+        out
+    })
 }
 
 /// Parses one JSON document. Strict: rejects duplicate object keys,
@@ -456,16 +477,100 @@ mod tests {
             prop_assert_eq!(&text, &oracle_quote(&s));
             prop_assert_eq!(parse(&text).unwrap().as_str().unwrap(), s);
         }
+    }
 
-        #[test]
-        fn push_number_matches_debug_and_round_trips(bits in 0u64..u64::MAX) {
-            let v = f64::from_bits(bits);
-            let text = wire_number(v);
-            prop_assert_eq!(&text, &oracle_number(v));
-            if v.is_finite() {
-                prop_assert_eq!(parse(&text).unwrap().as_number().unwrap().to_bits(), bits);
+    /// SplitMix64: the sweep's seeded, reproducible value source.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform over `lo..hi` (modulo bias is irrelevant here).
+        fn within(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo)
+        }
+    }
+
+    /// Every value the sweep visits: seeded random families of `per`
+    /// values each, then fixed edge families. Debug builds check
+    /// 2·10⁵ values and optimized builds 10⁷ (CI's release-acceptance
+    /// job runs `cargo test --release -p f1-components --lib`).
+    fn sweep_values() -> Vec<f64> {
+        let budget = if cfg!(debug_assertions) {
+            200_000
+        } else {
+            10_000_000
+        };
+        let per = budget / 8;
+        let mut rng = SplitMix(0x5eed_f10a_7d15_ca1e);
+        let mut values = Vec::with_capacity(budget + 20_000);
+        let bits_of = f64::to_bits;
+        let sign = |rng: &mut SplitMix| if rng.next() & 1 == 1 { -1.0 } else { 1.0 };
+        for _ in 0..per {
+            // Any bit pattern, NaNs and infinities included.
+            values.push(f64::from_bits(rng.next()));
+            // Every binade from 1e-6 to 1e17, both layouts.
+            let v = f64::from_bits(rng.within(bits_of(1e-6), bits_of(1e17)));
+            values.push(sign(&mut rng) * v);
+            // 1e14 to 1e16, where a spacing of 2^-k leaves short exact
+            // expansions: most exact decimal ties live here.
+            let v = f64::from_bits(rng.within(bits_of(1e14), bits_of(1e16)));
+            values.push(sign(&mut rng) * v);
+            // Integers up to 1e17, exact below 2^53.
+            values.push(rng.within(0, 100_000_000_000_000_000) as f64);
+            values.push(rng.within(0, 1 << 20) as f64);
+            // Short decimal fractions k / 10^d: the nearest double to a
+            // short decimal must spell as that decimal.
+            let k = rng.within(1, 1 << 40) >> rng.within(0, 40);
+            let d = rng.within(1, 23) as i32;
+            values.push(k as f64 / 10f64.powi(d));
+            // Subnormals.
+            values.push(sign(&mut rng) * f64::from_bits(rng.within(1, 1 << 52)));
+            // The top of the range.
+            values.push(f64::from_bits(
+                rng.within(bits_of(f64::MAX) - (1 << 44), bits_of(f64::MAX) + 1),
+            ));
+        }
+        // Every power of two and every power of ten within ±2 ulps.
+        let powers_of_two = (0..63).map(|k| 1u64 << k).chain((1..2047).map(|e| e << 52));
+        let powers_of_ten = (-323..=308).map(|e| bits_of(format!("1e{e}").parse().unwrap()));
+        for bits in powers_of_two.chain(powers_of_ten) {
+            for step in -2..=2 {
+                let v = f64::from_bits(bits.wrapping_add_signed(step));
+                values.extend([v, -v]);
             }
         }
+        values
+    }
+
+    #[test]
+    fn push_number_matches_debug_and_round_trips_on_a_seeded_sweep() {
+        let values = sweep_values();
+        let mut text = String::new();
+        let mut mismatches = Vec::new();
+        for &v in &values {
+            text.clear();
+            push_number(&mut text, v);
+            let expected = oracle_number(v);
+            let back = parse(&text).ok().and_then(|n| n.as_number().ok());
+            let round_trips = !v.is_finite() || back.map(f64::to_bits) == Some(v.to_bits());
+            if text != expected || !round_trips {
+                mismatches.push(format!("{:016x}: {text} vs {expected}", v.to_bits()));
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "{} of {} values misspelled, first: {:?}",
+            mismatches.len(),
+            values.len(),
+            &mismatches[..mismatches.len().min(8)]
+        );
     }
 
     #[test]

@@ -368,11 +368,14 @@ impl QueryPlan {
     }
 }
 
+/// Spells a key float with the wire writer: the shortest spelling that
+/// parses back to the exact bits, which the canonical key relies on.
+/// Plan floats are finite (the unit constructors and plan validation
+/// reject the rest), so the writer's `null` never reaches a key.
 fn fmt_float(v: f64) -> String {
-    // `{:?}` is Rust's shortest round-trip formatting: parsing the
-    // output with `str::parse::<f64>()` recovers the exact bits, which
-    // the canonical key relies on.
-    format!("{v:?}")
+    let mut out = String::new();
+    f1_components::json::push_number(&mut out, v);
+    out
 }
 
 fn parse_float(s: &str, what: &str) -> Result<f64, SkylineError> {
