@@ -91,6 +91,12 @@ fn unknown_plan_key_is_a_plan_key_error_not_a_dropped_connection() {
         .expect("response");
     assert!(!ok);
     assert!(body.contains("\"kind\": \"plan_catalog\""), "{body}");
+    // A non-finite float in a key is a key error, not a handler panic
+    // answered as `internal`.
+    let key = plan(20.0).key().replacen("max_tdp=20.0", "max_tdp=inf", 1);
+    let (ok, body) = c.request(&format!("query {key}")).expect("response");
+    assert!(!ok);
+    assert!(body.contains("\"kind\": \"plan_key\""), "{body}");
     let (ok, _) = c.request("stats").expect("connection is still alive");
     assert!(ok);
     server.shutdown();

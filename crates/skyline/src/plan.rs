@@ -371,17 +371,24 @@ impl QueryPlan {
 /// Spells a key float with the wire writer: the shortest spelling that
 /// parses back to the exact bits, which the canonical key relies on.
 /// Plan floats are finite (the unit constructors and plan validation
-/// reject the rest), so the writer's `null` never reaches a key.
+/// reject the rest, and [`parse_float`] refuses them), so the writer's
+/// `null` never reaches a key.
 fn fmt_float(v: f64) -> String {
     let mut out = String::new();
     f1_components::json::push_number(&mut out, v);
     out
 }
 
+/// Parses a key float. `inf`, `NaN` and overflowing spellings such as
+/// `1e400` parse as non-finite floats, which no canonical key holds and
+/// the unit constructors would panic on, so they are a key error.
 fn parse_float(s: &str, what: &str) -> Result<f64, SkylineError> {
-    s.parse().map_err(|_| SkylineError::PlanKey {
-        reason: format!("bad {what} value {s:?}"),
-    })
+    s.parse()
+        .ok()
+        .filter(|v: &f64| v.is_finite())
+        .ok_or_else(|| SkylineError::PlanKey {
+            reason: format!("bad {what} value {s:?}"),
+        })
 }
 
 fn fmt_ids<T: Copy>(ids: Option<&[T]>, index: impl Fn(T) -> usize) -> String {
@@ -1037,6 +1044,33 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(QueryPlan::from_key(tricky.key()).unwrap(), tricky);
+    }
+
+    #[test]
+    fn non_finite_key_floats_are_key_errors() {
+        let key = QueryPlan::builder()
+            .constraint(Constraint::MaxTotalTdp(Watts::new(20.0)))
+            .sweep(KnobSweep::new(Knob::TdpScale, vec![0.5]))
+            .build()
+            .unwrap()
+            .key()
+            .to_owned();
+        // The constraint, sweep and mission-profile slots.
+        let slots = [("max_tdp=", "20.0"), ("tdp_scale:", "0.5"), ("mp=", "0.65")];
+        for bad in ["inf", "NaN", "-inf", "1e400"] {
+            for (prefix, value) in slots {
+                let broken =
+                    key.replacen(&format!("{prefix}{value}"), &format!("{prefix}{bad}"), 1);
+                assert_ne!(broken, key);
+                assert!(
+                    matches!(
+                        QueryPlan::from_key(&broken),
+                        Err(SkylineError::PlanKey { .. })
+                    ),
+                    "{broken}"
+                );
+            }
+        }
     }
 
     #[test]
