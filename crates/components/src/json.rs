@@ -4,9 +4,10 @@
 //! format ([`CatalogDelta::from_json`](crate::CatalogDelta::from_json))
 //! and the durable-store record formats (`f1-store`) share this
 //! hand-rolled reader instead. It is deliberately strict: duplicate
-//! object keys, trailing data and non-finite numbers are rejected, so a
-//! document that parses here round-trips byte-for-byte through
-//! [`quote`]/[`fmt_number`].
+//! object keys, trailing data, non-finite numbers, numbers outside the
+//! RFC 8259 grammar (`01`, `1.`, `-.5`) and unescaped control
+//! characters in strings are rejected, so a document that parses here
+//! round-trips byte-for-byte through [`quote`]/[`fmt_number`].
 //!
 //! Two string escapers live here, and their escapes differ on purpose:
 //!
@@ -197,7 +198,9 @@ pub fn fmt_number(v: f64) -> Option<String> {
 }
 
 /// Parses one JSON document. Strict: rejects duplicate object keys,
-/// trailing bytes after the document and non-finite numbers.
+/// trailing bytes after the document, non-finite numbers, numbers
+/// outside the RFC 8259 grammar and unescaped control characters in
+/// strings.
 ///
 /// # Errors
 ///
@@ -327,7 +330,7 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let start = self.pos;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
             out.push_str(
@@ -357,8 +360,9 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| core::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
+                                .ok_or("truncated or non-hex \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_owned())?;
                             self.pos += 4;
@@ -367,6 +371,12 @@ impl Parser<'_> {
                         other => return Err(format!("unknown escape \\{}", char::from(other))),
                     });
                 }
+                Some(control) if control < 0x20 => {
+                    return Err(format!(
+                        "unescaped control character {control:#04x} at byte {}",
+                        self.pos
+                    ));
+                }
                 _ => return Err("unterminated string".into()),
             }
         }
@@ -374,9 +384,6 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
@@ -384,13 +391,49 @@ impl Parser<'_> {
             self.pos += 1;
         }
         // analyze::allow(indexing, reason = "start <= pos <= len: pos only advances via peek-guarded steps")
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
+        let text = &self.bytes[start..self.pos];
+        Some(text)
+            .filter(|t| is_json_number(t))
+            .and_then(|t| core::str::from_utf8(t).ok())
             .and_then(|s| s.parse::<f64>().ok())
             .filter(|n| n.is_finite())
             .map(Value::Number)
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
+}
+
+/// Whether `text` is a number in the RFC 8259 §6 grammar:
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+fn is_json_number(text: &[u8]) -> bool {
+    /// `s` without its leading digits, and how many there were.
+    fn digits(s: &[u8]) -> (usize, &[u8]) {
+        let n = s.iter().take_while(|b| b.is_ascii_digit()).count();
+        (n, s.get(n..).unwrap_or_default())
+    }
+    let unsigned = text.strip_prefix(b"-").unwrap_or(text);
+    let (int, mut rest) = digits(unsigned);
+    if int == 0 || (int > 1 && unsigned.first() == Some(&b'0')) {
+        return false;
+    }
+    if let Some(fraction) = rest.strip_prefix(b".") {
+        let (n, tail) = digits(fraction);
+        if n == 0 {
+            return false;
+        }
+        rest = tail;
+    }
+    if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        let unsigned = exponent
+            .strip_prefix(b"+")
+            .or_else(|| exponent.strip_prefix(b"-"))
+            .unwrap_or(exponent);
+        let (n, tail) = digits(unsigned);
+        if n == 0 {
+            return false;
+        }
+        rest = tail;
+    }
+    rest.is_empty()
 }
 
 #[cfg(test)]
@@ -638,6 +681,46 @@ mod tests {
         }
         assert!(fmt_number(f64::NAN).is_none());
         assert!(fmt_number(f64::INFINITY).is_none());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for text in ["01", "00.5", "1.", "-.5", "1.e3", "-01", "1e+"] {
+            let err = parse(text).err().unwrap_or_else(|| panic!("{text} parsed"));
+            assert_eq!(err, "bad number at byte 0", "{text}");
+        }
+        assert_eq!(parse("[1, 02]").err().unwrap(), "bad number at byte 4");
+        for (text, n) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-1.5e-3", -1.5e-3),
+            ("1E+2", 100.0),
+            ("2e0", 2.0),
+        ] {
+            let back = parse(text).unwrap().as_number().unwrap();
+            assert_eq!(back.to_bits(), f64::to_bits(n), "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_reject_raw_control_characters() {
+        for c in ['\u{0}', '\n', '\t', '\u{1f}'] {
+            let text = format!("[\"ok\", \"a{c}b\"]");
+            let err = parse(&text)
+                .err()
+                .unwrap_or_else(|| panic!("{text:?} parsed"));
+            assert!(err.ends_with("at byte 9"), "{err}");
+        }
+        assert!(
+            parse("\"\\u+041\"").is_err(),
+            "a \\u escape takes four hex digits"
+        );
+        assert_eq!(
+            parse("\"\u{7f}\\u0041\"").unwrap().as_str().unwrap(),
+            "\u{7f}A"
+        );
     }
 
     #[test]
