@@ -118,12 +118,14 @@ impl DragModel {
     }
 
     /// The drag coefficient in N/(m/s)².
+    #[inline]
     #[must_use]
     pub fn coefficient(&self) -> f64 {
         self.coefficient
     }
 
     /// Whether this model produces no drag at any speed.
+    #[inline]
     #[must_use]
     pub fn is_none(&self) -> bool {
         self.coefficient == 0.0
@@ -131,6 +133,7 @@ impl DragModel {
 
     /// Drag force at a given airspeed (always opposing motion; the returned
     /// magnitude is non-negative).
+    #[inline]
     #[must_use]
     pub fn force(&self, v: MetersPerSecond) -> Newtons {
         Newtons::new(self.coefficient * v.get() * v.get())

@@ -84,6 +84,7 @@ impl DisturbanceModel {
     }
 
     /// Draws one disturbance sample.
+    #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> MetersPerSecondSquared {
         if self.std_dev == 0.0 {
             return MetersPerSecondSquared::new(self.bias);

@@ -143,11 +143,31 @@ impl VehicleDynamics {
         dt: Seconds,
     ) -> VehicleState {
         assert!(dt.get() > 0.0, "dt must be positive, got {dt}");
+        self.advance(state, commanded_accel, disturbance, dt, self.lag_alpha(dt))
+    }
+
+    /// The fraction of the command error that the achieved acceleration
+    /// closes in one step of `dt`: `min(dt/τ, 1)` for the response lag
+    /// `τ`. A loop with a fixed `dt` computes it once.
+    pub(crate) fn lag_alpha(&self, dt: Seconds) -> f64 {
+        (dt.get() / self.response_lag.get()).min(1.0)
+    }
+
+    /// [`step`](Self::step) with the lag fraction `alpha` from
+    /// [`lag_alpha`](Self::lag_alpha) already computed for this `dt`.
+    #[inline]
+    pub(crate) fn advance(
+        &self,
+        state: VehicleState,
+        commanded_accel: MetersPerSecondSquared,
+        disturbance: MetersPerSecondSquared,
+        dt: Seconds,
+        alpha: f64,
+    ) -> VehicleState {
         let cmd = commanded_accel
             .get()
             .clamp(-self.brake_limit.get(), self.accel_limit.get());
         // Achieved acceleration lags the command (first order).
-        let alpha = (dt.get() / self.response_lag.get()).min(1.0);
         let achieved = state.accel.get() + (cmd - state.accel.get()) * alpha;
         // Drag always opposes motion.
         let v = state.velocity.get();

@@ -78,6 +78,7 @@ impl Pid {
     /// # Panics
     ///
     /// Panics if `dt` is not strictly positive.
+    #[inline]
     pub fn update(&mut self, error: f64, dt: f64) -> f64 {
         assert!(dt > 0.0, "dt must be positive, got {dt}");
         self.integral =

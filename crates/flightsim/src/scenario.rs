@@ -217,14 +217,43 @@ impl StopScenario {
     /// sensing range ahead. Deterministic per seed.
     #[must_use]
     pub fn run_trial(&self, commanded_velocity: MetersPerSecond, seed: u64) -> TrialOutcome {
+        self.cruise_trial(commanded_velocity, seed, Some(Vec::new()))
+    }
+
+    /// Runs the trial [`run_trial`](Self::run_trial) runs without
+    /// recording its trajectory: the stop position, brake time and
+    /// infraction are the same bits, and the outcome's trajectory is
+    /// empty. For callers that only count infractions.
+    #[must_use]
+    pub fn run_trial_unrecorded(
+        &self,
+        commanded_velocity: MetersPerSecond,
+        seed: u64,
+    ) -> TrialOutcome {
+        self.cruise_trial(commanded_velocity, seed, None)
+    }
+
+    fn cruise_trial(
+        &self,
+        commanded_velocity: MetersPerSecond,
+        seed: u64,
+        recording: Option<Vec<TrajectorySample>>,
+    ) -> TrialOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
-        let brake_at = self.brake_delay(&mut rng);
+        let delay = self.brake_delay(&mut rng);
         let state = VehicleState {
             position: Meters::ZERO,
             velocity: commanded_velocity,
             accel: MetersPerSecondSquared::ZERO,
         };
-        self.simulate(state, commanded_velocity, Some(0.0), brake_at, &mut rng)
+        self.simulate(
+            state,
+            commanded_velocity,
+            Some(0.0),
+            delay,
+            &mut rng,
+            recording,
+        )
     }
 
     /// Runs a full §IV-style profile: the vehicle starts *at rest* far
@@ -245,14 +274,30 @@ impl StopScenario {
         // Brake is armed `brake_delay` after the detection-point crossing,
         // which `simulate` discovers during the run.
         let delay = self.brake_delay(&mut rng);
-        self.simulate(state, commanded_velocity, None, delay, &mut rng)
+        self.simulate(
+            state,
+            commanded_velocity,
+            None,
+            delay,
+            &mut rng,
+            Some(Vec::new()),
+        )
     }
 
-    /// Core integration loop. `crossing_known`: `Some(0.0)` when the run
-    /// starts at the detection point (cruise trials); `None` when the
-    /// vehicle approaches it during the run (full profiles). Recorded
-    /// sample times are absolute simulation time; `brake_time` in the
-    /// outcome is relative to the detection-point crossing.
+    /// The integration loop every trial runs. `crossing_known`:
+    /// `Some(0.0)` when the run starts at the detection point (cruise
+    /// trials); `None` when the vehicle approaches it during the run
+    /// (full profiles). `recording`: `Some` collects the trajectory,
+    /// one sample every `record_every` steps plus the terminal state, in
+    /// absolute simulation time; `None` runs the same steps without it.
+    /// `brake_time` in the outcome is relative to the detection-point
+    /// crossing.
+    ///
+    /// Everything fixed for the trial is computed before the first step:
+    /// the lag fraction, the brake command and, once the crossing is
+    /// known, the time braking starts. The steps themselves compute what
+    /// [`VehicleDynamics::step`] computes, in the same order, so hoisting
+    /// changes no bit of the outcome.
     fn simulate(
         &self,
         mut state: VehicleState,
@@ -260,56 +305,65 @@ impl StopScenario {
         crossing_known: Option<f64>,
         brake_delay: f64,
         rng: &mut StdRng,
+        mut recording: Option<Vec<TrajectorySample>>,
     ) -> TrialOutcome {
         let dt = self.dt.get();
+        let alpha = self.dynamics.lag_alpha(self.dt);
+        let brake_cmd = MetersPerSecondSquared::new(-self.dynamics.brake_limit().get());
+        let mut brake_at = crossing_known.map(|tc| tc + brake_delay);
         let mut abs_t = 0.0;
-        let mut crossing_time = crossing_known;
         let mut velocity_pid = Pid::new(2.0, 0.2, 0.0)
             .with_integral_limit(0.4)
             .with_output_limit(self.dynamics.accel_limit().get());
-        let mut trajectory = Vec::new();
         let mut braking = false;
+        // Steps left until the next recorded sample; step 0 records.
+        let mut until_record = 0;
         let max_steps = 600_000; // 10 simulated minutes at 1 kHz
-        for step in 0..max_steps {
-            // Detection-point crossing (full-profile mode).
-            if crossing_time.is_none() && state.position.get() >= 0.0 {
-                crossing_time = Some(abs_t);
-            }
-            if let Some(tc) = crossing_time {
-                if !braking && abs_t >= tc + brake_delay {
-                    braking = true;
+        for _ in 0..max_steps {
+            if !braking {
+                // Detection-point crossing (full-profile mode).
+                if brake_at.is_none() && state.position.get() >= 0.0 {
+                    brake_at = Some(abs_t + brake_delay);
                 }
+                braking = brake_at.is_some_and(|at| abs_t >= at);
             }
             let cmd = if braking {
-                MetersPerSecondSquared::new(-self.dynamics.brake_limit().get())
+                brake_cmd
             } else {
                 let err = commanded_velocity.get() - state.velocity.get();
                 MetersPerSecondSquared::new(velocity_pid.update(err, dt))
             };
             let disturbance = self.disturbance.sample(rng);
-            state = self.dynamics.step(state, cmd, disturbance, self.dt);
+            state = self
+                .dynamics
+                .advance(state, cmd, disturbance, self.dt, alpha);
             abs_t += dt;
-            if step % self.record_every == 0 {
-                trajectory.push(TrajectorySample {
-                    time: Seconds::new(abs_t),
-                    position: state.position,
-                    velocity: state.velocity,
-                });
+            if let Some(samples) = &mut recording {
+                if until_record == 0 {
+                    samples.push(TrajectorySample {
+                        time: Seconds::new(abs_t),
+                        position: state.position,
+                        velocity: state.velocity,
+                    });
+                    until_record = self.record_every;
+                }
+                until_record -= 1;
             }
             if braking && state.velocity.get() <= 0.0 {
                 break;
             }
         }
-        // Always record the terminal state so the trajectory ends exactly
-        // at the stop position.
-        let at_end = TrajectorySample {
-            time: Seconds::new(abs_t),
-            position: state.position,
-            velocity: state.velocity,
-        };
-        let last_time = trajectory.last().map(|s: &TrajectorySample| s.time);
-        if last_time.is_none() || last_time.is_some_and(|t| t < at_end.time) {
-            trajectory.push(at_end);
+        if let Some(samples) = &mut recording {
+            // Always record the terminal state so the trajectory ends
+            // exactly at the stop position.
+            let at_end = TrajectorySample {
+                time: Seconds::new(abs_t),
+                position: state.position,
+                velocity: state.velocity,
+            };
+            if samples.last().map_or(true, |s| s.time < at_end.time) {
+                samples.push(at_end);
+            }
         }
         let stop_position = state.position;
         TrialOutcome {
@@ -318,7 +372,7 @@ impl StopScenario {
             infraction: stop_position > self.sensing_range,
             brake_time: Seconds::new(brake_delay),
             trajectory: Trajectory {
-                samples: trajectory,
+                samples: recording.unwrap_or_default(),
             },
         }
     }
@@ -336,7 +390,7 @@ impl StopScenario {
         // trial) pair reproduces the same trial everywhere.
         (0..trials).all(|i| {
             !self
-                .run_trial(v, crate::seed::trial_seed(seed, 0, i as u64))
+                .run_trial_unrecorded(v, crate::seed::trial_seed(seed, 0, i as u64))
                 .infraction
         })
     }

@@ -1,6 +1,6 @@
 //! Property-based tests of the flight simulator's physical sanity.
 
-use f1_flightsim::{StopScenario, VehicleDynamics};
+use f1_flightsim::{DecisionPhase, DisturbanceModel, StopScenario, VehicleDynamics};
 use f1_model::physics::DragModel;
 use f1_model::safety::SafetyModel;
 use f1_units::{Hertz, Kilograms, Meters, MetersPerSecond, MetersPerSecondSquared, Seconds};
@@ -81,5 +81,57 @@ proptest! {
         if !slow_loop.run_trial(v, 17).infraction {
             prop_assert!(!fast_loop.run_trial(v, 17).infraction);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Recording is observation only: a trial run without its
+    /// trajectory stops at the same bits, brakes at the same time and
+    /// infracts alike, in every phase, disturbance and drag regime.
+    #[test]
+    fn unrecorded_trials_match_recorded(
+        a in 0.5f64..5.0,
+        v in 0.5f64..5.0,
+        lag in 0.01f64..0.3,
+        sigma in 0.0f64..0.3,
+        drag in 0.0f64..0.1,
+        rate in 2.0f64..200.0,
+        random_phase in 0u8..2,
+        seed in 0u64..1_000_000
+    ) {
+        let dynamics = VehicleDynamics::new(
+            Kilograms::new(1.62),
+            MetersPerSecondSquared::new(a),
+            MetersPerSecondSquared::new(a),
+            Seconds::new(lag),
+            DragModel::quadratic(drag).unwrap(),
+        )
+        .unwrap();
+        let phase = if random_phase == 1 {
+            DecisionPhase::Random
+        } else {
+            DecisionPhase::WorstCase
+        };
+        let s = StopScenario::new(dynamics, Hertz::new(rate), Meters::new(3.0))
+            .with_disturbance(DisturbanceModel::gaussian(sigma).unwrap())
+            .with_phase(phase);
+        let v = MetersPerSecond::new(v);
+        let recorded = s.run_trial(v, seed);
+        let unrecorded = s.run_trial_unrecorded(v, seed);
+        prop_assert!(!recorded.trajectory.is_empty());
+        prop_assert!(unrecorded.trajectory.is_empty());
+        prop_assert_eq!(
+            unrecorded.stop_position.get().to_bits(),
+            recorded.stop_position.get().to_bits()
+        );
+        prop_assert_eq!(
+            unrecorded.brake_time.get().to_bits(),
+            recorded.brake_time.get().to_bits()
+        );
+        prop_assert_eq!(unrecorded.infraction, recorded.infraction);
+        prop_assert_eq!(unrecorded.commanded_velocity, recorded.commanded_velocity);
+        prop_assert_eq!(recorded.trajectory.final_position(), Some(recorded.stop_position));
     }
 }

@@ -134,7 +134,7 @@ impl SimHarness {
         let completed = (0..u64::from(trials))
             .filter(|&t| {
                 !scenario
-                    .run_trial(v_cmd, trial_seed(base, job.id, t))
+                    .run_trial_unrecorded(v_cmd, trial_seed(base, job.id, t))
                     .infraction
             })
             .count();

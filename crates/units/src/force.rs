@@ -20,6 +20,7 @@ quantity! {
 /// `F / m = a` — Newton's second law, the heart of Eq. 5.
 impl core::ops::Div<Kilograms> for Newtons {
     type Output = MetersPerSecondSquared;
+    #[inline]
     fn div(self, rhs: Kilograms) -> MetersPerSecondSquared {
         MetersPerSecondSquared::new(self.get() / rhs.get())
     }
@@ -28,6 +29,7 @@ impl core::ops::Div<Kilograms> for Newtons {
 /// `m · a = F`
 impl core::ops::Mul<MetersPerSecondSquared> for Kilograms {
     type Output = Newtons;
+    #[inline]
     fn mul(self, rhs: MetersPerSecondSquared) -> Newtons {
         Newtons::new(self.get() * rhs.get())
     }

@@ -23,11 +23,12 @@ macro_rules! quantity {
             ///
             /// Panics if `value` is NaN or infinite. Use
             /// [`try_new`](Self::try_new) for fallible construction.
+            #[inline]
             #[must_use]
             pub fn new(value: f64) -> Self {
                 match Self::try_new(value) {
                     Ok(v) => v,
-                    Err(e) => panic!("{}::new: {e}", stringify!($name)),
+                    Err(e) => $crate::macros::new_failed(stringify!($name), &e),
                 }
             }
 
@@ -37,6 +38,7 @@ macro_rules! quantity {
             ///
             /// Returns [`UnitError::NotFinite`](crate::UnitError::NotFinite)
             /// when `value` is NaN or infinite.
+            #[inline]
             pub fn try_new(value: f64) -> Result<Self, $crate::UnitError> {
                 if value.is_finite() {
                     Ok(Self(value))
@@ -93,24 +95,28 @@ macro_rules! quantity {
             }
 
             /// Returns the raw magnitude.
+            #[inline]
             #[must_use]
             pub const fn get(self) -> f64 {
                 self.0
             }
 
             /// Returns the absolute value.
+            #[inline]
             #[must_use]
             pub fn abs(self) -> Self {
                 Self(self.0.abs())
             }
 
             /// Returns the smaller of `self` and `other`.
+            #[inline]
             #[must_use]
             pub fn min(self, other: Self) -> Self {
                 Self(self.0.min(other.0))
             }
 
             /// Returns the larger of `self` and `other`.
+            #[inline]
             #[must_use]
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
@@ -118,6 +124,7 @@ macro_rules! quantity {
 
             /// Linear interpolation between `self` (t = 0) and `other`
             /// (t = 1). `t` outside `[0, 1]` extrapolates.
+            #[inline]
             #[must_use]
             pub fn lerp(self, other: Self, t: f64) -> Self {
                 Self(self.0 + (other.0 - self.0) * t)
@@ -129,10 +136,12 @@ macro_rules! quantity {
         impl $crate::Quantity for $name {
             const SUFFIX: &'static str = $suffix;
 
+            #[inline]
             fn get(self) -> f64 {
                 self.0
             }
 
+            #[inline]
             fn from_raw(value: f64) -> Self {
                 Self::new(value)
             }
@@ -150,6 +159,7 @@ macro_rules! quantity {
 
         impl core::ops::Add for $name {
             type Output = Self;
+            #[inline]
             fn add(self, rhs: Self) -> Self {
                 Self(self.0 + rhs.0)
             }
@@ -157,6 +167,7 @@ macro_rules! quantity {
 
         impl core::ops::Sub for $name {
             type Output = Self;
+            #[inline]
             fn sub(self, rhs: Self) -> Self {
                 Self(self.0 - rhs.0)
             }
@@ -164,6 +175,7 @@ macro_rules! quantity {
 
         impl core::ops::Neg for $name {
             type Output = Self;
+            #[inline]
             fn neg(self) -> Self {
                 Self(-self.0)
             }
@@ -171,6 +183,7 @@ macro_rules! quantity {
 
         impl core::ops::Mul<f64> for $name {
             type Output = Self;
+            #[inline]
             fn mul(self, rhs: f64) -> Self {
                 Self(self.0 * rhs)
             }
@@ -178,6 +191,7 @@ macro_rules! quantity {
 
         impl core::ops::Mul<$name> for f64 {
             type Output = $name;
+            #[inline]
             fn mul(self, rhs: $name) -> $name {
                 $name(self * rhs.0)
             }
@@ -185,6 +199,7 @@ macro_rules! quantity {
 
         impl core::ops::Div<f64> for $name {
             type Output = Self;
+            #[inline]
             fn div(self, rhs: f64) -> Self {
                 Self(self.0 / rhs)
             }
@@ -193,18 +208,21 @@ macro_rules! quantity {
         /// Dividing two like quantities yields a dimensionless ratio.
         impl core::ops::Div for $name {
             type Output = f64;
+            #[inline]
             fn div(self, rhs: Self) -> f64 {
                 self.0 / rhs.0
             }
         }
 
         impl core::ops::AddAssign for $name {
+            #[inline]
             fn add_assign(&mut self, rhs: Self) {
                 self.0 += rhs.0;
             }
         }
 
         impl core::ops::SubAssign for $name {
+            #[inline]
             fn sub_assign(&mut self, rhs: Self) {
                 self.0 -= rhs.0;
             }
@@ -217,6 +235,7 @@ macro_rules! quantity {
         }
 
         impl From<$name> for f64 {
+            #[inline]
             fn from(v: $name) -> f64 {
                 v.0
             }
@@ -245,3 +264,11 @@ macro_rules! quantity {
 }
 
 pub(crate) use quantity;
+
+/// The panic of a quantity's `new` on a NaN or infinite magnitude, kept
+/// out of line so that the inlined constructor is a compare and a move.
+#[cold]
+#[inline(never)]
+pub(crate) fn new_failed(quantity: &str, error: &crate::UnitError) -> ! {
+    panic!("{quantity}::new: {error}")
+}

@@ -76,6 +76,7 @@ impl Meters {
 /// `v · t = d`
 impl core::ops::Mul<Seconds> for MetersPerSecond {
     type Output = Meters;
+    #[inline]
     fn mul(self, rhs: Seconds) -> Meters {
         Meters::new(self.get() * rhs.get())
     }
@@ -84,6 +85,7 @@ impl core::ops::Mul<Seconds> for MetersPerSecond {
 /// `t · v = d`
 impl core::ops::Mul<MetersPerSecond> for Seconds {
     type Output = Meters;
+    #[inline]
     fn mul(self, rhs: MetersPerSecond) -> Meters {
         rhs * self
     }
@@ -92,6 +94,7 @@ impl core::ops::Mul<MetersPerSecond> for Seconds {
 /// `a · t = Δv`
 impl core::ops::Mul<Seconds> for MetersPerSecondSquared {
     type Output = MetersPerSecond;
+    #[inline]
     fn mul(self, rhs: Seconds) -> MetersPerSecond {
         MetersPerSecond::new(self.get() * rhs.get())
     }
@@ -100,6 +103,7 @@ impl core::ops::Mul<Seconds> for MetersPerSecondSquared {
 /// `t · a = Δv`
 impl core::ops::Mul<MetersPerSecondSquared> for Seconds {
     type Output = MetersPerSecond;
+    #[inline]
     fn mul(self, rhs: MetersPerSecondSquared) -> MetersPerSecond {
         rhs * self
     }
@@ -108,6 +112,7 @@ impl core::ops::Mul<MetersPerSecondSquared> for Seconds {
 /// `d / t = v`
 impl core::ops::Div<Seconds> for Meters {
     type Output = MetersPerSecond;
+    #[inline]
     fn div(self, rhs: Seconds) -> MetersPerSecond {
         MetersPerSecond::new(self.get() / rhs.get())
     }
@@ -116,6 +121,7 @@ impl core::ops::Div<Seconds> for Meters {
 /// `d / v = t` — the time to cover a distance at constant speed.
 impl core::ops::Div<MetersPerSecond> for Meters {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: MetersPerSecond) -> Seconds {
         Seconds::new(self.get() / rhs.get())
     }
@@ -124,6 +130,7 @@ impl core::ops::Div<MetersPerSecond> for Meters {
 /// `d · f = v` — the low-frequency roofline asymptote `v ≈ d · f_action`.
 impl core::ops::Mul<Hertz> for Meters {
     type Output = MetersPerSecond;
+    #[inline]
     fn mul(self, rhs: Hertz) -> MetersPerSecond {
         MetersPerSecond::new(self.get() * rhs.get())
     }
@@ -132,6 +139,7 @@ impl core::ops::Mul<Hertz> for Meters {
 /// `f · d = v`
 impl core::ops::Mul<Meters> for Hertz {
     type Output = MetersPerSecond;
+    #[inline]
     fn mul(self, rhs: Meters) -> MetersPerSecond {
         rhs * self
     }
@@ -140,6 +148,7 @@ impl core::ops::Mul<Meters> for Hertz {
 /// `v / t = a`
 impl core::ops::Div<Seconds> for MetersPerSecond {
     type Output = MetersPerSecondSquared;
+    #[inline]
     fn div(self, rhs: Seconds) -> MetersPerSecondSquared {
         MetersPerSecondSquared::new(self.get() / rhs.get())
     }
@@ -148,6 +157,7 @@ impl core::ops::Div<Seconds> for MetersPerSecond {
 /// `v / a = t` — the time to brake from `v` at constant deceleration `a`.
 impl core::ops::Div<MetersPerSecondSquared> for MetersPerSecond {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: MetersPerSecondSquared) -> Seconds {
         Seconds::new(self.get() / rhs.get())
     }

@@ -106,6 +106,7 @@ impl Hertz {
     /// # Panics
     ///
     /// Panics if the rate is zero (the reciprocal would not be finite).
+    #[inline]
     #[must_use]
     pub fn period(self) -> Seconds {
         Seconds::new(1.0 / self.0)
