@@ -6,6 +6,7 @@ use f1_units::GramForce;
 use f1_units::{Grams, Hertz, Kilograms, Millimeters, Newtons};
 use serde::{Deserialize, Serialize};
 
+use crate::error::check_rate;
 use crate::{ComponentError, SizeClass};
 
 /// An airframe: the mechanical platform (frame + motors + ESCs) without
@@ -275,7 +276,7 @@ impl AirframeBuilder {
     /// Returns [`ComponentError::InvalidField`] if the name is empty, base
     /// mass or rotor pull are missing/non-positive, the rotor count is
     /// zero, the frame size is non-positive, or the control rate is
-    /// non-positive.
+    /// non-positive or its period overflows.
     pub fn build(self) -> Result<Airframe, ComponentError> {
         if self.name.trim().is_empty() {
             return Err(ComponentError::InvalidField {
@@ -315,12 +316,7 @@ impl AirframeBuilder {
                 reason: format!("must be positive, got {}", self.frame_size),
             });
         }
-        if self.control_rate.get() <= 0.0 || !self.control_rate.get().is_finite() {
-            return Err(ComponentError::InvalidField {
-                field: "control_rate",
-                reason: format!("must be positive, got {}", self.control_rate),
-            });
-        }
+        check_rate("control_rate", self.control_rate)?;
         let size_class = self
             .size_class
             .unwrap_or_else(|| SizeClass::from_frame_size(self.frame_size));
@@ -395,6 +391,18 @@ mod tests {
             .control_rate(Hertz::ZERO)
             .build()
             .is_err());
+        // Positive, but its period overflows to infinity.
+        assert!(matches!(
+            Airframe::builder("x")
+                .base_mass(Grams::new(1.0))
+                .rotor_pull_gf(1.0)
+                .control_rate(Hertz::new(1e-310))
+                .build(),
+            Err(ComponentError::InvalidField {
+                field: "control_rate",
+                ..
+            })
+        ));
     }
 
     #[test]

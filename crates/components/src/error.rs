@@ -1,6 +1,6 @@
 //! Error type for catalog and builder operations.
 
-use f1_units::UnitError;
+use f1_units::{Hertz, UnitError};
 
 /// Errors from the component database.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,9 +77,49 @@ impl From<UnitError> for ComponentError {
     }
 }
 
+/// The check every characterized rate passes — a throughput, a sensor
+/// frame rate, an airframe control rate: positive and finite, with a
+/// finite period. A subnormal rate such as `1e-310` Hz is positive, but
+/// its period `1/rate` overflows to infinity, and every latency the
+/// model derives from it would too.
+pub(crate) fn check_rate(field: &'static str, rate: Hertz) -> Result<(), ComponentError> {
+    let hz = rate.get();
+    if hz > 0.0 && hz.is_finite() && hz.recip().is_finite() {
+        Ok(())
+    } else {
+        Err(ComponentError::InvalidField {
+            field,
+            reason: format!("must be positive with a finite period, got {rate}"),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rates_need_a_finite_period() {
+        for ok in [1e-300, 1.0, 178.0, 1e300, f64::MAX] {
+            assert_eq!(check_rate("throughput", Hertz::new(ok)), Ok(()), "{ok}");
+        }
+        // The smallest normal double still has a finite period; below
+        // 2^-1024 the reciprocal overflows.
+        assert!(check_rate("frame_rate", Hertz::new(f64::MIN_POSITIVE)).is_ok());
+        for bad in [0.0, -0.0, -1.0, 1e-310, 5e-324] {
+            let err = check_rate("control_rate", Hertz::new(bad)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ComponentError::InvalidField {
+                        field: "control_rate",
+                        ..
+                    }
+                ),
+                "{bad}: {err:?}"
+            );
+        }
+    }
 
     #[test]
     fn display_unknown_component() {

@@ -3,6 +3,7 @@
 use f1_units::{Grams, Hertz, Meters};
 use serde::{Deserialize, Serialize};
 
+use crate::error::check_rate;
 use crate::ComponentError;
 
 /// The sensing modality of an onboard sensor.
@@ -68,7 +69,8 @@ impl Sensor {
     /// # Errors
     ///
     /// Returns [`ComponentError::InvalidField`] if the name is empty, the
-    /// frame rate or range are non-positive, or the mass is negative.
+    /// frame rate is non-positive or its period overflows, the range is
+    /// non-positive, or the mass is negative.
     pub fn new(
         name: impl Into<String>,
         modality: SensorModality,
@@ -83,12 +85,7 @@ impl Sensor {
                 reason: "must not be empty".into(),
             });
         }
-        if frame_rate.get() <= 0.0 || !frame_rate.get().is_finite() {
-            return Err(ComponentError::InvalidField {
-                field: "frame_rate",
-                reason: format!("must be positive, got {frame_rate}"),
-            });
-        }
+        check_rate("frame_rate", frame_rate)?;
         if range.get() <= 0.0 || !range.get().is_finite() {
             return Err(ComponentError::InvalidField {
                 field: "range",
@@ -144,7 +141,8 @@ impl Sensor {
     ///
     /// # Errors
     ///
-    /// Returns [`ComponentError::InvalidField`] if the rate is non-positive.
+    /// Returns [`ComponentError::InvalidField`] if the rate is
+    /// non-positive or its period overflows.
     pub fn with_frame_rate(&self, frame_rate: Hertz) -> Result<Self, ComponentError> {
         Self::new(
             self.name.clone(),
@@ -225,6 +223,8 @@ mod tests {
     fn rejects_non_positive_rate_and_range() {
         assert!(cam().with_frame_rate(Hertz::ZERO).is_err());
         assert!(cam().with_frame_rate(Hertz::new(-5.0)).is_err());
+        // Positive, but its period overflows to infinity.
+        assert!(cam().with_frame_rate(Hertz::new(1e-310)).is_err());
         assert!(cam().with_range(Meters::ZERO).is_err());
     }
 

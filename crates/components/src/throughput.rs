@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use f1_units::Hertz;
 use serde::{Deserialize, Serialize};
 
+use crate::error::check_rate;
 use crate::{AlgorithmId, ComponentError, ComputeId};
 
 /// Characterized compute throughputs keyed by (platform, algorithm).
@@ -54,16 +55,6 @@ pub struct ThroughputMatrix {
     rows: Vec<Vec<Option<Hertz>>>,
     /// Number of `Some` cells.
     entries: usize,
-}
-
-fn validate_rate(throughput: Hertz) -> Result<(), ComponentError> {
-    if throughput.get() <= 0.0 || !throughput.get().is_finite() {
-        return Err(ComponentError::InvalidField {
-            field: "throughput",
-            reason: format!("must be positive, got {throughput}"),
-        });
-    }
-    Ok(())
 }
 
 impl ThroughputMatrix {
@@ -125,14 +116,14 @@ impl ThroughputMatrix {
     ///
     /// Returns [`ComponentError::DuplicateEntry`] if the pair is already
     /// present, or [`ComponentError::InvalidField`] if the throughput is
-    /// non-positive.
+    /// non-positive or its period overflows.
     pub fn insert(
         &mut self,
         platform: impl Into<String>,
         algorithm: impl Into<String>,
         throughput: Hertz,
     ) -> Result<(), ComponentError> {
-        validate_rate(throughput)?;
+        check_rate("throughput", throughput)?;
         let (platform, algorithm) = (platform.into(), algorithm.into());
         let (p, a) = (
             self.intern_platform(platform),
@@ -156,14 +147,14 @@ impl ThroughputMatrix {
     /// # Errors
     ///
     /// Returns [`ComponentError::InvalidField`] if the throughput is
-    /// non-positive.
+    /// non-positive or its period overflows.
     pub fn upsert(
         &mut self,
         platform: impl Into<String>,
         algorithm: impl Into<String>,
         throughput: Hertz,
     ) -> Result<Option<Hertz>, ComponentError> {
-        validate_rate(throughput)?;
+        check_rate("throughput", throughput)?;
         let (p, a) = (
             self.intern_platform(platform.into()),
             self.intern_algorithm(algorithm.into()),
@@ -269,7 +260,8 @@ impl ThroughputMatrix {
     /// [`ComponentError::DuplicateEntry`] if an order list repeats a
     /// name, [`ComponentError::UnknownComponent`] if a cell names a
     /// platform/algorithm absent from the order lists, and
-    /// [`ComponentError::InvalidField`] for non-positive rates.
+    /// [`ComponentError::InvalidField`] for non-positive rates and rates
+    /// whose period overflows.
     pub fn from_parts(
         platforms: &[String],
         algorithms: &[String],
@@ -496,6 +488,10 @@ mod tests {
         assert!(m.insert("p", "a", Hertz::ZERO).is_err());
         assert!(m.insert("p", "a", Hertz::new(-1.0)).is_err());
         assert!(m.upsert("p", "a", Hertz::ZERO).is_err());
+        // Positive, but its period overflows to infinity.
+        assert!(m.insert("p", "a", Hertz::new(1e-310)).is_err());
+        assert!(m.upsert("p", "a", Hertz::new(1e-310)).is_err());
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -165,6 +165,43 @@ fn malformed_delta_is_a_structured_delta_error() {
 }
 
 #[test]
+fn a_rate_whose_period_overflows_is_a_delta_error_and_publishes_nothing() {
+    // 1e-310 Hz is positive, but its period 1/rate overflows to
+    // infinity. Published, it made every later query over its part fail
+    // inside the executor; it is now rejected at apply time.
+    let (server, _) = start(config());
+    let mut c = client(&server);
+    for (delta, field) in [
+        (
+            r#"delta {"throughput": [{"compute": "Nvidia TX2", "algorithm": "DroNet", "hz": 1e-310}]}"#,
+            "throughput",
+        ),
+        (
+            r#"delta {"add": {"sensors": [{"name": "Slow", "modality": "rgb", "rate_hz": 1e-310, "range_m": 6, "mass_g": 18}]}}"#,
+            "frame_rate",
+        ),
+        (
+            r#"delta {"add": {"airframes": [{"name": "Slow", "base_mass_g": 900, "rotor_count": 4, "rotor_pull_gf": 500, "frame_size_mm": 500, "control_rate_hz": 1e-310}]}}"#,
+            "control_rate",
+        ),
+    ] {
+        let (ok, body) = c.request(delta).expect("response");
+        assert!(!ok, "{body}");
+        assert!(body.contains("\"kind\": \"delta\""), "{body}");
+        assert!(body.contains(&format!("invalid field {field}: ")), "{body}");
+    }
+    let (ok, body) = c.request("stats").expect("response");
+    assert!(ok && body.contains("\"epoch\": 0"), "{body}");
+    // The default subspace, which covers the rejected pair, still
+    // answers at the unmoved epoch.
+    let (ok, body) = c
+        .request(&format!("top 5 {}", plan(24.0).key()))
+        .expect("response");
+    assert!(ok && body.contains("\"epoch\": 0"), "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn full_admission_queue_rejects_with_overloaded() {
     let mut cfg = config();
     // Capacity 1 and a long window: the first cold query occupies the

@@ -98,7 +98,9 @@ impl SimHarness {
         let range = catalog.sensor_by_id(point.candidate.sensor).range().get()
             * point.setting.sensor_range_scale;
         let degenerate = |v: f64| !v.is_finite() || v <= 0.0;
-        if degenerate(v_cmd) || degenerate(rate) || degenerate(range) {
+        // A rate whose period overflows is as unsimulable as a zero rate:
+        // the scenario's decision period would not be finite.
+        if degenerate(v_cmd) || degenerate(rate) || degenerate(rate.recip()) || degenerate(range) {
             return (0.0, 0);
         }
         let (Ok(v_cmd), Ok(rate), Ok(range)) = (

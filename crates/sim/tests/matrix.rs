@@ -178,6 +178,24 @@ fn scenario_objective_acceptance_matrix() {
 /// simulation fidelity, not logic.
 #[cfg(not(debug_assertions))]
 #[test]
+fn a_decision_period_that_overflows_scores_unsimulable() {
+    // A positive decision-rate scale this small leaves every candidate
+    // a positive rate whose period 1/rate overflows to infinity. No
+    // trial can run at it: each survivor scores the unsimulable 0.0
+    // instead of panicking the evaluation.
+    let stalled = run_scenario(ScenarioConfig {
+        name: "stalled",
+        decision_rate_scale: 1e-312,
+        ..ScenarioConfig::calm()
+    });
+    let block = stalled.sim().expect("sim block");
+    assert!(!block.rows.is_empty(), "no survivors simulated");
+    for row in &block.rows {
+        assert_eq!(row.values.first().copied(), Some(0.0), "{row:?}");
+    }
+}
+
+#[test]
 fn rank_agreement_floor_on_synthesized_catalog() {
     use f1_skyline::query::{Knob, KnobSweep};
 
