@@ -344,6 +344,7 @@ impl Parser<'_> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    let at = self.pos;
                     self.pos += 1;
                     let escape = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -356,18 +357,7 @@ impl Parser<'_> {
                         b'r' => '\r',
                         b'b' => '\u{8}',
                         b'f' => '\u{c}',
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|h| core::str::from_utf8(h).ok())
-                                .ok_or("truncated or non-hex \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            self.pos += 4;
-                            char::from_u32(code).ok_or("non-scalar \\u escape")?
-                        }
+                        b'u' => self.unicode_escape(at)?,
                         other => return Err(format!("unknown escape \\{}", char::from(other))),
                     });
                 }
@@ -380,6 +370,47 @@ impl Parser<'_> {
                 _ => return Err("unterminated string".into()),
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose backslash is at byte `at`;
+    /// `pos` is just past the `u`. A UTF-16 high surrogate must be
+    /// followed by a `\u` low surrogate, and the pair spells one scalar
+    /// outside the Basic Multilingual Plane (RFC 8259 §7). A lone or
+    /// reversed surrogate is an error at its own offset.
+    fn unicode_escape(&mut self, at: usize) -> Result<char, String> {
+        let code = self.hex4()?;
+        let scalar = match code {
+            0xD800..=0xDBFF => {
+                let low = if self.bytes.get(self.pos..self.pos + 2) == Some(b"\\u") {
+                    self.pos += 2;
+                    self.hex4()?
+                } else {
+                    0
+                };
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(format!("unpaired surrogate \\u{code:04X} at byte {at}"));
+                }
+                0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => {
+                return Err(format!("unpaired surrogate \\u{code:04X} at byte {at}"));
+            }
+            _ => code,
+        };
+        char::from_u32(scalar).ok_or_else(|| format!("non-scalar \\u escape at byte {at}"))
+    }
+
+    /// Reads the four hex digits of a `\u` escape at `pos`.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let code = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| core::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("truncated or non-hex \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -721,6 +752,38 @@ mod tests {
             parse("\"\u{7f}\\u0041\"").unwrap().as_str().unwrap(),
             "\u{7f}A"
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let read = |text: &str| parse(text).unwrap().as_str().unwrap();
+        assert_eq!(read(r#""\uD83D\uDE00""#), "\u{1f600}");
+        assert_eq!(read(r#""a\ud834\udd1eb""#), "a\u{1d11e}b");
+        // The ends of the supplementary planes.
+        assert_eq!(read(r#""\uD800\uDC00""#), "\u{10000}");
+        assert_eq!(read(r#""\uDBFF\uDFFF""#), "\u{10ffff}");
+        // Lone, reversed and mismatched halves fail at the unpaired
+        // escape's backslash.
+        for text in [
+            r#""x\uD83D""#,
+            r#""x\uD83Dy""#,
+            r#""x\uD83D\u0041""#,
+            r#""x\uD83D\uD83D""#,
+            r#""x\uDE00""#,
+            r#""x\uDE00\uD83D""#,
+        ] {
+            let err = parse(text)
+                .err()
+                .unwrap_or_else(|| panic!("{text:?} parsed"));
+            assert!(
+                err.starts_with("unpaired surrogate") && err.ends_with("at byte 2"),
+                "{text}: {err}"
+            );
+        }
+        let err = parse(r#""\uD83D\uDE""#)
+            .err()
+            .unwrap_or_else(|| panic!("a truncated low half parsed"));
+        assert!(err.ends_with("at byte 9"), "{err}");
     }
 
     #[test]

@@ -1150,6 +1150,23 @@ mod tests {
     }
 
     #[test]
+    fn from_json_reads_a_name_spelled_with_a_surrogate_pair() {
+        // A client may spell a character outside the BMP as the UTF-16
+        // escape pair RFC 8259 §7 describes; it names the same part as
+        // the raw UTF-8 spelling.
+        let text = r#"{"add": {"sensors": [{"name": "Cam \ud83d\udcf7", "modality": "rgb",
+            "rate_hz": 90, "range_m": 6, "mass_g": 18}]}}"#;
+        let delta = CatalogDelta::from_json(text).unwrap();
+        let store = CatalogStore::new(Catalog::paper());
+        let next = store.apply(&delta).unwrap();
+        let sensor = next.catalog().sensor("Cam \u{1f4f7}").unwrap();
+        assert_eq!(sensor.name(), "Cam 📷");
+        // A lone half is malformed, not a replacement character.
+        let lone = text.replace("\\udcf7", "");
+        assert!(CatalogDelta::from_json(&lone).is_err(), "{lone}");
+    }
+
+    #[test]
     fn from_json_rejects_malformed_documents() {
         for bad in [
             "",
