@@ -113,7 +113,6 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
-        #[inline]
         fn next_u64(&mut self) -> u64 {
             let result = self.s[0]
                 .wrapping_add(self.s[3])
