@@ -22,6 +22,29 @@
 //! over repeated trials therefore reproduces the paper's model-vs-flight
 //! error band by the same mechanism as the real experiment.
 //!
+//! # One integration loop, pinned bits
+//!
+//! Every [`StopScenario`] trial runs one integration loop at a 1 kHz
+//! step. [`StopScenario::run_trial`] and [`StopScenario::run_full_profile`]
+//! record a decimated [`Trajectory`] as they go;
+//! [`StopScenario::run_trial_unrecorded`], which
+//! [`StopScenario::is_velocity_safe`], [`find_safe_velocity`] and the
+//! tier-2 robustness objective use, runs the same steps without one and
+//! yields the same stop position, brake time and infraction bit for bit.
+//! What is fixed for a trial (the lag fraction `min(dt/τ, 1)`, the brake
+//! command, the brake time once the crossing is known) is computed before
+//! the first step, and in an optimized build a step makes no out-of-line
+//! call except `ln` and `cos` in the disturbance draw. Each expression
+//! keeps its operations and their order, so restructuring the loop moves
+//! no bit.
+//!
+//! The test `tests/trial_bits.rs` is the gate for that: it folds the
+//! outcomes and recorded samples of more than 10³ seeded trials over the
+//! calm, gusty and degraded tier-2 environments, both decision phases and
+//! velocities across the infraction edge into one FNV-1a digest. Changing
+//! the integrator, the disturbance draw or the seed derivation moves it
+//! and needs a deliberate re-bless.
+//!
 //! # Examples
 //!
 //! ```

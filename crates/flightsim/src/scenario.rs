@@ -6,6 +6,9 @@
 //! stops. An *infraction* means the vehicle passed the obstacle position —
 //! exactly the paper's criterion ("if infractions exist beyond the 3 m, it
 //! signifies that the drone has collided").
+//!
+//! Recorded and unrecorded trials share one integration loop; the
+//! recording is observation only and never changes an outcome.
 
 use f1_units::{Hertz, Meters, MetersPerSecond, MetersPerSecondSquared, Seconds};
 use rand::rngs::StdRng;

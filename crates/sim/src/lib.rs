@@ -34,6 +34,22 @@
 //!
 //! Infeasible or unsimulable survivors degrade to sentinels (robustness
 //! `0.0`, latency `+∞`) — one broken design never aborts a whole query.
+//! A rate whose period `1/rate` is not finite is unsimulable too.
+//!
+//! # Cost
+//!
+//! Robustness trials are most of a tier-2 pass: servebench's
+//! `verify_tier2` plans (about 17 survivors × 32 trials) run about 540
+//! robustness trials per query, each integrating a stop at a 1 kHz
+//! step. They run through
+//! [`StopScenario::run_trial_unrecorded`](f1_flightsim::StopScenario::run_trial_unrecorded),
+//! which integrates exactly what `run_trial` does without keeping a
+//! trajectory nobody reads. What a step costs is then mostly its
+//! Box–Muller disturbance draw (`ln`, `cos`, `sqrt` and two RNG draws);
+//! a cheaper draw or integrator would change the simulated bits, so it
+//! needs a deliberate re-bless of the trial-bits digest in
+//! `f1-flightsim` and of the tier-2 goldens, and a re-check of the fig07
+//! floors.
 //!
 //! [`calm`]: ScenarioConfig::calm
 //! [`gusty wind`]: ScenarioConfig::gusty
