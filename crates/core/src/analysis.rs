@@ -67,10 +67,10 @@ impl DesignAssessment {
     pub const DEFAULT_TOLERANCE: f64 = 0.05;
 
     /// Assesses an action throughput against a roofline's knee with the
-    /// default tolerance.
+    /// default tolerance, whose band the roofline computed once.
     #[must_use]
     pub fn of(roofline: &Roofline, f_action: Hertz) -> Self {
-        Self::with_tolerance(roofline, f_action, Self::DEFAULT_TOLERANCE)
+        Self::in_band(f_action, roofline.knee().rate, roofline.optimal_band())
     }
 
     /// Assesses with an explicit relative tolerance: rates within
@@ -85,8 +85,16 @@ impl DesignAssessment {
             0.0
         };
         let knee = roofline.knee().rate;
-        let lo = knee.get() * (1.0 - tol);
-        let hi = knee.get() * (1.0 + tol);
+        Self::in_band(f_action, knee, Self::band(knee, tol))
+    }
+
+    /// The optimal band `[knee·(1−tol), knee·(1+tol)]` of a tolerance.
+    pub(crate) fn band(knee: Hertz, tol: f64) -> (f64, f64) {
+        (knee.get() * (1.0 - tol), knee.get() * (1.0 + tol))
+    }
+
+    /// Places `f_action` against the knee's optimal band `(lo, hi)`.
+    fn in_band(f_action: Hertz, knee: Hertz, (lo, hi): (f64, f64)) -> Self {
         let f = f_action.get();
         if f >= lo && f <= hi {
             Self::Optimal

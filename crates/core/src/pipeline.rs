@@ -219,6 +219,7 @@ impl StageRates {
     ///
     /// Returns [`ModelError::OutOfDomain`] if any rate is non-positive or
     /// non-finite.
+    #[inline]
     pub fn new(sensor: Hertz, compute: Hertz, control: Hertz) -> Result<Self, ModelError> {
         for (name, v) in [
             ("f_sensor", sensor),
@@ -288,6 +289,7 @@ impl StageRates {
     }
 
     /// Paper Eq. 3: `f_action = min(f_sensor, f_compute, f_control)`.
+    #[inline]
     #[must_use]
     pub fn action_throughput(&self) -> Hertz {
         self.sensor.min(self.compute).min(self.control)

@@ -10,8 +10,9 @@
 use f1_units::{Hertz, Meters, MetersPerSecond, MetersPerSecondSquared, Seconds};
 use serde::{Deserialize, Serialize};
 
+use crate::analysis::DesignAssessment;
 use crate::pipeline::{Stage, StageRates};
-use crate::safety::SafetyModel;
+use crate::safety::{Eq4, SafetyModel};
 use crate::ModelError;
 
 /// The saturation fraction η ∈ (0, 1) defining where the knee sits on the
@@ -165,6 +166,12 @@ impl BoundAnalysis {
 
 /// The F-1 roofline for one UAV configuration.
 ///
+/// Everything that depends on the configuration alone is computed once,
+/// at construction: Eq. 4's `2d` and `2d/a_max`, the roof, the knee and
+/// the knee's default ±5 % optimal band
+/// ([`DesignAssessment::of`](crate::analysis::DesignAssessment::of)).
+/// An operating point then costs one Eq. 4 evaluation.
+///
 /// # Examples
 ///
 /// ```
@@ -183,6 +190,11 @@ impl BoundAnalysis {
 pub struct Roofline {
     safety: SafetyModel,
     saturation: Saturation,
+    eq4: Eq4,
+    roof: MetersPerSecond,
+    knee: KneePoint,
+    /// The knee's default optimal band, `[f_k·(1−tol), f_k·(1+tol)]`.
+    band: (f64, f64),
 }
 
 impl Roofline {
@@ -193,9 +205,26 @@ impl Roofline {
     }
 
     /// Builds a roofline with an explicit knee saturation.
+    ///
+    /// The knee in closed form: `T_k = √(2d/a)·(1−η²)/(2η)`,
+    /// `f_k = 1/T_k`, `v_k = η·v_max`.
     #[must_use]
     pub fn with_saturation(safety: SafetyModel, saturation: Saturation) -> Self {
-        Self { safety, saturation }
+        let eq4 = safety.eq4();
+        let roof = safety.peak_velocity();
+        let t_k = eq4.knee_period_scale() * saturation.knee_coefficient();
+        let knee = KneePoint {
+            rate: Seconds::new(t_k).frequency(),
+            velocity: roof * saturation.get(),
+        };
+        Self {
+            safety,
+            saturation,
+            eq4,
+            roof,
+            knee,
+            band: DesignAssessment::band(knee.rate, DesignAssessment::DEFAULT_TOLERANCE),
+        }
     }
 
     /// The underlying safety model.
@@ -211,27 +240,31 @@ impl Roofline {
     }
 
     /// The physics roof `v_max = √(2·d·a_max)`.
+    #[inline]
     #[must_use]
     pub fn roof(&self) -> MetersPerSecond {
-        self.safety.peak_velocity()
+        self.roof
     }
 
-    /// The knee point, in closed form:
-    /// `T_k = √(2d/a)·(1−η²)/(2η)`, `f_k = 1/T_k`, `v_k = η·v_max`.
+    /// The knee point (see [`with_saturation`](Self::with_saturation)).
+    #[inline]
     #[must_use]
     pub fn knee(&self) -> KneePoint {
-        let s = (2.0 * self.safety.range().get() / self.safety.a_max().get()).sqrt();
-        let t_k = s * self.saturation.knee_coefficient();
-        KneePoint {
-            rate: Seconds::new(t_k).frequency(),
-            velocity: self.roof() * self.saturation.get(),
-        }
+        self.knee
+    }
+
+    /// The knee's optimal band at the default tolerance, as
+    /// [`DesignAssessment::of`] reads it.
+    #[inline]
+    pub(crate) fn optimal_band(&self) -> (f64, f64) {
+        self.band
     }
 
     /// Exact Eq. 4 velocity at an action rate.
+    #[inline]
     #[must_use]
     pub fn velocity_at(&self, f_action: Hertz) -> MetersPerSecond {
-        self.safety.safe_velocity_at_rate(f_action)
+        self.eq4.velocity_at_rate(f_action)
     }
 
     /// The classical two-segment linearization of the roofline:
@@ -318,7 +351,7 @@ impl Roofline {
     #[must_use]
     pub fn classify(&self, rates: &StageRates) -> BoundAnalysis {
         let f_action = rates.action_throughput();
-        let knee = self.knee();
+        let knee = self.knee;
         let bound = if f_action >= knee.rate {
             Bound::Physics
         } else {
@@ -332,7 +365,7 @@ impl Roofline {
             bound,
             action_throughput: f_action,
             velocity: self.velocity_at(f_action),
-            roof: self.roof(),
+            roof: self.roof,
             knee,
         }
     }

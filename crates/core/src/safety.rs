@@ -94,6 +94,16 @@ impl SafetyModel {
         Self::new(self.a_max, range)
     }
 
+    /// Eq. 4's two model constants, `2d` and `2d/a_max`.
+    #[inline]
+    pub(crate) fn eq4(&self) -> Eq4 {
+        let two_d = 2.0 * self.range.get();
+        Eq4 {
+            two_d,
+            two_d_over_a: two_d / self.a_max.get(),
+        }
+    }
+
     /// Paper Eq. 4: the maximum safe velocity for a given action period.
     ///
     /// A non-positive period is treated as the `T → 0` limit (the physics
@@ -101,14 +111,7 @@ impl SafetyModel {
     /// approaches `d/T` as `T → ∞`.
     #[must_use]
     pub fn safe_velocity(&self, t_action: Seconds) -> MetersPerSecond {
-        let a = self.a_max.get();
-        let d = self.range.get();
-        let t = t_action.get().max(0.0);
-        // v = a(√(T² + 2d/a) − T). For large T the two terms nearly cancel;
-        // rewrite via the conjugate to stay numerically stable:
-        // v = 2d / (√(T² + 2d/a) + T)
-        let root = (t * t + 2.0 * d / a).sqrt();
-        MetersPerSecond::new(2.0 * d / (root + t))
+        self.eq4().velocity(t_action)
     }
 
     /// Eq. 4 evaluated at an action *rate* instead of a period.
@@ -117,10 +120,7 @@ impl SafetyModel {
     /// never move); an infinite rate is out of the unit type's domain.
     #[must_use]
     pub fn safe_velocity_at_rate(&self, f_action: Hertz) -> MetersPerSecond {
-        if f_action.get() <= 0.0 {
-            return MetersPerSecond::ZERO;
-        }
-        self.safe_velocity(f_action.period())
+        self.eq4().velocity_at_rate(f_action)
     }
 
     /// The physics roof: `v_max = √(2·d·a_max)`, the `T → 0` limit of Eq. 4.
@@ -188,6 +188,44 @@ impl SafetyModel {
     #[must_use]
     pub fn is_safe(&self, v: MetersPerSecond, t_action: Seconds) -> bool {
         self.stopping_distance(v, t_action) <= self.range
+    }
+}
+
+/// Paper Eq. 4 over its two model constants, `2d` and `2d/a_max`: the
+/// one spelling of the formula. [`SafetyModel::safe_velocity`] computes
+/// the constants per call; a [`Roofline`](crate::roofline::Roofline)
+/// computes them once and reuses them for every operating point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Eq4 {
+    two_d: f64,
+    two_d_over_a: f64,
+}
+
+impl Eq4 {
+    /// `v = a(√(T² + 2d/a) − T)` at action period `T`, a non-positive
+    /// period taken as `T → 0`. For large `T` the two terms nearly
+    /// cancel, so it is computed through the conjugate:
+    /// `v = 2d / (√(T² + 2d/a) + T)`.
+    #[inline]
+    pub(crate) fn velocity(self, t_action: Seconds) -> MetersPerSecond {
+        let t = t_action.get().max(0.0);
+        let root = (t * t + self.two_d_over_a).sqrt();
+        MetersPerSecond::new(self.two_d / (root + t))
+    }
+
+    /// [`velocity`](Self::velocity) at an action rate; a non-positive
+    /// rate yields zero.
+    #[inline]
+    pub(crate) fn velocity_at_rate(self, f_action: Hertz) -> MetersPerSecond {
+        if f_action.get() <= 0.0 {
+            return MetersPerSecond::ZERO;
+        }
+        self.velocity(f_action.period())
+    }
+
+    /// `√(2d/a_max)`, the action period scale of the roofline's knee.
+    pub(crate) fn knee_period_scale(self) -> f64 {
+        self.two_d_over_a.sqrt()
     }
 }
 
