@@ -103,6 +103,32 @@ impl Outcome {
     }
 }
 
+/// What the shard kernel computes of one candidate: its feasibility, its
+/// Eq. 4 safe velocity, and its pair's TDP and payload. Every
+/// [`Constraint`](crate::query::Constraint) and objective column reads
+/// these four values (the power-model objectives also read the pair), so
+/// the kernel builds no [`Outcome`]; each value is bit-identical to the
+/// same field of the candidate's outcome.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Scored {
+    pub(crate) feasible: bool,
+    pub(crate) velocity: MetersPerSecond,
+    pub(crate) total_tdp: Watts,
+    pub(crate) payload: Grams,
+}
+
+impl Scored {
+    /// The four values of a full outcome.
+    pub(crate) fn of(outcome: &Outcome) -> Self {
+        Self {
+            feasible: outcome.feasible,
+            velocity: outcome.velocity,
+            total_tdp: outcome.total_tdp,
+            payload: outcome.payload,
+        }
+    }
+}
+
 /// One evaluated candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evaluated {
@@ -574,17 +600,19 @@ pub(crate) fn evaluate_parts_with(
         platform,
         extra_payload,
     )?;
-    algo_stage(&pair, airframe, sensor, throughput)
+    algo_stage(&pair, throughput)
 }
 
 /// The algorithm-independent half of [`evaluate_parts_with`]: everything
 /// that depends only on (airframe, sensor, compute platform, extra
-/// payload) — payload mass, loaded dynamics, the safety model and the
-/// roofline. The shard kernel of [`crate::shard`] hoists
+/// payload) — payload mass, loaded dynamics, the safety model, the
+/// roofline with its knee, roof and Eq. 4 constants, and the sensor and
+/// control stage rates. The shard kernel of [`crate::shard`] hoists
 /// this out of its inner loop, computing it once per (sensor, compute)
-/// pair instead of once per candidate; [`algo_stage`] finishes the job
-/// per algorithm. Splitting here cannot change bits: the composition is
-/// the literal statement sequence of the original fused kernel.
+/// pair instead of once per candidate; per algorithm, [`algo_stage`]
+/// builds the full outcome and [`PairStage::score`] the kernel's four
+/// values. Splitting here cannot change bits: every per-candidate value
+/// is computed by the same functions from the same inputs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PairStage {
     /// The payload is too heavy to hover: every algorithm on this pair
@@ -602,8 +630,13 @@ pub(crate) enum PairStage {
         total_tdp: Watts,
         /// Total payload mass.
         payload: Grams,
-        /// The shared safety roofline.
+        /// The shared safety roofline, with its knee, roof, optimal band
+        /// and Eq. 4 constants computed once.
         roofline: Roofline,
+        /// The sensor's frame rate.
+        sensor_rate: Hertz,
+        /// The airframe's control-loop rate.
+        control_rate: Hertz,
     },
 }
 
@@ -629,6 +662,42 @@ impl PairStage {
     pub(crate) fn payload(&self) -> Grams {
         match self {
             PairStage::Infeasible { payload, .. } | PairStage::Ready { payload, .. } => *payload,
+        }
+    }
+
+    /// The shard kernel's per-candidate work: the stage rates validated
+    /// exactly as [`StageRates::new`] does, the action throughput and
+    /// its Eq. 4 velocity on the pair's roofline. The values equal the
+    /// same fields of [`algo_stage`]'s outcome bit for bit, which reaches
+    /// its velocity through the same [`Roofline::velocity_at`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StageRates`] domain errors as [`SkylineError::Model`].
+    #[inline]
+    pub(crate) fn score(&self, throughput: Hertz) -> Result<Scored, SkylineError> {
+        match self {
+            PairStage::Infeasible { total_tdp, payload } => Ok(Scored {
+                feasible: false,
+                velocity: MetersPerSecond::ZERO,
+                total_tdp: *total_tdp,
+                payload: *payload,
+            }),
+            PairStage::Ready {
+                total_tdp,
+                payload,
+                roofline,
+                sensor_rate,
+                control_rate,
+            } => {
+                let rates = StageRates::new(*sensor_rate, throughput, *control_rate)?;
+                Ok(Scored {
+                    feasible: true,
+                    velocity: roofline.velocity_at(rates.action_throughput()),
+                    total_tdp: *total_tdp,
+                    payload: *payload,
+                })
+            }
         }
     }
 }
@@ -666,24 +735,22 @@ pub(crate) fn pair_stage(
         total_tdp,
         payload,
         roofline,
+        sensor_rate: sensor.frame_rate(),
+        control_rate: airframe.control_rate(),
     })
 }
 
 /// Finishes the evaluation kernel for one algorithm on a computed
 /// [`PairStage`]: stage rates, roofline classification and the design
-/// assessment. The statement sequence is byte-for-byte the suffix of
-/// the original fused kernel, so `pair_stage` + `algo_stage` is
-/// bit-identical to [`evaluate_parts_with`].
+/// assessment, the full outcome that late materialization rebuilds
+/// (`pair_stage` + `algo_stage` is [`evaluate_parts_with`]). The shard
+/// kernel's [`PairStage::score`] computes the same velocity, TDP,
+/// payload and feasibility without the rest.
 ///
 /// # Errors
 ///
 /// Propagates [`StageRates`] domain errors as [`SkylineError::Model`].
-pub(crate) fn algo_stage(
-    pair: &PairStage,
-    airframe: &Airframe,
-    sensor: &Sensor,
-    throughput: Hertz,
-) -> Result<Outcome, SkylineError> {
+pub(crate) fn algo_stage(pair: &PairStage, throughput: Hertz) -> Result<Outcome, SkylineError> {
     match pair {
         PairStage::Infeasible { total_tdp, payload } => {
             Ok(Outcome::infeasible(*total_tdp, *payload))
@@ -692,8 +759,10 @@ pub(crate) fn algo_stage(
             total_tdp,
             payload,
             roofline,
+            sensor_rate,
+            control_rate,
         } => {
-            let rates = StageRates::new(sensor.frame_rate(), throughput, airframe.control_rate())?;
+            let rates = StageRates::new(*sensor_rate, throughput, *control_rate)?;
             let bound = roofline.classify(&rates);
             Ok(Outcome {
                 feasible: true,
@@ -980,6 +1049,144 @@ mod tests {
                 c.throughput
             );
         }
+    }
+
+    /// The shard kernel's four values equal the full evaluation's bit for
+    /// bit, and the full evaluation's knee, roof, bound and assessment
+    /// equal Eq. 4 and the knee's closed form written out literally, over
+    /// feasible and infeasible pairs, every bound kind and TDP-, rate-,
+    /// range- and weight-scaled parts.
+    #[test]
+    fn kernel_values_equal_full_evaluation_bit_for_bit() {
+        use f1_model::analysis::DesignGap;
+        use f1_units::Millimeters;
+
+        let catalog = Catalog::paper();
+        let heatsink = HeatsinkModel::paper_calibrated();
+        let saturation = Saturation::DEFAULT;
+        let mut airframes: Vec<Airframe> =
+            catalog.airframe_entries().map(|(_, a)| a.clone()).collect();
+        for a in airframes.clone() {
+            airframes.push(a.with_base_mass_scaled(1.6).unwrap());
+        }
+        // A slow flight-controller loop makes control-bound points.
+        airframes.push(
+            Airframe::builder("Slow loop")
+                .base_mass(Grams::new(400.0))
+                .rotor_count(4)
+                .rotor_pull_gf(500.0)
+                .frame_size(Millimeters::new(300.0))
+                .control_rate(Hertz::new(6.0))
+                .build()
+                .unwrap(),
+        );
+        let mut sensors: Vec<Sensor> = Vec::new();
+        for (_, s) in catalog.sensor_entries() {
+            for (rate, range) in [(1.0, 1.0), (0.1, 1.0), (4.0, 1.0), (1.0, 0.5), (1.0, 3.0)] {
+                sensors.push(
+                    Sensor::new(
+                        s.name(),
+                        s.modality(),
+                        s.frame_rate() * rate,
+                        s.range() * range,
+                        s.mass(),
+                    )
+                    .unwrap(),
+                );
+            }
+        }
+        let mut computes: Vec<ComputePlatform> = Vec::new();
+        for (_, c) in catalog.compute_entries() {
+            computes.push(c.clone());
+            computes.push(c.with_tdp_scaled(0.5).unwrap());
+            computes.push(c.with_tdp_scaled(3.0).unwrap());
+        }
+        let throughputs = [0.3, 1.1, 4.0, 9.0, 30.0, 43.0, 60.0, 178.0, 900.0, 5000.0];
+
+        let (mut feasible, mut infeasible) = (0usize, 0usize);
+        let mut bounds = Vec::new();
+        for airframe in &airframes {
+            for sensor in &sensors {
+                for platform in &computes {
+                    let stage = pair_stage(
+                        &heatsink,
+                        saturation,
+                        airframe,
+                        sensor,
+                        platform,
+                        Grams::ZERO,
+                    )
+                    .unwrap();
+                    for hz in throughputs {
+                        let scored = stage.score(Hertz::new(hz)).unwrap();
+                        let full = algo_stage(&stage, Hertz::new(hz)).unwrap();
+                        assert_eq!(
+                            scored.velocity.get().to_bits(),
+                            full.velocity.get().to_bits()
+                        );
+                        assert_eq!(
+                            scored.total_tdp.get().to_bits(),
+                            full.total_tdp.get().to_bits()
+                        );
+                        assert_eq!(scored.payload.get().to_bits(), full.payload.get().to_bits());
+                        assert_eq!(scored.feasible, full.feasible);
+                        let PairStage::Ready { roofline, .. } = stage else {
+                            assert_eq!(
+                                full,
+                                Outcome::infeasible(stage.total_tdp(), stage.payload())
+                            );
+                            infeasible += 1;
+                            continue;
+                        };
+                        feasible += 1;
+                        // The closed forms as the model spelled them before
+                        // the per-roofline constants were hoisted.
+                        let a = roofline.safety().a_max().get();
+                        let d = roofline.safety().range().get();
+                        let eta = saturation.get();
+                        let roof = (2.0 * d * a).sqrt();
+                        let knee = 1.0 / ((2.0 * d / a).sqrt() * ((1.0 - eta * eta) / (2.0 * eta)));
+                        let (fs, fc, fctl) =
+                            (sensor.frame_rate().get(), hz, airframe.control_rate().get());
+                        let f = fs.min(fc).min(fctl);
+                        let t = (1.0 / f).max(0.0);
+                        let v = 2.0 * d / ((t * t + 2.0 * d / a).sqrt() + t);
+                        let mut slowest = (Bound::Sensor, fs);
+                        if fc < slowest.1 {
+                            slowest = (Bound::Compute, fc);
+                        }
+                        if fctl < slowest.1 {
+                            slowest = (Bound::Control, fctl);
+                        }
+                        let bound = if f >= knee { Bound::Physics } else { slowest.0 };
+                        let (lo, hi) = (knee * (1.0 - 0.05), knee * (1.0 + 0.05));
+                        let gap = |factor: f64| DesignGap {
+                            achieved: Hertz::new(fc),
+                            required: Hertz::new(knee),
+                            factor,
+                        };
+                        let assessment = if fc >= lo && fc <= hi {
+                            DesignAssessment::Optimal
+                        } else if fc > hi {
+                            DesignAssessment::OverProvisioned(gap(fc / knee))
+                        } else {
+                            DesignAssessment::UnderProvisioned(gap(knee / fc))
+                        };
+                        assert_eq!(full.velocity.get().to_bits(), v.to_bits());
+                        assert_eq!(full.roof.get().to_bits(), roof.to_bits());
+                        assert_eq!(full.knee.get().to_bits(), knee.to_bits());
+                        assert_eq!(full.bound, Some(bound));
+                        assert_eq!(full.compute_assessment, Some(assessment));
+                        assert_eq!(full.roofline, Some(roofline));
+                        if !bounds.contains(&bound) {
+                            bounds.push(bound);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(feasible > 0 && infeasible > 0, "{feasible} / {infeasible}");
+        assert_eq!(bounds.len(), 4, "bound kinds seen: {bounds:?}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use f1_components::{AirframeId, AlgorithmId, BatteryId, ComputeId, SensorId};
 use f1_model::ModelError;
 use f1_units::{Grams, MetersPerSecond, Watts};
 
-use crate::dse::{Candidate, DseOutcome, DseResult, Engine, Outcome};
+use crate::dse::{Candidate, DseOutcome, DseResult, Engine, Outcome, Scored};
 use crate::plan::{PlanBuilder, QueryPlan};
 use crate::session::{run_plans, ResultSet};
 use crate::SkylineError;
@@ -183,11 +183,17 @@ impl Constraint {
     /// Does this outcome satisfy the constraint?
     #[must_use]
     pub fn admits(&self, outcome: &Outcome) -> bool {
+        self.admits_scored(&Scored::of(outcome))
+    }
+
+    /// Does a candidate with these kernel values satisfy the constraint?
+    #[inline]
+    pub(crate) fn admits_scored(&self, scored: &Scored) -> bool {
         match *self {
-            Self::MinVelocity(v) => outcome.velocity >= v,
-            Self::MaxTotalTdp(w) => outcome.total_tdp <= w,
-            Self::MaxPayload(g) => outcome.payload <= g,
-            Self::FeasibleOnly => outcome.feasible,
+            Self::MinVelocity(v) => scored.velocity >= v,
+            Self::MaxTotalTdp(w) => scored.total_tdp <= w,
+            Self::MaxPayload(g) => scored.payload <= g,
+            Self::FeasibleOnly => scored.feasible,
         }
     }
 }

@@ -11,15 +11,25 @@
 //!   pair list
 //!   ([`ThroughputTable::characterized_pairs`](f1_components::ThroughputTable::characterized_pairs)
 //!   order) — the cross product is never held in memory.
-//! * **One evaluation for the whole group.** Each candidate's outcome
-//!   is computed once; each plan then applies its own constraint filter
-//!   and fills its own objective columns and feasibility mask.
+//! * **One evaluation for the whole group.** Each candidate is scored
+//!   once; each plan then applies its own constraint filter and fills
+//!   its own objective columns and feasibility mask.
 //! * **Pair hoisting.** Shards never cross an (airframe, setting)
 //!   block, and candidates within a block are sensor-major over the
-//!   compute-major pair list, so the algorithm-independent
-//!   `pair_stage` — payload, dynamics, safety roofline — is computed
-//!   once per (sensor, compute) pair, and the mission power model once
-//!   per pair and distinct mission profile.
+//!   compute-major pair list, so everything but the algorithm's
+//!   throughput is computed once per (sensor, compute) pair by
+//!   `pair_stage`: payload, TDP, loaded dynamics and feasibility, the
+//!   sensor and control stage rates, and the safety roofline with its
+//!   knee, roof, optimal band and Eq. 4's `2d` and `2d/a`. The mission
+//!   power model is built once per pair and distinct mission profile.
+//! * **Per-candidate work is Eq. 4.** For each candidate the kernel
+//!   validates the stage rates as `StageRates::new` does, takes the
+//!   action throughput and its Eq. 4 velocity, and reads feasibility,
+//!   TDP and payload from the pair (`PairStage::score`). Constraints
+//!   and objective columns read those four values; the kernel builds no
+//!   `Outcome`. The full outcome (bound, knee, assessment) is rebuilt
+//!   only for materialized points, by `algo_stage` on the same velocity
+//!   function.
 //! * **Struct-of-arrays slabs.** Within a shard, each plan's objective
 //!   values land in contiguous per-column `f64` slabs and its
 //!   feasibility in a flat mask; the merge carries the mask into the
@@ -36,8 +46,9 @@
 //! lists, the pair list with throughputs, the settings and the variant
 //! parts), which every result of the pass shares behind an `Arc`,
 //! beside the value and feasibility columns. A [`QueryPoint`] is rebuilt
-//! on demand by running the same `pair_stage`/`algo_stage` over the
-//! same parts, which is bit-deterministic (late materialization).
+//! on demand by running the pass's `pair_stage` and then `algo_stage`
+//! over the same parts, which is bit-deterministic and reaches the
+//! pass's velocity through the same function (late materialization).
 //!
 //! Each plan's [`KeepPoints`] policy decides what it keeps beyond its
 //! counters and frontier:
@@ -149,8 +160,8 @@ pub(crate) struct Coord {
 /// settings and the per-setting variant parts. A job index —
 /// airframe-major, then setting, then sensor, then pair — is all a
 /// stored row needs: its build identity decodes from the lists, and
-/// its [`QueryPoint`] rebuilds from the variant parts through the same
-/// `pair_stage`/`algo_stage` the pass ran.
+/// its [`QueryPoint`] rebuilds from the variant parts through the
+/// `pair_stage` the pass ran and `algo_stage`.
 #[derive(Debug, PartialEq)]
 pub(crate) struct PassSpace {
     pub(crate) airframes: Vec<AirframeId>,
@@ -320,7 +331,8 @@ impl PassSpace {
     }
 
     /// Rebuilds the point of `job` — bit-identical to what the pass
-    /// evaluated: the same kernel over the same parts.
+    /// scored: the same pair stage over the same parts, and the full
+    /// outcome on the same velocity function.
     // analyze::allow(indexing, scope = "fn", reason = "coordinates are decoded from jobs of this space")
     pub(crate) fn point(&self, job: u64) -> Result<QueryPoint, SkylineError> {
         let coord = self.coord(job);
@@ -340,7 +352,7 @@ impl PassSpace {
             airframe: id,
             candidate,
             setting,
-            outcome: algo_stage(&stage, airframe, sensor, candidate.throughput)?,
+            outcome: algo_stage(&stage, candidate.throughput)?,
         })
     }
 }
@@ -935,19 +947,14 @@ pub(crate) fn run_over(
                 }
             }
             let stage = pair.as_ref().expect("pair stage set on first candidate");
-            let outcome = algo_stage(
-                stage,
-                airframe,
-                &parts.sensors[sensor_pos],
-                entry.throughput,
-            )?;
+            let scored = stage.score(entry.throughput)?;
             for (set, slab) in sets.iter().zip(&mut slabs) {
                 let mut any = false;
                 for &m in &set.members {
                     admitted[m] = members[m]
                         .constraints
                         .iter()
-                        .all(|con| con.admits(&outcome));
+                        .all(|con| con.admits_scored(&scored));
                     if admitted[m] {
                         any = true;
                     } else {
@@ -964,9 +971,9 @@ pub(crate) fn run_over(
                     row.iter_mut().zip(&mut slab.cols).zip(set.objectives)
                 {
                     let v = match objective {
-                        Objective::SafeVelocity => outcome.velocity.get(),
-                        Objective::TotalTdp => outcome.total_tdp.get(),
-                        Objective::PayloadMass => outcome.payload.get(),
+                        Objective::SafeVelocity => scored.velocity.get(),
+                        Objective::TotalTdp => scored.total_tdp.get(),
+                        Objective::PayloadMass => scored.payload.get(),
                         Objective::MissionEnergyWhPerKm | Objective::HoverEnduranceMin => {
                             let power =
                                 &mut powers[set.profile.expect("power sets carry a profile")];
@@ -976,7 +983,7 @@ pub(crate) fn run_over(
                             if objective == Objective::HoverEnduranceMin {
                                 power.endurance
                             } else {
-                                power.energy(outcome.velocity)
+                                power.energy(scored.velocity)
                             }
                         }
                     };
@@ -985,7 +992,7 @@ pub(crate) fn run_over(
                     col.push(v);
                 }
                 let r = slab.jobs.len() as u32;
-                slab.feasible.push(outcome.feasible);
+                slab.feasible.push(scored.feasible);
                 slab.jobs.push(job);
                 for &m in &set.members {
                     if !admitted[m] {
@@ -995,12 +1002,12 @@ pub(crate) fn run_over(
                     if let Some(rows) = &mut share.rows {
                         rows.push(r);
                     }
-                    if outcome.feasible && !finite {
+                    if scored.feasible && !finite {
                         share.nonfinite += 1;
                     }
                     let member = &members[m];
                     if let Some(g) = member.group {
-                        if outcome.feasible && finite && offered[g] != job {
+                        if scored.feasible && finite && offered[g] != job {
                             offered[g] = job;
                             let mut key = [0.0f64; MAX_OBJECTIVES];
                             for (slot, &(pos, objective)) in key.iter_mut().zip(&member.to_group) {
