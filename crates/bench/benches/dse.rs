@@ -101,9 +101,7 @@ fn bench_synthetic_frontier(c: &mut Criterion) {
             let keys = synthetic_keys(n_per_family, dims);
             let points = keys.len() / dims;
             // "sweep3" is the 3-objective staircase; "pareto4/5" is the
-            // production dispatch (divide-and-conquer, except small
-            // 5-objective inputs which cross back to the running
-            // frontier).
+            // production fixed-width divide-and-conquer kernel.
             let name = if dims == 3 { "sweep" } else { "pareto" };
             g.bench_function(format!("{name}{dims}/{label}_{points}pts"), |b| {
                 b.iter(|| black_box(frontier::pareto_min(dims, &keys)))

@@ -11,13 +11,20 @@
 //! * **3 objectives** — sort by the first key and sweep a *staircase*
 //!   (the running 2-D frontier of the remaining keys), maintained as a
 //!   B-tree with O(log n) queries and amortized O(log n) inserts.
-//! * **d ≥ 4 objectives** — a divide-and-conquer skyline: split the
+//! * **4 and 5 objectives** — a divide-and-conquer skyline (Bentley's
+//!   multidimensional divide and conquer, CACM 1980, for the maxima
+//!   problem of Kung, Luccio and Preparata, JACM 1975): split the
 //!   lexicographically sorted points in half, recurse, then strip the
 //!   lex-later half's skyline of points dominated by the lex-earlier
-//!   half's skyline with a dimension-reducing merge (Bentley's
-//!   multidimensional divide and conquer), ~O(n·logᵈ⁻² n) instead of
-//!   the old running-frontier fallback's O(n·f) — which survives as
-//!   [`running_frontier_min`], the benchmarks' comparison arm.
+//!   half's skyline with a dimension-reducing merge, ~O(n·logᵈ⁻² n). It
+//!   is one const-generic kernel over contiguous, sorted `[f64; D]` rows
+//!   that partitions one buffer of row positions in place and reuses one
+//!   pivot buffer, so the recursion allocates nothing per level. It
+//!   beats the lexicographic running frontier at every size measured,
+//!   from 32 to 10⁵ points at both widths, so no small-input crossover
+//!   is left. The running frontier serves the inputs wider than any plan
+//!   (6+ keys) and survives as [`running_frontier_min`], the benchmarks'
+//!   comparison arm.
 //!
 //! All functions use the **minimization** convention: a point dominates
 //! another when it is ≤ in every key and < in at least one. Callers with
@@ -88,7 +95,8 @@ pub fn naive_pareto_min(dims: usize, keys: &[f64]) -> Vec<usize> {
 }
 
 /// Sort-based Pareto skyline (minimization convention): O(n log n) for
-/// 2–3 objectives, divide-and-conquer skyline for d ≥ 4.
+/// 2–3 objectives, the fixed-width divide-and-conquer skyline for 4–5,
+/// and the running frontier beyond.
 ///
 /// `keys` is row-major: point `i` occupies `keys[i*dims .. (i+1)*dims]`.
 /// Returns exactly the same index set as [`naive_pareto_min`], in
@@ -99,6 +107,11 @@ pub fn naive_pareto_min(dims: usize, keys: &[f64]) -> Vec<usize> {
 /// Panics if `dims == 0` or `keys.len()` is not a multiple of `dims`.
 #[must_use]
 pub fn pareto_min(dims: usize, keys: &[f64]) -> Vec<usize> {
+    match dims {
+        4 => return fixed_pareto_min::<4>(keys),
+        5 => return fixed_pareto_min::<5>(keys),
+        _ => {}
+    }
     let (keys, order) = match prepare(dims, keys) {
         Some(prepared) => prepared,
         None => return Vec::new(),
@@ -108,29 +121,18 @@ pub fn pareto_min(dims: usize, keys: &[f64]) -> Vec<usize> {
         1 => min_scan(&order, keys),
         2 => sweep2(&order, &|i| (keys[i * 2], keys[i * 2 + 1])),
         3 => sweep3(&order, keys),
-        // Crossover dispatch: the divide-and-conquer skyline wins
-        // asymptotically, but its recursion overhead grows with the
-        // dimension — at 5+ objectives the running frontier is
-        // measurably faster below a few thousand points
-        // (BENCH_dse.json: ~123 µs vs ~221 µs at 10³ points), while at
-        // 4 objectives d&c already wins by 10³.
-        _ if dims >= 5 && order.len() <= DC_SMALL_N => running_frontier(dims, keys, &order),
-        _ => dc_skyline(dims, keys, &order),
+        // More objectives than a plan can name: the running frontier.
+        _ => running_frontier(dims, keys, &order),
     };
     survivors.sort_unstable();
     survivors
 }
 
-/// Below this many points, 5+-objective inputs dispatch to the running
-/// frontier instead of the divide-and-conquer skyline (measured
-/// crossover; see [`pareto_min`]).
-const DC_SMALL_N: usize = 2048;
-
 /// The previous d ≥ 4 path: a lexicographic running frontier, worst case
-/// O(n·f) for a frontier of size f. [`pareto_min`] now uses a
-/// divide-and-conquer skyline instead; this stays public as the
-/// comparison arm of the DSE benchmarks and a second reference
-/// implementation (same contract as [`pareto_min`]).
+/// O(n·f) for a frontier of size f. [`pareto_min`] uses a
+/// divide-and-conquer skyline at 4 and 5 objectives instead; this stays
+/// public as the comparison arm of the DSE benchmarks and a second
+/// reference implementation (same contract as [`pareto_min`]).
 ///
 /// # Panics
 ///
@@ -460,19 +462,24 @@ fn running_frontier(dims: usize, keys: &[f64], order: &[usize]) -> Vec<usize> {
     front
 }
 
-/// Below this many points a subproblem is solved by the running
-/// frontier directly — recursion overhead beats O(n·f) only once n·f
-/// can actually grow.
+/// Below this many points a subproblem of the fixed-width skyline is
+/// solved by a running frontier directly — recursion overhead beats
+/// O(n·f) only once n·f can actually grow.
 const DC_BASE: usize = 64;
 
 /// Below this many candidate pairs the cross-filter tests dominance
 /// pairwise instead of partitioning further.
 const DC_PAIRWISE: usize = 512;
 
-/// d ≥ 4 divide-and-conquer skyline over a lexicographically sorted
-/// index slice (Bentley's multidimensional divide and conquer).
+/// One row of the fixed-width skyline: its `D` keys, `-0.0` normalized
+/// to `+0.0` (see [`prepare`]), and its index in the input.
+type Row<const D: usize> = ([f64; D], u32);
+
+/// The d ∈ {4, 5} skyline: Bentley's multidimensional divide and
+/// conquer (CACM 1980) over contiguous, lexicographically sorted
+/// `[f64; D]` rows. Same contract as [`pareto_min`].
 ///
-/// Split the sorted points at the midpoint into a lex-earlier half `A`
+/// Split the sorted rows at the midpoint into a lex-earlier half `A`
 /// and a lex-later half `B`. No point of `B` can dominate a point of
 /// `A` (componentwise ≤ plus lexicographically ≥ forces equality, and
 /// equals never dominate), so
@@ -480,146 +487,218 @@ const DC_PAIRWISE: usize = 512;
 /// where the filter removes `B`-skyline points dominated by an
 /// `A`-skyline point — dominance is transitive, so testing against the
 /// skyline loses nothing. The filter recurses on one coordinate at a
-/// time ([`filter_dominated`]), giving ~O(n·logᵈ⁻² n) overall.
+/// time ([`FixedSkyline::filter`]), giving ~O(n·logᵈ⁻² n) overall.
 ///
-/// Returns survivors in input (lexicographic) order.
-fn dc_skyline(dims: usize, keys: &[f64], order: &[usize]) -> Vec<usize> {
-    if order.len() <= DC_BASE {
-        return running_frontier(dims, keys, order);
-    }
-    let mid = order.len() / 2;
-    let mut left = dc_skyline(dims, keys, &order[..mid]);
-    let right = dc_skyline(dims, keys, &order[mid..]);
-    let right = cross_filter(dims, keys, &left, right);
-    left.extend(right);
-    left
+/// The recursion works on one buffer of row positions, which it
+/// partitions in place: a subproblem's survivors are compacted to the
+/// front of its slice, in no particular order (the survivors' indices
+/// are sorted once at the end).
+fn fixed_pareto_min<const D: usize>(keys: &[f64]) -> Vec<usize> {
+    let n = point_count(D, keys);
+    let Ok(n32) = u32::try_from(n) else {
+        // Beyond u32 positions (2³² rows are over 130 GB of keys): the
+        // reference running frontier.
+        return running_frontier_min(D, keys);
+    };
+    let mut rows: Vec<Row<D>> = keys
+        .chunks_exact(D)
+        .zip(0..n32)
+        .map(|(chunk, i)| {
+            let mut row = [0.0; D];
+            for (slot, v) in row.iter_mut().zip(chunk) {
+                *slot = v + 0.0;
+            }
+            (row, i)
+        })
+        .collect();
+    rows.sort_unstable_by(|(a, i), (b, j)| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+            .then(i.cmp(j))
+    });
+    let mut positions: Vec<u32> = (0..n32).collect();
+    let mut skyline = FixedSkyline {
+        rows: &rows,
+        dead: vec![false; n],
+        pivots: Vec::new(),
+    };
+    let kept = skyline.reduce(&mut positions);
+    let mut survivors: Vec<usize> = positions[..kept]
+        .iter()
+        .map(|&p| rows[p as usize].1 as usize)
+        .collect();
+    survivors.sort_unstable();
+    survivors
 }
 
-/// Removes from `b` (the lex-later half's skyline) every point dominated
-/// by a point of `a` (the lex-earlier half's skyline), preserving order.
-fn cross_filter(dims: usize, keys: &[f64], a: &[usize], b: Vec<usize>) -> Vec<usize> {
-    let mut dead = vec![false; b.len()];
-    let positions: Vec<u32> = (0..b.len() as u32).collect();
-    filter_dominated(dims, keys, &b, &mut dead, a.to_vec(), positions, dims);
-    b.into_iter()
-        .zip(dead)
-        .filter_map(|(i, dead)| (!dead).then_some(i))
-        .collect()
+/// The divide-and-conquer state of [`fixed_pareto_min`]: the sorted
+/// rows, a dead flag per row for the cross-filter, and the one pivot
+/// buffer every partition step reuses.
+struct FixedSkyline<'r, const D: usize> {
+    rows: &'r [Row<D>],
+    dead: Vec<bool>,
+    pivots: Vec<f64>,
 }
 
-/// The cross-filter's dimension-reducing recursion: marks `dead[p]` for
-/// every position `p` (into `b_ids`) whose point is dominated by some
-/// point of `a`.
-///
-/// `d` counts the leading coordinates still unverified; the recursion
-/// maintains the invariant that every (a, b) pair in the current
-/// subproblem is already weakly ≤ on all coordinates `>= d`. Each step
-/// partitions both sets around a pivot of coordinate `d − 1`:
-/// strictly-smaller `a`s versus weakly-larger `b`s have that coordinate
-/// settled (strictly, even) and descend with `d − 1`; the two same-side
-/// quadrants keep `d` but strictly shrink; the remaining quadrant
-/// (larger `a`, smaller `b`) can never dominate and is skipped — this
-/// pruning is the entire speedup. Elimination itself only ever happens
-/// in the leaves via the exact predicate ([`dominates_min`], or the
-/// exact-duplicate rule at `d == 0`), so ties and duplicates behave
-/// precisely as in [`naive_pareto_min`].
-fn filter_dominated(
-    dims: usize,
-    keys: &[f64],
-    b_ids: &[usize],
-    dead: &mut [bool],
-    a: Vec<usize>,
-    b: Vec<u32>,
-    d: usize,
-) {
-    let row = |i: usize| &keys[i * dims..(i + 1) * dims];
-    // Skip positions already killed on an earlier recursion path.
-    let b: Vec<u32> = b.into_iter().filter(|&p| !dead[p as usize]).collect();
-    if a.is_empty() || b.is_empty() {
-        return;
+impl<const D: usize> FixedSkyline<'_, D> {
+    /// The keys of row position `p`.
+    fn keys(&self, p: u32) -> &[f64; D] {
+        &self.rows[p as usize].0
     }
-    if d == 0 {
-        // Every pair is weakly ≤ on every coordinate, so a `b` point
-        // survives only when it is an exact duplicate of every `a`
-        // point (equals never dominate).
-        for &bp in &b {
-            let brow = row(b_ids[bp as usize]);
-            if a.iter().any(|&ai| row(ai) != brow) {
-                dead[bp as usize] = true;
+
+    /// Reduces `positions` (ascending, so in lexicographic order) to
+    /// their skyline, compacted to the front; returns its size.
+    fn reduce(&mut self, positions: &mut [u32]) -> usize {
+        if positions.len() <= DC_BASE {
+            return self.running(positions);
+        }
+        let mid = positions.len() / 2;
+        let (left, right) = positions.split_at_mut(mid);
+        let kept_left = self.reduce(left);
+        let kept_right = self.reduce(right);
+        self.filter(&mut left[..kept_left], &mut right[..kept_right], D);
+        let mut kept = kept_left;
+        for i in mid..mid + kept_right {
+            let p = positions[i];
+            if !self.dead[p as usize] {
+                positions[kept] = p;
+                kept += 1;
             }
         }
-        return;
+        kept
     }
-    if a.len() * b.len() <= DC_PAIRWISE {
-        eliminate_pairwise(dims, keys, b_ids, dead, &a, &b);
-        return;
-    }
-    let c = d - 1;
-    let ak = |i: usize| keys[i * dims + c];
-    let bk = |p: u32| keys[b_ids[p as usize] * dims + c];
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for v in a.iter().map(|&i| ak(i)).chain(b.iter().map(|&p| bk(p))) {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    if lo == hi {
-        // No spread: coordinate c is weakly ≤ (equal) for every pair.
-        filter_dominated(dims, keys, b_ids, dead, a, b, c);
-        return;
-    }
-    // Median pivot, nudged above the minimum so both sides shrink.
-    let mut vals: Vec<f64> = a
-        .iter()
-        .map(|&i| ak(i))
-        .chain(b.iter().map(|&p| bk(p)))
-        .collect();
-    let mid = vals.len() / 2;
-    vals.select_nth_unstable_by(mid, f64::total_cmp);
-    let mut pivot = vals[mid];
-    if pivot == lo {
-        pivot = vals
-            .iter()
-            .copied()
-            .filter(|&v| v > lo)
-            .fold(f64::INFINITY, f64::min);
-    }
-    let (a_lo, a_hi): (Vec<usize>, Vec<usize>) = a.iter().partition(|&&i| ak(i) < pivot);
-    let (b_lo, b_hi): (Vec<u32>, Vec<u32>) = b.iter().partition(|&&p| bk(p) < pivot);
-    if (a_lo.is_empty() && b_lo.is_empty()) || (a_hi.is_empty() && b_hi.is_empty()) {
-        // Degenerate pivot: with finite keys both sides always shrink,
-        // but NaN keys (unspecified per the module contract) compare
-        // false against any pivot and would otherwise recurse forever.
-        // Resolve the whole subproblem with the exact pairwise
-        // predicate instead — never crash.
-        eliminate_pairwise(dims, keys, b_ids, dead, &a, &b);
-        return;
-    }
-    // a_lo < pivot ≤ b_hi: coordinate c is strictly settled — drop a dim.
-    filter_dominated(dims, keys, b_ids, dead, a_lo.clone(), b_hi.clone(), c);
-    filter_dominated(dims, keys, b_ids, dead, a_lo, b_lo, d);
-    // a_hi can never dominate b_lo (strictly larger on coordinate c).
-    filter_dominated(dims, keys, b_ids, dead, a_hi, b_hi, d);
-}
 
-/// The cross-filter's exact leaf: marks dead every `b` position whose
-/// point is dominated (full predicate, all `dims` coordinates) by some
-/// `a` point. Shared by the small-subproblem cutoff and the
-/// degenerate-pivot fallback of [`filter_dominated`].
-fn eliminate_pairwise(
-    dims: usize,
-    keys: &[f64],
-    b_ids: &[usize],
-    dead: &mut [bool],
-    a: &[usize],
-    b: &[u32],
-) {
-    let row = |i: usize| &keys[i * dims..(i + 1) * dims];
-    for &bp in b {
-        let brow = row(b_ids[bp as usize]);
-        if a.iter().any(|&ai| dominates_min(row(ai), brow)) {
-            dead[bp as usize] = true;
+    /// The base case: a lexicographic running frontier. A later row can
+    /// never dominate an earlier one, so the frontier only grows; its
+    /// members are probed newest-first, where a dominator usually is.
+    fn running(&self, positions: &mut [u32]) -> usize {
+        let mut kept = 0;
+        for i in 0..positions.len() {
+            let p = positions[i];
+            let row = self.keys(p);
+            if !positions[..kept]
+                .iter()
+                .rev()
+                .any(|&q| dominates_min(self.keys(q), row))
+            {
+                positions[kept] = p;
+                kept += 1;
+            }
+        }
+        kept
+    }
+
+    /// The cross-filter's dimension-reducing recursion: marks dead every
+    /// row of `b` dominated by some row of `a`.
+    ///
+    /// `d` counts the leading coordinates still unverified; the recursion
+    /// maintains the invariant that every (a, b) pair in the current
+    /// subproblem is already weakly ≤ on all coordinates `>= d`. Each step
+    /// partitions both slices in place around a pivot of coordinate
+    /// `d − 1`: strictly-smaller `a`s versus weakly-larger `b`s have that
+    /// coordinate settled (strictly, even) and descend with `d − 1`; the
+    /// two same-side quadrants keep `d` but strictly shrink; the remaining
+    /// quadrant (larger `a`, smaller `b`) can never dominate and is
+    /// skipped — this pruning is the entire speedup. Elimination itself
+    /// only ever happens in the leaves via the exact predicate
+    /// ([`dominates_min`], or the exact-duplicate rule at `d == 0`), so
+    /// ties and duplicates behave precisely as in [`naive_pareto_min`].
+    fn filter(&mut self, a: &mut [u32], b: &mut [u32], d: usize) {
+        // Skip rows already killed on an earlier recursion path.
+        let alive = partition(b, |p| !self.dead[p as usize]);
+        let b = &mut b[..alive];
+        if a.is_empty() || b.is_empty() {
+            return;
+        }
+        if d == 0 {
+            // Every pair is weakly ≤ on every coordinate, so a `b` row
+            // survives only when it is an exact duplicate of every `a`
+            // row (equals never dominate).
+            for &p in b.iter() {
+                if a.iter().any(|&q| self.keys(q) != self.keys(p)) {
+                    self.dead[p as usize] = true;
+                }
+            }
+            return;
+        }
+        if a.len() * b.len() <= DC_PAIRWISE {
+            self.pairwise(a, b);
+            return;
+        }
+        let c = d - 1;
+        let rows = self.rows;
+        let key = |p: u32| rows[p as usize].0[c];
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for v in a.iter().chain(b.iter()).map(|&p| key(p)) {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        if lo == hi {
+            // No spread: coordinate c is weakly ≤ (equal) for every pair.
+            self.filter(a, b, c);
+            return;
+        }
+        // Median pivot, nudged above the minimum so both sides shrink.
+        self.pivots.clear();
+        self.pivots
+            .extend(a.iter().chain(b.iter()).map(|&p| key(p)));
+        let mid = self.pivots.len() / 2;
+        self.pivots.select_nth_unstable_by(mid, f64::total_cmp);
+        let mut pivot = self.pivots[mid];
+        if pivot == lo {
+            pivot = self
+                .pivots
+                .iter()
+                .copied()
+                .filter(|&v| v > lo)
+                .fold(f64::INFINITY, f64::min);
+        }
+        let a_split = partition(a, |p| key(p) < pivot);
+        let b_split = partition(b, |p| key(p) < pivot);
+        if (a_split == 0 && b_split == 0) || (a_split == a.len() && b_split == b.len()) {
+            // Degenerate pivot: with finite keys both sides always shrink,
+            // but NaN keys (unspecified per the module contract) compare
+            // false against any pivot and would otherwise recurse forever.
+            // Resolve the whole subproblem with the exact pairwise
+            // predicate instead — never crash.
+            self.pairwise(a, b);
+            return;
+        }
+        let (a_lo, a_hi) = a.split_at_mut(a_split);
+        let (b_lo, b_hi) = b.split_at_mut(b_split);
+        // a_lo < pivot ≤ b_hi: coordinate c is strictly settled — drop a dim.
+        self.filter(a_lo, b_hi, c);
+        self.filter(a_lo, b_lo, d);
+        // a_hi can never dominate b_lo (strictly larger on coordinate c).
+        self.filter(a_hi, b_hi, d);
+    }
+
+    /// The cross-filter's exact leaf: marks dead every `b` row dominated
+    /// (full predicate, all `D` coordinates) by some `a` row.
+    fn pairwise(&mut self, a: &[u32], b: &[u32]) {
+        for &p in b {
+            let row = self.keys(p);
+            if a.iter().any(|&q| dominates_min(self.keys(q), row)) {
+                self.dead[p as usize] = true;
+            }
         }
     }
+}
+
+/// Moves the elements of `s` that satisfy `keep` to its front, in no
+/// particular order, and returns how many there are.
+fn partition(s: &mut [u32], keep: impl Fn(u32) -> bool) -> usize {
+    let mut kept = 0;
+    for i in 0..s.len() {
+        if keep(s[i]) {
+            s.swap(kept, i);
+            kept += 1;
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -636,14 +715,13 @@ mod tests {
             .collect()
     }
 
-    /// The divide-and-conquer path directly, bypassing `pareto_min`'s
-    /// small-n crossover dispatch, so property tests exercise it at
-    /// every size and dimension.
+    /// The fixed-width divide-and-conquer kernel at `dims` ∈ {4, 5}.
     fn dc_direct(dims: usize, keys: &[f64]) -> Vec<usize> {
-        let (keys, order) = prepare(dims, keys).expect("non-empty input");
-        let mut survivors = dc_skyline(dims, &keys, &order);
-        survivors.sort_unstable();
-        survivors
+        match dims {
+            4 => fixed_pareto_min::<4>(keys),
+            5 => fixed_pareto_min::<5>(keys),
+            _ => panic!("the fixed-width kernel serves 4 and 5 objectives"),
+        }
     }
 
     #[test]
@@ -916,6 +994,126 @@ mod tests {
             for j in 0..n {
                 assert!(!dominates_min(row(j), row(i)));
             }
+        }
+    }
+
+    /// Rows shaped like a shard's offered keys `[-v, tdp, payload,
+    /// energy, endurance]`: each (sensor, compute) pair's 47 algorithms
+    /// share the pair's TDP, payload and endurance, and every algorithm
+    /// past the pair's knee flies at its roof, so pairs hold runs of exact
+    /// duplicates. A tenth of the pairs draw zero TDP, spelled `-0.0` and
+    /// `+0.0` by alternate algorithms, and the `-0.0` ones carry one more
+    /// unit of energy: at the roof a `+0.0` row dominates its `-0.0`
+    /// neighbours, which `total_cmp` sorts before it.
+    fn shard_rows(seed: u64, n: usize, dims: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut keys = Vec::with_capacity(n * dims);
+        while keys.len() < n * dims {
+            let roof = f64::from(rng.gen_range(20u32..60));
+            let zero_tdp = rng.gen_bool(0.1);
+            let tdp = f64::from(rng.gen_range(1u32..40));
+            let payload = f64::from(rng.gen_range(50u32..400));
+            let endurance = -f64::from(rng.gen_range(5u32..30));
+            for algorithm in 0..47 {
+                let v = roof.min(f64::from(rng.gen_range(1u32..90)));
+                let tdp = match (zero_tdp, algorithm % 2) {
+                    (false, _) => tdp,
+                    (true, 0) => -0.0,
+                    (true, _) => 0.0,
+                };
+                let overhead = if tdp.is_sign_negative() { 1.0 } else { 0.0 };
+                let energy = ((tdp + payload / 10.0) * 8.0 / v).round() + overhead;
+                keys.extend_from_slice(&[-v, tdp, payload, energy, endurance][..dims]);
+            }
+        }
+        keys.truncate(n * dims);
+        keys
+    }
+
+    /// Rows near the hyperplane where the keys sum to a constant, with
+    /// distinct first keys: most of them are on the skyline.
+    fn anti_correlated_rows(seed: u64, n: usize, dims: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .flat_map(|_| {
+                let mut row: Vec<f64> = (1..dims).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let sum: f64 = row.iter().sum();
+                row.push(dims as f64 - sum + rng.gen_range(0.0..0.05));
+                row
+            })
+            .collect()
+    }
+
+    /// Input indices in lexicographic key order, as the kernel sorts.
+    fn lex_sorted(dims: usize, keys: &[f64]) -> Vec<usize> {
+        prepare(dims, keys).expect("non-empty input").1
+    }
+
+    /// Copies `row` over the rows at lexicographic positions
+    /// `n/2 − 200 .. n/2 + 200` and returns their indices.
+    fn overwrite_middle(keys: &mut [f64], dims: usize, row: &[f64]) -> Vec<usize> {
+        let n = keys.len() / dims;
+        let block = lex_sorted(dims, keys)[n / 2 - 200..n / 2 + 200].to_vec();
+        for &i in &block {
+            keys[i * dims..(i + 1) * dims].copy_from_slice(row);
+        }
+        block
+    }
+
+    #[test]
+    fn fixed_kernel_matches_naive_on_shard_sized_inputs() {
+        // ≥ 10⁴ rows optimized (CI runs this module in release); the
+        // naive O(n²) reference keeps debug runs smaller.
+        let n = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            12_000
+        };
+        for dims in [4usize, 5] {
+            let shard = shard_rows(40 + dims as u64, n, dims);
+            assert!(shard.iter().any(|v| *v == 0.0 && v.is_sign_negative()));
+            assert!(shard.iter().any(|v| *v == 0.0 && v.is_sign_positive()));
+            let expected = naive_pareto_min(dims, &shard);
+            let row = |i: usize| &shard[i * dims..(i + 1) * dims];
+            assert!(
+                expected.windows(2).any(|w| row(w[0]) == row(w[1])),
+                "no exact duplicates on the skyline"
+            );
+            assert_eq!(pareto_min(dims, &shard), expected, "shard dims {dims}");
+
+            // A run of exact duplicates of the median row across the first
+            // split point.
+            let mut tied = shard.clone();
+            let median = lex_sorted(dims, &shard)[n / 2];
+            let median_row = shard[median * dims..(median + 1) * dims].to_vec();
+            overwrite_middle(&mut tied, dims, &median_row);
+            let order = lex_sorted(dims, &tied);
+            let at = |p: usize| &tied[order[p] * dims..(order[p] + 1) * dims];
+            assert_eq!(at(n / 2 - 1), at(n / 2), "the run straddles the split");
+            assert_eq!(
+                pareto_min(dims, &tied),
+                naive_pareto_min(dims, &tied),
+                "tied shard dims {dims}"
+            );
+
+            // Anti-correlated rows, then a run of skyline duplicates across
+            // the split: the median's first key, and every other key below
+            // all the others, so every copy survives.
+            let anti = anti_correlated_rows(50 + dims as u64, n, dims);
+            assert_eq!(
+                pareto_min(dims, &anti),
+                naive_pareto_min(dims, &anti),
+                "anti-correlated dims {dims}"
+            );
+            let mut crest = anti.clone();
+            let mut row = vec![anti[lex_sorted(dims, &anti)[n / 2] * dims]];
+            row.extend(std::iter::repeat(-1.0).take(dims - 1));
+            let block = overwrite_middle(&mut crest, dims, &row);
+            let order = lex_sorted(dims, &crest);
+            assert!(block.contains(&order[n / 2 - 1]) && block.contains(&order[n / 2]));
+            let front = pareto_min(dims, &crest);
+            assert!(block.iter().all(|i| front.binary_search(i).is_ok()));
+            assert_eq!(front, naive_pareto_min(dims, &crest), "crest dims {dims}");
         }
     }
 
