@@ -126,12 +126,14 @@ impl StopScenario {
     ///
     /// # Panics
     ///
-    /// Panics if the decision rate or sensing range are non-positive.
+    /// Panics if the decision rate is not positive with a finite period
+    /// (a subnormal rate such as `1e-310` Hz has an infinite one), or if
+    /// the sensing range is non-positive.
     #[must_use]
     pub fn new(dynamics: VehicleDynamics, decision_rate: Hertz, sensing_range: Meters) -> Self {
         assert!(
-            decision_rate.get() > 0.0,
-            "decision rate must be positive, got {decision_rate}"
+            decision_rate.get() > 0.0 && decision_rate.get().recip().is_finite(),
+            "decision rate must be positive with a finite period, got {decision_rate}"
         );
         assert!(
             sensing_range.get() > 0.0,
@@ -526,6 +528,15 @@ mod tests {
     fn zero_rate_rejected() {
         let d = uav_a_scenario().dynamics().clone();
         let _ = StopScenario::new(d, Hertz::ZERO, Meters::new(3.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "decision rate")]
+    fn rate_whose_period_overflows_rejected() {
+        // 1/1e-310 overflows to infinity: every trial would panic later,
+        // in the brake delay's `Hertz::period`.
+        let d = uav_a_scenario().dynamics().clone();
+        let _ = StopScenario::new(d, Hertz::new(1e-310), Meters::new(3.0));
     }
 
     #[test]
