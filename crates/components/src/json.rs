@@ -281,13 +281,14 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
             if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
+                return Err(format!("duplicate key {key:?} at byte {key_at}"));
             }
             fields.push((key, value));
             self.skip_ws();
@@ -325,7 +326,11 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads the string whose opening quote is at `pos`. An error names
+    /// the byte of the opening quote, or of the backslash of a bad
+    /// escape.
     fn string(&mut self) -> Result<String, String> {
+        let open = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -336,7 +341,7 @@ impl Parser<'_> {
             out.push_str(
                 // analyze::allow(indexing, reason = "start <= pos <= len: pos only advances via peek-guarded steps")
                 core::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid UTF-8 in string".to_owned())?,
+                    .map_err(|_| format!("invalid UTF-8 in string at byte {open}"))?,
             );
             match self.peek() {
                 Some(b'"') => {
@@ -346,7 +351,9 @@ impl Parser<'_> {
                 Some(b'\\') => {
                     let at = self.pos;
                     self.pos += 1;
-                    let escape = self.peek().ok_or("unterminated escape")?;
+                    let escape = self
+                        .peek()
+                        .ok_or_else(|| format!("unterminated escape at byte {at}"))?;
                     self.pos += 1;
                     out.push(match escape {
                         b'"' => '"',
@@ -358,7 +365,12 @@ impl Parser<'_> {
                         b'b' => '\u{8}',
                         b'f' => '\u{c}',
                         b'u' => self.unicode_escape(at)?,
-                        other => return Err(format!("unknown escape \\{}", char::from(other))),
+                        other => {
+                            return Err(format!(
+                                "unknown escape \\{} at byte {at}",
+                                char::from(other)
+                            ))
+                        }
                     });
                 }
                 Some(control) if control < 0x20 => {
@@ -367,7 +379,7 @@ impl Parser<'_> {
                         self.pos
                     ));
                 }
-                _ => return Err("unterminated string".into()),
+                _ => return Err(format!("unterminated string at byte {open}")),
             }
         }
     }
@@ -784,6 +796,60 @@ mod tests {
             .err()
             .unwrap_or_else(|| panic!("a truncated low half parsed"));
         assert!(err.ends_with("at byte 9"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_keys_name_the_second_key_quote() {
+        assert_eq!(
+            parse(r#"{"a": 1, "a": 2}"#).err().unwrap(),
+            r#"duplicate key "a" at byte 9"#
+        );
+        assert_eq!(
+            parse(r#"[0, {"k": {"a": 1}, "k": []}]"#).err().unwrap(),
+            r#"duplicate key "k" at byte 20"#
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_names_the_string_quote() {
+        // `parse` takes a `&str`, so only a byte-level caller can feed the
+        // scanner a broken sequence.
+        let mut p = Parser {
+            bytes: b"[\"ok\", \"a\xffb\"]",
+            pos: 7,
+        };
+        assert_eq!(
+            p.string().err().unwrap(),
+            "invalid UTF-8 in string at byte 7"
+        );
+    }
+
+    #[test]
+    fn unterminated_escapes_name_the_backslash() {
+        assert_eq!(
+            parse("[\"ab\\").err().unwrap(),
+            "unterminated escape at byte 4"
+        );
+    }
+
+    #[test]
+    fn unknown_escapes_name_the_backslash() {
+        assert_eq!(
+            parse(r#"{"k": "a\qb"}"#).err().unwrap(),
+            r"unknown escape \q at byte 8"
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_name_the_opening_quote() {
+        assert_eq!(
+            parse(r#"["ok", "abc"#).err().unwrap(),
+            "unterminated string at byte 7"
+        );
+        assert_eq!(
+            parse(r#"{"ke"#).err().unwrap(),
+            "unterminated string at byte 1"
+        );
     }
 
     #[test]

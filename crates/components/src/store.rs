@@ -1196,6 +1196,17 @@ mod tests {
     }
 
     #[test]
+    fn from_json_errors_carry_the_byte_offset() {
+        let err = CatalogDelta::from_json(r#"{"retire": {"sensors": ["x"]}, "retire": {}}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(r#"duplicate key "retire" at byte 31"#),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn to_json_round_trips_every_field_exactly() {
         let delta = CatalogDelta::new()
             .add_airframe(
