@@ -23,7 +23,10 @@ use crate::source::SourceFile;
 /// Relative paths the audit covers: `serve/*`, `store/*`, the tier-2
 /// simulation harness (`sim/*` — it runs inside every query with sim
 /// objectives), the `skyline` session/plan/repair/shard modules, the
-/// components store, the strict-JSON parser (it decodes every wire
+/// `skyline` evaluation core (`dse.rs` — the shard kernel runs its
+/// `pair_stage` and `PairStage::score` for every candidate of every
+/// query) and query vocabulary (`query.rs` — it validates every plan),
+/// the components store, the strict-JSON parser (it decodes every wire
 /// request and every durable log record) and the float writer behind
 /// it (it spells every number of every response).
 #[must_use]
@@ -35,6 +38,8 @@ pub fn is_designated(rel: &str) -> bool {
             rel,
             "crates/skyline/src/session.rs"
                 | "crates/skyline/src/plan.rs"
+                | "crates/skyline/src/dse.rs"
+                | "crates/skyline/src/query.rs"
                 | "crates/skyline/src/repair.rs"
                 | "crates/skyline/src/shard.rs"
                 | "crates/components/src/store.rs"
@@ -247,5 +252,13 @@ mod tests {
     fn ignores_non_designated_files() {
         let file = SourceFile::parse("crates/skyline/src/frontier.rs", "fn f() { x.unwrap(); }");
         assert!(check(&file).is_empty());
+    }
+
+    #[test]
+    fn audits_the_evaluation_core_and_the_query_vocabulary() {
+        for rel in ["crates/skyline/src/dse.rs", "crates/skyline/src/query.rs"] {
+            let file = SourceFile::parse(rel, "fn f() { x.unwrap(); }");
+            assert_eq!(check(&file).len(), 1, "{rel}");
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Benchmarks for the ID-interned, batched design-space exploration
-//! engine: full-catalog `explore_all`, single-airframe exploration, raw
-//! candidate enumeration, the synthetic-catalog group comparing the old
-//! O(n²) all-pairs Pareto scan against the O(n log n) sort-and-sweep
-//! skyline at 10³/10⁴/10⁵ candidates, and — since the compile/execute
-//! split — the `plan_reuse` group: one cold fused pass vs. a session
-//! plan-cache hit vs. an 8-plan shared-pass batch — plus the
+//! path: raw candidate enumeration, the synthetic-catalog group
+//! comparing the old O(n²) all-pairs Pareto scan against the
+//! O(n log n) sort-and-sweep skyline at 10³/10⁴/10⁵ candidates,
+//! end-to-end `QueryPlan` passes through a fresh `Session`, and the
+//! `plan_reuse` group: one cold fused pass vs. a session plan-cache hit
+//! vs. an 8-plan shared-pass batch — plus the
 //! `stream_shards` group pitting the sharded streaming executor against
 //! the materializing pass at 10⁵/10⁶ candidates, and the `two_tier`
 //! group measuring the simulation tier's overhead against the analytic
@@ -16,32 +16,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use f1_components::{names, Catalog, CatalogDelta, CatalogStore};
+use f1_components::{Catalog, CatalogDelta, CatalogStore};
 use f1_skyline::dse::Engine;
 use f1_skyline::frontier;
 use f1_skyline::plan::{KeepPoints, QueryPlan};
 use f1_skyline::query::{Constraint, Objective};
 use f1_skyline::session::Session;
 use f1_units::Watts;
-
-fn bench_explore_all(c: &mut Criterion) {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    c.bench_function("dse_explore_all_full_catalog", |b| {
-        b.iter(|| black_box(engine.explore_all().unwrap()))
-    });
-}
-
-fn bench_explore_single(c: &mut Criterion) {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-    let mut g = c.benchmark_group("dse_single_airframe");
-    g.bench_function("engine_ids", |b| {
-        b.iter(|| black_box(engine.explore_airframe(pelican).unwrap()))
-    });
-    g.finish();
-}
 
 fn bench_candidate_enumeration(c: &mut Criterion) {
     let catalog = Catalog::paper();
@@ -51,39 +32,39 @@ fn bench_candidate_enumeration(c: &mut Criterion) {
     });
 }
 
-fn bench_pareto(c: &mut Criterion) {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    let exploration = engine.explore_all().unwrap();
-    c.bench_function("dse_pareto_frontier", |b| {
-        b.iter(|| black_box(exploration.pareto_frontier()))
-    });
-}
-
-/// The minimized key buffer of a synthesized catalog's single-airframe
-/// query over the first `dims` of [`Objective::ALL`] (velocity, TDP,
-/// payload, energy, endurance) — the frontier benchmarks' common input.
+/// A single-airframe plan over the first `dims` of [`Objective::ALL`]
+/// (velocity, TDP, payload, energy, endurance) on a synthesized catalog.
 /// The 5-objective slice mounts the catalog's first battery (the
 /// endurance objective requires one).
-fn synthetic_keys(n_per_family: usize, dims: usize) -> Vec<f64> {
+fn synthetic_plan(catalog: &Catalog, dims: usize) -> QueryPlan {
     let objectives = &Objective::ALL[..dims];
-    let catalog = Catalog::synthesize(42, n_per_family);
-    let engine = Engine::new(&catalog);
     let airframe = catalog
         .airframe_entries()
         .next()
         .map(|(id, _)| id)
         .expect("synthesized catalog has airframes");
-    let mut query = engine.query().airframes(&[airframe]).objectives(objectives);
+    let mut plan = QueryPlan::builder()
+        .airframes(&[airframe])
+        .objectives(objectives);
     if objectives.contains(&Objective::HoverEnduranceMin) {
         let battery = catalog
             .battery_entries()
             .next()
             .map(|(id, _)| id)
             .expect("synthesized catalog has batteries");
-        query = query.battery(battery);
+        plan = plan.battery(battery);
     }
-    let result = query.run().expect("synthetic query evaluates");
+    plan.build().expect("synthetic plan validates")
+}
+
+/// The minimized key buffer of [`synthetic_plan`]'s result — the
+/// frontier benchmarks' common input.
+fn synthetic_keys(n_per_family: usize, dims: usize) -> Vec<f64> {
+    let catalog = Arc::new(Catalog::synthesize(42, n_per_family));
+    let plan = synthetic_plan(&catalog, dims);
+    let result = Session::new(catalog)
+        .run(&plan)
+        .expect("synthetic query evaluates");
     result.minimized_keys().0
 }
 
@@ -121,17 +102,17 @@ fn bench_synthetic_frontier(c: &mut Criterion) {
     g.finish();
 }
 
-/// End-to-end queries over synthesized catalogs: the fused batched
-/// pass (evaluation + constraints + objective extraction) plus the
-/// frontier, at 4 objectives and — with a mounted battery — 5.
+/// End-to-end queries over synthesized catalogs: one shard-kernel pass
+/// (evaluation + constraints + objective extraction) plus the frontier,
+/// at 4 objectives and — with a mounted battery — 5. Each iteration
+/// runs the plan through a fresh `Session`, so it times a pass, not a
+/// memo-cache hit.
 fn bench_synthetic_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("dse_synthetic_query");
     for dims in [4usize, 5] {
         for (label, n_per_family) in [("1e3", 10usize), ("1e4", 22), ("1e5", 47)] {
-            let catalog = Catalog::synthesize(42, n_per_family);
-            let engine = Engine::new(&catalog);
-            let airframe = catalog.airframe_entries().next().map(|(id, _)| id).unwrap();
-            let battery = catalog.battery_entries().next().map(|(id, _)| id).unwrap();
+            let catalog = Arc::new(Catalog::synthesize(42, n_per_family));
+            let plan = synthetic_plan(&catalog, dims);
             let group = if dims == 4 {
                 "four_objectives"
             } else {
@@ -139,14 +120,8 @@ fn bench_synthetic_query(c: &mut Criterion) {
             };
             g.bench_function(format!("{group}/{label}"), |b| {
                 b.iter(|| {
-                    let mut query = engine
-                        .query()
-                        .airframes(&[airframe])
-                        .objectives(&Objective::ALL[..dims]);
-                    if dims == 5 {
-                        query = query.battery(battery);
-                    }
-                    black_box(query.run().unwrap())
+                    let session = Session::new(Arc::clone(&catalog));
+                    black_box(session.run(&plan).unwrap())
                 })
             });
         }
@@ -339,10 +314,7 @@ fn bench_two_tier(c: &mut Criterion) {
 
 criterion_group!(
     dse,
-    bench_explore_all,
-    bench_explore_single,
     bench_candidate_enumeration,
-    bench_pareto,
     bench_synthetic_frontier,
     bench_synthetic_query,
     bench_plan_reuse,

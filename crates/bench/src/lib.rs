@@ -11,10 +11,11 @@
 //! * `ablations` — design-choice ablations DESIGN.md calls out
 //!   (exact vs linearized roofline, drag-free vs drag-aware stopping,
 //!   serial vs parallel sweeps).
-//! * `dse` — the ID-interned design-space exploration engine:
-//!   full-catalog `explore_all`, single-airframe exploration vs the
-//!   string-keyed compatibility wrapper, candidate enumeration, and the
-//!   Pareto frontier.
+//! * `dse` — the design-space exploration path: candidate enumeration,
+//!   the skyline algorithms on synthesized catalogs, end-to-end
+//!   `QueryPlan` passes through a fresh `Session`, plan-cache reuse and
+//!   shared-pass batches, delta repair, streaming shards and the
+//!   two-tier simulation.
 //!
 //! Run with `cargo bench --workspace`. Absolute timings are
 //! machine-dependent; the interesting output of the `figures` target is

@@ -1,12 +1,16 @@
 //! Fig. 11b — §VI-A onboard-compute selection: Intel NCS vs Nvidia AGX on
 //! a DJI Spark running DroNet, plus the AGX 30 W → 15 W TDP what-if.
 
+use std::sync::Arc;
+
 use f1_components::{names, Catalog};
 use f1_model::roofline::Roofline;
 use f1_plot::Chart;
 use f1_skyline::chart::{roofline_chart, OperatingPoint};
-use f1_skyline::dse::{Engine, Outcome};
-use f1_skyline::query::{Knob, KnobSweep};
+use f1_skyline::dse::Outcome;
+use f1_skyline::plan::QueryPlan;
+use f1_skyline::query::{Knob, KnobSweep, QueryPoint};
+use f1_skyline::session::Session;
 use f1_units::Hertz;
 
 use crate::report::{num, Table};
@@ -46,10 +50,8 @@ pub struct Fig11 {
 ///
 /// Propagates catalog errors (none for the paper catalog).
 pub fn run() -> Result<Fig11, Box<dyn std::error::Error>> {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    let result = engine
-        .query()
+    let catalog = Arc::new(Catalog::paper());
+    let plan = QueryPlan::builder()
         .airframes(&[catalog.airframe_id(names::DJI_SPARK)?])
         .sensors(&[catalog.sensor_id(names::RGB_60)?])
         .computes(&[
@@ -58,13 +60,16 @@ pub fn run() -> Result<Fig11, Box<dyn std::error::Error>> {
         ])
         .algorithms(&[catalog.algorithm_id(names::DRONET)?])
         .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
-        .run()?;
+        .build()?;
+    let points: Vec<QueryPoint> = Session::new(Arc::clone(&catalog))
+        .run(&plan)?
+        .iter_points()
+        .collect();
 
     let agx = catalog.compute_id(names::AGX)?;
     let ncs = catalog.compute_id(names::NCS)?;
     let point = |compute, tdp_scale: f64| {
-        result
-            .points()
+        points
             .iter()
             .find(|p| p.candidate.compute == compute && p.setting.tdp_scale == tdp_scale)
             .ok_or_else(|| format!("query is missing the {tdp_scale}× point"))

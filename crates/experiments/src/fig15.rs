@@ -2,12 +2,15 @@
 //! Pelican across the platform × algorithm grid, with compute-bound gaps
 //! and physics-bound surpluses.
 
+use std::sync::Arc;
+
 use f1_components::{names, Catalog};
 use f1_model::roofline::Bound;
 use f1_plot::Chart;
 use f1_skyline::chart::{roofline_chart, OperatingPoint};
-use f1_skyline::dse::Engine;
+use f1_skyline::plan::QueryPlan;
 use f1_skyline::query::QueryPoint;
+use f1_skyline::session::Session;
 use f1_skyline::UavSystem;
 use f1_units::Hertz;
 
@@ -66,8 +69,8 @@ const RASPI_EXTRAS: [(&str, &str); 2] = [
 ///
 /// Propagates catalog errors (none for the paper catalog).
 pub fn run() -> Result<Fig15, Box<dyn std::error::Error>> {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
+    let catalog = Arc::new(Catalog::paper());
+    let session = Session::new(Arc::clone(&catalog));
     let platforms = [names::NCS, names::TX2, names::RAS_PI4];
     let algorithms = [names::DRONET, names::TRAILNET, names::VGG16, names::CAD2RL];
 
@@ -81,20 +84,19 @@ pub fn run() -> Result<Fig15, Box<dyn std::error::Error>> {
         .collect::<Result<Vec<_>, _>>()?;
     let mut cells = Vec::new();
     for uav in [names::DJI_SPARK, names::ASCTEC_PELICAN] {
-        let result = engine
-            .query()
+        let plan = QueryPlan::builder()
             .airframes(&[catalog.airframe_id(uav)?])
             .sensors(&[catalog.sensor_id(default_sensor(uav))?])
             .computes(&compute_ids)
             .algorithms(&algorithm_ids)
-            .run()?;
+            .build()?;
+        let points: Vec<QueryPoint> = session.run(&plan)?.iter_points().collect();
         // The query evaluates every characterized pair of the subspace;
         // the figure plots the paper's cells, in the paper's order.
         for (platform, algorithm) in COMBOS.iter().chain(RASPI_EXTRAS.iter()) {
             let platform_id = catalog.compute_id(platform)?;
             let algorithm_id = catalog.algorithm_id(algorithm)?;
-            let point = result
-                .points()
+            let point = points
                 .iter()
                 .find(|p| {
                     p.candidate.compute == platform_id && p.candidate.algorithm == algorithm_id

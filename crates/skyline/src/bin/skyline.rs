@@ -264,6 +264,43 @@ fn describe_point(catalog: &Catalog, result: &ResultSet, index: usize) -> String
     format!("{parts} {values}{setting}")
 }
 
+/// The ranked report's sections, in catalog order: each airframe with
+/// ranked rows, as its header and its ranked row indices. A retaining
+/// result ranks every candidate it kept; a streamed one ranks only its
+/// stored top-K, so there a header counts the airframe's share of that
+/// ranking, not its candidates.
+fn airframe_sections(catalog: &Catalog, result: &ResultSet) -> Vec<(String, Vec<usize>)> {
+    let ranked = result.ranked();
+    let count = |rows: usize| {
+        if result.is_streamed() {
+            format!("{rows} of the stored top-{}", ranked.len())
+        } else {
+            format!("{rows} candidates")
+        }
+    };
+    catalog
+        .airframe_entries()
+        .filter_map(|(airframe_id, airframe)| {
+            let rows: Vec<usize> = ranked
+                .iter()
+                .copied()
+                .filter(|&i| key(result, i).airframe == airframe_id)
+                .collect();
+            if rows.is_empty() {
+                return None;
+            }
+            let feasible = rows.iter().filter(|&&i| key(result, i).feasible).count();
+            let header = format!(
+                "━━ {}: {} ({feasible} feasible, {} uncharacterized pairs skipped) ━━",
+                airframe.name(),
+                count(rows.len()),
+                result.uncharacterized(),
+            );
+            Some((header, rows))
+        })
+        .collect()
+}
+
 /// Compiles the CLI request into a `QueryPlan`, executes it through a
 /// `Session` (optionally `--repeat`ed to exercise the plan cache), and
 /// prints the ranked report plus the Pareto frontier over the requested
@@ -363,28 +400,9 @@ fn dse_report(catalog: &Arc<Catalog>, args: &Args) -> Result<(), Box<dyn std::er
         );
     }
 
-    let ranked = result.ranked();
-    for (airframe_id, airframe) in catalog.airframe_entries() {
-        let per_airframe: Vec<usize> = ranked
-            .iter()
-            .copied()
-            .filter(|&i| key(&result, i).airframe == airframe_id)
-            .collect();
-        if per_airframe.is_empty() {
-            continue;
-        }
-        let feasible = per_airframe
-            .iter()
-            .filter(|&&i| key(&result, i).feasible)
-            .count();
-        println!(
-            "━━ {}: {} candidates ({} feasible, {} uncharacterized pairs skipped) ━━",
-            airframe.name(),
-            per_airframe.len(),
-            feasible,
-            result.uncharacterized(),
-        );
-        for &index in per_airframe.iter().take(args.dse_top) {
+    for (header, rows) in airframe_sections(catalog, &result) {
+        println!("{header}");
+        for &index in rows.iter().take(args.dse_top) {
             let verdict = if key(&result, index).feasible {
                 describe_point(catalog, &result, index)
             } else {
@@ -485,4 +503,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{}", chart.render_ascii(100, 28)?);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The paper catalog's default plan, retained and streamed: the
+    /// retaining report counts each airframe's candidates, the streamed
+    /// one each airframe's share of the stored top-K, and the shares sum
+    /// to that ranking.
+    #[test]
+    fn streamed_sections_count_a_share_of_the_stored_top_k() {
+        let catalog = Arc::new(Catalog::paper());
+        let session = Session::new(Arc::clone(&catalog));
+        let sections = |keep| {
+            let plan = QueryPlan::builder().keep_points(keep).build().unwrap();
+            airframe_sections(&catalog, &session.run(&plan).unwrap())
+        };
+        let retained = sections(KeepPoints::All);
+        assert_eq!(
+            retained[0].0,
+            "━━ AscTec Pelican: 56 candidates (56 feasible, 136 uncharacterized pairs \
+             skipped) ━━"
+        );
+        assert_eq!(retained.len(), catalog.airframe_count());
+
+        let streamed = sections(KeepPoints::FrontierOnly);
+        assert_eq!(
+            streamed[0].0,
+            "━━ AscTec Pelican: 27 of the stored top-64 (27 feasible, 136 uncharacterized \
+             pairs skipped) ━━"
+        );
+        assert!(streamed
+            .iter()
+            .all(|(header, _)| !header.contains("candidates")));
+        let shares: usize = streamed.iter().map(|(_, rows)| rows.len()).sum();
+        assert_eq!(shares, f1_skyline::shard::STREAM_TOP_K);
+    }
 }

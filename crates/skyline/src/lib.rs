@@ -15,15 +15,17 @@
 //!   characterization studies (payload sweeps, TDP sweeps, full-system
 //!   matrices).
 //! * [`chart`] — roofline chart construction on top of `f1-plot`.
-//! * [`dse`] — automated design-space exploration over the catalog (the
-//!   paper's conclusion proposes exactly this use).
-//! * [`query`] — the composable DSE query API: typed objectives,
-//!   constraints and Table II knob sweeps compiled onto the engine.
-//! * [`plan`] / [`session`] — the compile/execute split for serving:
-//!   owned `Send + Sync` [`QueryPlan`]s with canonical cache keys,
-//!   executed (batches of one evaluation signature in one kernel
-//!   pass, and memoized) by a [`Session`] over an `Arc<Catalog>`, producing columnar
-//!   [`ResultSet`]s with bounded-heap top-k and paged iteration.
+//! * [`dse`] — the per-candidate evaluator behind automated
+//!   design-space exploration over the catalog (the paper's conclusion
+//!   proposes exactly this use).
+//! * [`query`] — the vocabulary of a DSE query: typed objectives,
+//!   constraints and Table II knob sweeps.
+//! * [`plan`] / [`session`] — the one query path, split into compile
+//!   and execute: owned `Send + Sync` [`QueryPlan`]s with canonical
+//!   cache keys, built by a [`PlanBuilder`] and executed (batches of one
+//!   evaluation signature in one kernel pass, and memoized) by a
+//!   [`Session`] over an `Arc<Catalog>`, producing columnar
+//!   [`ResultSet`]s with bounded-heap top-k.
 //! * [`shard`] — the shard kernel behind every pass:
 //!   (airframe × knob setting)-aligned shards evaluated over
 //!   struct-of-arrays slabs with per-pair hoisting, each reduced to its

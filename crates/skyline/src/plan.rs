@@ -1,18 +1,16 @@
 //! Owned, executable query plans — the **compile** half of the
 //! compile/execute split.
 //!
-//! [`Engine::query()`](crate::dse::Engine::query) builds a query that
-//! borrows the engine and its catalog, which is fine for one-shot
-//! exploration but useless for a *service*: a borrowed query cannot be
-//! cached, sent to another thread, or replayed against a shared catalog.
-//! A [`QueryPlan`] is the owned, `Send + Sync` compilation of the same
-//! request: objectives, constraints, Table II knob sweeps (expanded and
-//! validated at build time) and an optional subspace restriction, with
-//! **no engine or catalog lifetime** anywhere in the type. Plans execute
-//! against a [`Session`](crate::Session), which runs each plan on the
-//! shard kernel (batches of plans with one evaluation signature in one
-//! parallel pass) and memoizes results under each plan's
-//! [canonical key](QueryPlan::key).
+//! A [`QueryPlan`] is the owned, `Send + Sync` compilation of a
+//! design-space query: objectives, constraints, Table II knob sweeps
+//! (expanded and validated at build time) and an optional subspace
+//! restriction, with **no catalog lifetime** anywhere in the type, so it
+//! can be cached, sent to another thread and replayed against a shared
+//! catalog. [`QueryPlan::builder`] is the one way to write a query.
+//! Plans execute against a [`Session`](crate::Session), which runs each
+//! plan on the shard kernel (batches of plans with one evaluation
+//! signature in one parallel pass) and memoizes results under each
+//! plan's [canonical key](QueryPlan::key).
 //!
 //! ```
 //! use f1_skyline::plan::QueryPlan;
@@ -185,8 +183,7 @@ impl SimObjective {
 
 /// An owned, validated, executable design-space query.
 ///
-/// Built with [`QueryPlan::builder`] (or compiled from a borrowed query
-/// via [`Query::plan`](crate::query::Query::plan)); executed with
+/// Built with [`QueryPlan::builder`]; executed with
 /// [`Session::run`](crate::Session::run) or batched through
 /// [`Session::run_batch`](crate::Session::run_batch). A plan is plain
 /// data — `Send + Sync`, cloneable, hashable through its canonical
@@ -659,10 +656,9 @@ fn parse_key(key: &str) -> Result<PlanBuilder, SkylineError> {
     Ok(builder)
 }
 
-/// Builder for [`QueryPlan`]. Mirrors the borrowed
-/// [`Query`](crate::query::Query) builder method-for-method, but
-/// finishes with a fallible [`build`](Self::build) that front-loads
-/// every catalog-independent validation.
+/// Builder for [`QueryPlan`]. Finishes with a fallible
+/// [`build`](Self::build) that front-loads every catalog-independent
+/// validation.
 #[derive(Debug, Clone, Default)]
 pub struct PlanBuilder {
     objectives: Vec<Objective>,

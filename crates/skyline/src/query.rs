@@ -1,30 +1,23 @@
-//! The composable DSE query API: typed objectives, constraints and knob
-//! sweeps over the exploration engine.
+//! The vocabulary of a design-space query: typed objectives,
+//! constraints and Table II knob sweeps.
 //!
-//! [`Engine::explore_all`](crate::dse::Engine::explore_all) hardcodes one
-//! objective set — the (safe velocity, TDP, payload) Pareto. This module
-//! makes the exploration *expressible*: a [`Query`] names what to
-//! optimize ([`Objective`]), what to filter ([`Constraint`]), and which
-//! continuous Table II knob ranges to sweep around each discrete
-//! candidate ([`KnobSweep`]).
-//!
-//! Since the compile/execute split, [`Query`] is a thin borrowed facade:
-//! [`Query::run`] compiles the request into an owned
-//! [`QueryPlan`] and executes it on the
-//! same shard kernel that backs [`Session::run`](crate::Session::run) —
-//! use [`Query::plan`] to keep the compiled plan and hand it to a
-//! session for caching, batching and multi-threaded serving.
+//! A query names what to optimize ([`Objective`]), what to filter
+//! ([`Constraint`]), and which continuous Table II knob ranges to sweep
+//! around each discrete candidate ([`KnobSweep`]). A
+//! [`PlanBuilder`](crate::PlanBuilder) compiles them into an owned
+//! [`QueryPlan`](crate::QueryPlan), and a [`Session`](crate::Session)
+//! runs it on the shard kernel; each kept build comes back as a
+//! [`QueryPoint`].
 //!
 //! ```
-//! use f1_components::{names, Catalog};
-//! use f1_skyline::dse::Engine;
+//! use std::sync::Arc;
+//! use f1_components::Catalog;
+//! use f1_skyline::plan::QueryPlan;
 //! use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
+//! use f1_skyline::session::Session;
 //! use f1_units::Watts;
 //!
-//! let catalog = Catalog::paper();
-//! let engine = Engine::new(&catalog);
-//! let result = engine
-//!     .query()
+//! let plan = QueryPlan::builder()
 //!     .objectives(&[
 //!         Objective::SafeVelocity,
 //!         Objective::TotalTdp,
@@ -33,20 +26,17 @@
 //!     ])
 //!     .constraint(Constraint::MaxTotalTdp(Watts::new(20.0)))
 //!     .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
-//!     .run()?;
+//!     .build()?;
+//! let result = Session::new(Arc::new(Catalog::paper())).run(&plan)?;
 //! assert!(!result.frontier().is_empty());
 //! # Ok::<(), f1_skyline::SkylineError>(())
 //! ```
 
-use std::collections::BTreeMap;
-
-use f1_components::{AirframeId, AlgorithmId, BatteryId, ComputeId, SensorId};
+use f1_components::AirframeId;
 use f1_model::ModelError;
 use f1_units::{Grams, MetersPerSecond, Watts};
 
-use crate::dse::{Candidate, DseOutcome, DseResult, Engine, Outcome, Scored};
-use crate::plan::{PlanBuilder, QueryPlan};
-use crate::session::{run_plans, ResultSet};
+use crate::dse::{Candidate, Outcome, Scored};
 use crate::SkylineError;
 
 pub use crate::mission::SENSOR_STACK_POWER_W;
@@ -54,8 +44,8 @@ pub use crate::mission::SENSOR_STACK_POWER_W;
 /// One optimization axis of a query.
 ///
 /// The first objective of a query is its **primary** objective: ranked
-/// reports ([`ResultSet::ranked`], [`Engine::describe_query`]) sort by
-/// it. Frontiers treat all objectives simultaneously.
+/// reports ([`ResultSet::ranked`](crate::ResultSet::ranked)) sort by it.
+/// Frontiers treat all objectives simultaneously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Objective {
@@ -164,7 +154,7 @@ impl std::str::FromStr for Objective {
 
 /// A hard filter applied to every evaluated candidate before ranking and
 /// frontier computation. Filtered candidates are counted in
-/// [`ResultSet::dropped`], not returned.
+/// [`ResultSet::dropped`](crate::ResultSet::dropped), not returned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Constraint {
@@ -502,295 +492,40 @@ pub struct QueryPoint {
 /// a kernel row at a stack array.
 pub(crate) const MAX_OBJECTIVES: usize = Objective::ALL.len();
 
-/// A builder-style, composable design-space query over an [`Engine`].
-///
-/// Construct with [`Engine::query`]; see the [module docs](self) for a
-/// full example. With no explicit objectives, constraints or sweeps, a
-/// query reproduces the engine's classic 3-objective exploration —
-/// [`Engine::explore_all`] is literally a default query.
-///
-/// A `Query` borrows the engine; [`Query::plan`] compiles the identical
-/// request into an owned [`QueryPlan`] for the
-/// [`Session`](crate::Session) serving path.
-#[derive(Debug, Clone)]
-pub struct Query<'e, 'c> {
-    engine: &'e Engine<'c>,
-    builder: PlanBuilder,
-}
-
-/// The objectives a query with none specified runs under — the engine's
-/// classic (velocity ↑, TDP ↓, payload ↓) Pareto.
+/// The objectives a plan with none specified runs under — the classic
+/// (velocity ↑, TDP ↓, payload ↓) Pareto.
 pub const DEFAULT_OBJECTIVES: [Objective; 3] = [
     Objective::SafeVelocity,
     Objective::TotalTdp,
     Objective::PayloadMass,
 ];
 
-impl<'e, 'c> Query<'e, 'c> {
-    pub(crate) fn new(engine: &'e Engine<'c>) -> Self {
-        Self {
-            engine,
-            builder: QueryPlan::builder(),
-        }
-    }
-
-    /// Appends one objective (the first appended is the primary).
-    #[must_use]
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.builder = self.builder.objective(objective);
-        self
-    }
-
-    /// Replaces the objective list (first entry is the primary).
-    #[must_use]
-    pub fn objectives(mut self, objectives: &[Objective]) -> Self {
-        self.builder = self.builder.objectives(objectives);
-        self
-    }
-
-    /// Adds a hard constraint.
-    #[must_use]
-    pub fn constraint(mut self, constraint: Constraint) -> Self {
-        self.builder = self.builder.constraint(constraint);
-        self
-    }
-
-    /// Adds a knob sweep (cartesian product with any earlier sweeps).
-    #[must_use]
-    pub fn sweep(mut self, sweep: KnobSweep) -> Self {
-        self.builder = self.builder.sweep(sweep);
-        self
-    }
-
-    /// Restricts the query to these airframes (default: all).
-    #[must_use]
-    pub fn airframes(mut self, ids: &[AirframeId]) -> Self {
-        self.builder = self.builder.airframes(ids);
-        self
-    }
-
-    /// Restricts the query to these sensors (default: all).
-    #[must_use]
-    pub fn sensors(mut self, ids: &[SensorId]) -> Self {
-        self.builder = self.builder.sensors(ids);
-        self
-    }
-
-    /// Restricts the query to these compute platforms (default: all).
-    #[must_use]
-    pub fn computes(mut self, ids: &[ComputeId]) -> Self {
-        self.builder = self.builder.computes(ids);
-        self
-    }
-
-    /// Restricts the query to these algorithms (default: all).
-    #[must_use]
-    pub fn algorithms(mut self, ids: &[AlgorithmId]) -> Self {
-        self.builder = self.builder.algorithms(ids);
-        self
-    }
-
-    /// Mounts a battery on every candidate: its mass joins the payload,
-    /// and [`Objective::HoverEnduranceMin`] draws on its capacity.
-    #[must_use]
-    pub fn battery(mut self, id: BatteryId) -> Self {
-        self.builder = self.builder.battery(id);
-        self
-    }
-
-    /// Overrides the power-model parameters of the energy objectives.
-    #[must_use]
-    pub fn mission_profile(mut self, profile: MissionProfile) -> Self {
-        self.builder = self.builder.mission_profile(profile);
-        self
-    }
-
-    /// Sets the point-materialization policy (see
-    /// [`KeepPoints`](crate::KeepPoints)): `Auto` (default) streams
-    /// only past [`crate::shard::STREAM_AUTO_THRESHOLD`] candidates,
-    /// `All` always retains every point, `FrontierOnly` always streams.
-    #[must_use]
-    pub fn keep_points(mut self, keep_points: crate::KeepPoints) -> Self {
-        self.builder = self.builder.keep_points(keep_points);
-        self
-    }
-
-    /// The objectives this query will run under (the default set if none
-    /// were specified, deduplicated preserving first occurrence).
-    #[must_use]
-    pub fn resolved_objectives(&self) -> Vec<Objective> {
-        self.builder.resolved_objectives()
-    }
-
-    /// Compiles this query into an owned, engine-free [`QueryPlan`] —
-    /// the value to cache, batch and serve through a
-    /// [`Session`](crate::Session).
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`PlanBuilder::build`].
-    pub fn plan(&self) -> Result<QueryPlan, SkylineError> {
-        self.builder.clone().build()
-    }
-
-    /// Compiles and runs the query: one parallel shard-kernel pass over
-    /// every airframe × knob setting × characterized candidate —
-    /// evaluation, constraint filtering, objective extraction and the
-    /// per-shard skylines all happen inside the pass — followed by the
-    /// exact frontier merge.
-    ///
-    /// This is a compatibility wrapper over [`plan`](Self::plan) plus
-    /// the shard kernel ([`crate::shard`]) that backs
-    /// [`Session::run`](crate::Session::run); unlike a session it
-    /// caches nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SkylineError::IncompleteSystem`] when
-    /// [`Objective::HoverEnduranceMin`] is requested without a
-    /// [`battery`](Self::battery), [`SkylineError::Model`] for invalid
-    /// sweep values or mission-profile parameters, and
-    /// [`SkylineError::KnobVariant`] — naming the offending knob — when
-    /// a sweep value produces an out-of-domain component variant. All of
-    /// these surface **before** the parallel pass; an evaluation error
-    /// raised mid-pass (unreachable for catalog parts and validated
-    /// variants) is propagated deterministically in enumeration order.
-    /// Infeasible builds are outcomes, not errors.
-    pub fn run(&self) -> Result<ResultSet, SkylineError> {
-        self.run_impl(true)
-    }
-
-    /// [`run`](Self::run) without the frontier pass, for the classic
-    /// `explore_*` wrappers that only re-rank points and would discard
-    /// it ([`Exploration::pareto_frontier`](crate::dse::Exploration)
-    /// computes its own on demand). The returned result's `frontier()`
-    /// is empty.
-    pub(crate) fn run_without_frontier(&self) -> Result<ResultSet, SkylineError> {
-        self.run_impl(false)
-    }
-
-    fn run_impl(&self, with_frontier: bool) -> Result<ResultSet, SkylineError> {
-        let plan = self.plan()?;
-        let mut results = run_plans(&self.engine.pass_context(), &[&plan], with_frontier)?;
-        Ok(results.pop().expect("one plan in, one result out"))
-    }
-}
-
-impl<'c> Engine<'c> {
-    /// Starts a composable design-space query over this engine's catalog.
-    /// See the [`query`](self) module docs for the full API.
-    #[must_use]
-    pub fn query(&self) -> Query<'_, 'c> {
-        Query::new(self)
-    }
-
-    /// Renders a query result into the string-keyed [`DseResult`]
-    /// compatibility view, one per airframe (in airframe-name order),
-    /// each ranked by the query's **primary objective** — feasible
-    /// first, ties in enumeration order.
-    #[must_use]
-    pub fn describe_query(&self, result: &ResultSet) -> Vec<DseResult> {
-        let catalog = self.catalog();
-        let key = |index| {
-            result
-                .try_key(index)
-                .expect("ranked indices are stored rows")
-        };
-        let mut groups: BTreeMap<AirframeId, Vec<usize>> = BTreeMap::new();
-        for index in result.ranked() {
-            groups.entry(key(index).airframe).or_default().push(index);
-        }
-        self.airframe_ids()
-            .iter()
-            .filter_map(|id| groups.get(id).map(|indices| (id, indices)))
-            .map(|(&airframe, indices)| DseResult {
-                airframe: catalog.airframe_by_id(airframe).name().to_owned(),
-                ranked: indices
-                    .iter()
-                    .map(|&i| {
-                        let point = result.point(i);
-                        DseOutcome {
-                            sensor: catalog
-                                .sensor_by_id(point.candidate.sensor)
-                                .name()
-                                .to_owned(),
-                            compute: catalog
-                                .compute_by_id(point.candidate.compute)
-                                .name()
-                                .to_owned(),
-                            algorithm: catalog
-                                .algorithm_by_id(point.candidate.algorithm)
-                                .name()
-                                .to_owned(),
-                            velocity: point.outcome.velocity,
-                            bound: point.outcome.bound,
-                            feasible: point.outcome.feasible,
-                        }
-                    })
-                    .collect(),
-                uncharacterized: result.uncharacterized(),
-                // Per-airframe slice of the query-wide count, so the
-                // reports sum back to `result.nonfinite()`.
-                nonfinite: indices
-                    .iter()
-                    .filter(|&&i| {
-                        key(i).feasible
-                            && (0..result.objectives().len())
-                                .any(|p| !result.value(i, p).is_finite())
-                    })
-                    .count(),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::dse::Engine;
+    use crate::plan::{PlanBuilder, QueryPlan};
+    use crate::session::{ResultSet, Session};
     use f1_components::{names, Catalog};
 
-    #[test]
-    fn default_query_matches_classic_exploration() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine.query().run().unwrap();
-        let classic = engine.explore_all().unwrap();
-        assert_eq!(result.points().len(), classic.evaluated_count());
-        assert_eq!(result.objectives(), DEFAULT_OBJECTIVES);
-        // Identical frontier membership (order differs: the classic API
-        // reports in (airframe, rank) order, the query in enumeration
-        // order).
-        let classic_frontier = classic.pareto_frontier();
-        assert_eq!(result.frontier().len(), classic_frontier.len());
-        for point in result.frontier_points() {
-            assert!(classic_frontier.iter().any(|p| {
-                p.airframe == point.airframe
-                    && *p.evaluated
-                        == crate::dse::Evaluated {
-                            candidate: point.candidate,
-                            outcome: point.outcome,
-                        }
-            }));
-        }
+    /// Builds `plan` and runs it through a fresh session over the paper
+    /// catalog.
+    fn run(plan: PlanBuilder) -> Result<Arc<ResultSet>, SkylineError> {
+        Session::new(Arc::new(Catalog::paper())).run(&plan.build()?)
     }
 
     #[test]
     fn constraints_filter_and_count() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let all = engine.query().run().unwrap();
-        let constrained = engine
-            .query()
+        let all = run(QueryPlan::builder()).unwrap();
+        let constrained = run(QueryPlan::builder()
             .constraint(Constraint::MaxTotalTdp(Watts::new(5.0)))
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
-        assert!(constrained.points().len() < all.points().len());
-        assert_eq!(
-            constrained.points().len() + constrained.dropped(),
-            all.points().len()
-        );
-        for point in constrained.points() {
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
+        assert!(constrained.len() < all.len());
+        assert_eq!(constrained.len() + constrained.dropped(), all.len());
+        for point in constrained.iter_points() {
             assert!(point.outcome.feasible);
             assert!(point.outcome.total_tdp.get() <= 5.0);
         }
@@ -798,14 +533,11 @@ mod tests {
 
     #[test]
     fn min_velocity_drops_infeasible() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
-            .constraint(Constraint::MinVelocity(MetersPerSecond::new(0.1)))
-            .run()
-            .unwrap();
-        assert!(result.points().iter().all(|p| p.outcome.feasible));
+        let result = run(
+            QueryPlan::builder().constraint(Constraint::MinVelocity(MetersPerSecond::new(0.1)))
+        )
+        .unwrap();
+        assert!(result.iter_points().all(|p| p.outcome.feasible));
     }
 
     #[test]
@@ -815,18 +547,16 @@ mod tests {
         let catalog = Catalog::paper();
         let engine = Engine::new(&catalog);
         let spark = catalog.airframe_id(names::DJI_SPARK).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[spark])
             .sensors(&[catalog.sensor_id(names::RGB_60).unwrap()])
             .computes(&[catalog.compute_id(names::AGX).unwrap()])
             .algorithms(&[catalog.algorithm_id(names::DRONET).unwrap()])
-            .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
-            .run()
-            .unwrap();
-        assert_eq!(result.points().len(), 2);
-        let stock = &result.points()[0];
-        let halved = &result.points()[1];
+            .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5])))
+        .unwrap();
+        assert_eq!(result.len(), 2);
+        let stock = result.point(0);
+        let halved = result.point(1);
         assert!(stock.setting.is_identity());
         assert_eq!(halved.setting.tdp_scale, 0.5);
         let manual = engine
@@ -848,27 +578,20 @@ mod tests {
     #[test]
     fn payload_delta_and_range_sweeps_shift_outcomes() {
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[pelican])
             .sweep(KnobSweep::new(Knob::PayloadDelta, vec![0.0, 200.0]))
-            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1.0, 2.0]))
-            .run()
-            .unwrap();
+            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1.0, 2.0])))
+        .unwrap();
+        let points: Vec<QueryPoint> = result.iter_points().collect();
         // 4 settings per candidate.
         let per_candidate = 4;
-        assert_eq!(result.points().len() % per_candidate, 0);
+        assert_eq!(points.len() % per_candidate, 0);
         // Extra payload can only lower (or keep) velocity; extra range
         // can only raise (or keep) it.
-        let base = result
-            .points()
-            .iter()
-            .find(|p| p.setting.is_identity())
-            .unwrap();
-        let heavy = result
-            .points()
+        let base = points.iter().find(|p| p.setting.is_identity()).unwrap();
+        let heavy = points
             .iter()
             .find(|p| {
                 p.candidate == base.candidate
@@ -878,8 +601,7 @@ mod tests {
             .unwrap();
         assert!(heavy.outcome.payload > base.outcome.payload);
         assert!(heavy.outcome.velocity <= base.outcome.velocity);
-        let far = result
-            .points()
+        let far = points
             .iter()
             .find(|p| {
                 p.candidate == base.candidate
@@ -898,22 +620,15 @@ mod tests {
         // payload objective must be untouched (the *frame* changed, not
         // the carried mass).
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[pelican])
             .sweep(KnobSweep::new(Knob::WeightScale, vec![1.0, 0.7]))
-            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.0, 1.3]))
-            .run()
-            .unwrap();
-        let base = result
-            .points()
-            .iter()
-            .find(|p| p.setting.is_identity())
-            .unwrap();
-        let light = result
-            .points()
+            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.0, 1.3])))
+        .unwrap();
+        let points: Vec<QueryPoint> = result.iter_points().collect();
+        let base = points.iter().find(|p| p.setting.is_identity()).unwrap();
+        let light = points
             .iter()
             .find(|p| {
                 p.candidate == base.candidate
@@ -921,8 +636,7 @@ mod tests {
                     && p.setting.rotor_pull_scale == 1.0
             })
             .unwrap();
-        let strong = result
-            .points()
+        let strong = points
             .iter()
             .find(|p| {
                 p.candidate == base.candidate
@@ -936,29 +650,21 @@ mod tests {
         assert_eq!(strong.outcome.payload, base.outcome.payload);
         // Somewhere in the catalog the physics roof must actually move.
         assert!(
-            result
-                .points()
+            points
                 .iter()
                 .filter(|p| p.setting.weight_scale == 0.7)
-                .zip(result.points().iter().filter(|p| p.setting.is_identity()))
+                .zip(points.iter().filter(|p| p.setting.is_identity()))
                 .any(|(l, b)| l.outcome.roof > b.outcome.roof),
             "weight scale 0.7 never raised a physics roof"
         );
 
         // A heavier frame can tip marginal builds into infeasibility.
-        let heavy = engine
-            .query()
+        let heavy = run(QueryPlan::builder()
             .airframes(&[pelican])
-            .sweep(KnobSweep::new(Knob::WeightScale, vec![3.0]))
-            .run()
-            .unwrap();
-        let infeasible_heavy = heavy
-            .points()
-            .iter()
-            .filter(|p| !p.outcome.feasible)
-            .count();
-        let infeasible_base = result
-            .points()
+            .sweep(KnobSweep::new(Knob::WeightScale, vec![3.0])))
+        .unwrap();
+        let infeasible_heavy = heavy.iter_points().filter(|p| !p.outcome.feasible).count();
+        let infeasible_base = points
             .iter()
             .filter(|p| p.setting.is_identity() && !p.outcome.feasible)
             .count();
@@ -972,17 +678,15 @@ mod tests {
         let catalog = Catalog::paper();
         let engine = Engine::new(&catalog);
         let spark_id = catalog.airframe_id(names::DJI_SPARK).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[spark_id])
             .sensors(&[catalog.sensor_id(names::RGB_60).unwrap()])
             .computes(&[catalog.compute_id(names::NCS).unwrap()])
             .algorithms(&[catalog.algorithm_id(names::DRONET).unwrap()])
             .sweep(KnobSweep::new(Knob::WeightScale, vec![0.8]))
-            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.2]))
-            .run()
-            .unwrap();
-        assert_eq!(result.points().len(), 1);
+            .sweep(KnobSweep::new(Knob::RotorPull, vec![1.2])))
+        .unwrap();
+        assert_eq!(result.len(), 1);
         let variant = catalog
             .airframe(names::DJI_SPARK)
             .unwrap()
@@ -998,7 +702,7 @@ mod tests {
                 catalog.throughput(names::NCS, names::DRONET).unwrap(),
             )
             .unwrap();
-        assert_eq!(result.points()[0].outcome, manual);
+        assert_eq!(result.point(0).outcome, manual);
     }
 
     #[test]
@@ -1012,13 +716,11 @@ mod tests {
         let engine = Engine::new(&catalog);
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
         let battery = catalog.battery_id(names::BATTERY_PELICAN).unwrap();
-        let err = engine
-            .query()
+        let err = run(QueryPlan::builder()
             .airframes(&[pelican])
             .battery(battery)
-            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![-10.0]))
-            .run()
-            .unwrap_err();
+            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![-10.0])))
+        .unwrap_err();
         assert!(matches!(err, SkylineError::Model(_)));
 
         // Direct callers of evaluate_parts_loaded get the same floor:
@@ -1036,16 +738,12 @@ mod tests {
 
     #[test]
     fn energy_objective_ranks_and_is_finite_for_feasible() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .objectives(&[Objective::MissionEnergyWhPerKm, Objective::SafeVelocity])
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
-        assert!(!result.points().is_empty());
-        for i in 0..result.points().len() {
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
+        assert!(!result.is_empty());
+        for i in 0..result.len() {
             let energy = result.value(i, 0);
             assert!(energy.is_finite() && energy > 0.0);
         }
@@ -1059,26 +757,19 @@ mod tests {
     #[test]
     fn endurance_objective_needs_and_uses_a_battery() {
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let err = engine
-            .query()
-            .objective(Objective::HoverEnduranceMin)
-            .run()
-            .unwrap_err();
+        let err = run(QueryPlan::builder().objective(Objective::HoverEnduranceMin)).unwrap_err();
         assert!(matches!(err, SkylineError::IncompleteSystem { .. }));
 
         let battery = catalog.battery_id(names::BATTERY_PELICAN).unwrap();
         let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .airframes(&[pelican])
             .objective(Objective::HoverEnduranceMin)
             .battery(battery)
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
-        assert!(!result.points().is_empty());
-        for i in 0..result.points().len() {
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
+        assert!(!result.is_empty());
+        for i in 0..result.len() {
             let endurance = result.value(i, 0);
             assert!(endurance.is_finite() && endurance > 0.0);
             // A Pelican-sized pack hovers a research quad for minutes,
@@ -1086,17 +777,14 @@ mod tests {
             assert!(endurance < 120.0, "endurance {endurance} min");
         }
         // The battery's mass rides along as payload.
-        let unloaded = engine
-            .query()
+        let unloaded = run(QueryPlan::builder()
             .airframes(&[pelican])
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
         let battery_mass = catalog.battery_by_id(battery).mass().get();
-        let loaded_first = &result.points()[0];
+        let loaded_first = result.point(0);
         let unloaded_match = unloaded
-            .points()
-            .iter()
+            .iter_points()
             .find(|p| p.candidate == loaded_first.candidate)
             .unwrap();
         assert!(
@@ -1113,19 +801,14 @@ mod tests {
         // Adding an objective can only grow (or keep) the frontier set:
         // a point undominated on (v, tdp, payload) stays undominated when
         // energy is added.
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let three = engine.query().run().unwrap();
-        let four = engine
-            .query()
-            .objectives(&[
-                Objective::SafeVelocity,
-                Objective::TotalTdp,
-                Objective::PayloadMass,
-                Objective::MissionEnergyWhPerKm,
-            ])
-            .run()
-            .unwrap();
+        let three = run(QueryPlan::builder()).unwrap();
+        let four = run(QueryPlan::builder().objectives(&[
+            Objective::SafeVelocity,
+            Objective::TotalTdp,
+            Objective::PayloadMass,
+            Objective::MissionEnergyWhPerKm,
+        ]))
+        .unwrap();
         assert!(four.frontier().len() >= three.frontier().len());
         for &i in three.frontier() {
             assert!(
@@ -1136,49 +819,46 @@ mod tests {
     }
 
     #[test]
-    fn describe_query_ranks_by_primary_objective() {
+    fn ranked_orders_by_primary_objective() {
         let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        // Primary = TDP: every airframe's report must be ascending in
-        // TDP among feasible entries, not descending in velocity.
-        let result = engine
-            .query()
-            .objectives(&[Objective::TotalTdp, Objective::SafeVelocity])
-            .run()
-            .unwrap();
-        let reports = engine.describe_query(&result);
-        assert_eq!(reports.len(), catalog.airframe_count());
-        for report in &reports {
-            let tdps: Vec<f64> = report
-                .ranked
+        // Primary = TDP: every airframe's slice of the ranking must be
+        // ascending in TDP among feasible entries, not descending in
+        // velocity.
+        let result =
+            run(QueryPlan::builder().objectives(&[Objective::TotalTdp, Objective::SafeVelocity]))
+                .unwrap();
+        let ranked = result.ranked();
+        assert_eq!(ranked.len(), result.len());
+        for (airframe, _) in catalog.airframe_entries() {
+            let keys: Vec<_> = ranked
                 .iter()
-                .filter(|o| o.feasible)
-                .map(|o| catalog.compute(&o.compute).unwrap().tdp().get())
+                .map(|&i| result.try_key(i).unwrap())
+                .filter(|key| key.airframe == airframe)
+                .collect();
+            assert!(!keys.is_empty());
+            let tdps: Vec<f64> = keys
+                .iter()
+                .filter(|key| key.feasible)
+                .map(|key| catalog.compute_by_id(key.candidate.compute).tdp().get())
                 .collect();
             for pair in tdps.windows(2) {
-                assert!(pair[0] <= pair[1], "{}: {tdps:?}", report.airframe);
+                assert!(pair[0] <= pair[1], "{airframe:?}: {tdps:?}");
             }
             // Feasible entries precede infeasible ones.
-            let first_infeasible = report.ranked.iter().position(|o| !o.feasible);
-            if let Some(pos) = first_infeasible {
-                assert!(report.ranked[pos..].iter().all(|o| !o.feasible));
+            if let Some(pos) = keys.iter().position(|key| !key.feasible) {
+                assert!(keys[pos..].iter().all(|key| !key.feasible));
             }
         }
     }
 
     #[test]
     fn duplicate_objectives_are_deduplicated() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
-            .objectives(&[
-                Objective::SafeVelocity,
-                Objective::SafeVelocity,
-                Objective::TotalTdp,
-            ])
-            .run()
-            .unwrap();
+        let result = run(QueryPlan::builder().objectives(&[
+            Objective::SafeVelocity,
+            Objective::SafeVelocity,
+            Objective::TotalTdp,
+        ]))
+        .unwrap();
         assert_eq!(
             result.objectives(),
             [Objective::SafeVelocity, Objective::TotalTdp]
@@ -1187,33 +867,22 @@ mod tests {
 
     #[test]
     fn invalid_sweeps_and_profiles_are_rejected() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         for knob in [Knob::TdpScale, Knob::WeightScale, Knob::RotorPull] {
             assert!(
-                engine
-                    .query()
-                    .sweep(KnobSweep::new(knob, vec![0.0]))
-                    .run()
-                    .is_err(),
+                run(QueryPlan::builder().sweep(KnobSweep::new(knob, vec![0.0]))).is_err(),
                 "{knob:?}"
             );
         }
-        assert!(engine
-            .query()
-            .sweep(KnobSweep::new(Knob::TdpScale, vec![]))
-            .run()
-            .is_err());
-        assert!(engine
-            .query()
-            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![f64::NAN]))
-            .run()
-            .is_err());
+        assert!(run(QueryPlan::builder().sweep(KnobSweep::new(Knob::TdpScale, vec![]))).is_err());
+        assert!(
+            run(QueryPlan::builder().sweep(KnobSweep::new(Knob::PayloadDelta, vec![f64::NAN])))
+                .is_err()
+        );
         let profile = MissionProfile {
             figure_of_merit: 1.5,
             ..MissionProfile::default()
         };
-        assert!(engine.query().mission_profile(profile).run().is_err());
+        assert!(run(QueryPlan::builder().mission_profile(profile)).is_err());
     }
 
     #[test]
@@ -1224,40 +893,35 @@ mod tests {
         // zero, so the Wh/km energy objective overflows to +∞. Those
         // points used to vanish from the frontier with no accounting;
         // they must be counted.
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let result = engine
-            .query()
+        let result = run(QueryPlan::builder()
             .objectives(&[Objective::SafeVelocity, Objective::MissionEnergyWhPerKm])
             .constraint(Constraint::FeasibleOnly)
-            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1e-307]))
-            .run()
-            .unwrap();
-        assert!(!result.points().is_empty());
-        assert!(result.points().iter().all(|p| p.outcome.feasible));
+            .sweep(KnobSweep::new(Knob::SensorRangeScale, vec![1e-307])))
+        .unwrap();
+        assert!(!result.is_empty());
+        assert!(result.iter_points().all(|p| p.outcome.feasible));
         // Every kept point is feasible with +∞ energy: all counted.
-        assert_eq!(result.nonfinite(), result.points().len());
+        assert_eq!(result.nonfinite(), result.len());
         // Excluded from the frontier domain, but never lost from points.
         let (keys, map) = result.minimized_keys();
         assert!(keys.is_empty() && map.is_empty());
         assert!(result.frontier().is_empty());
         // A finite-valued query counts zero.
-        let finite = engine
-            .query()
+        let finite = run(QueryPlan::builder()
             .objectives(&[Objective::SafeVelocity, Objective::MissionEnergyWhPerKm])
-            .constraint(Constraint::FeasibleOnly)
-            .run()
-            .unwrap();
+            .constraint(Constraint::FeasibleOnly))
+        .unwrap();
         assert_eq!(finite.nonfinite(), 0);
         assert!(!finite.frontier().is_empty());
-        // The per-airframe reports carry their slice of the count and
-        // sum back to the query-wide total.
-        let reports = engine.describe_query(&result);
-        assert_eq!(
-            reports.iter().map(|r| r.nonfinite).sum::<usize>(),
-            result.nonfinite()
-        );
-        assert!(reports.iter().any(|r| r.nonfinite > 0));
+        // The count is exactly the feasible rows holding a non-finite
+        // value.
+        let counted = (0..result.len())
+            .filter(|&i| {
+                result.try_key(i).unwrap().feasible
+                    && result.try_row(i).unwrap().iter().any(|v| !v.is_finite())
+            })
+            .count();
+        assert_eq!(counted, result.nonfinite());
     }
 
     #[test]
@@ -1266,8 +930,6 @@ mod tests {
         // scales the catalog rates/ranges/masses to infinity: the
         // variant build must reject it before any evaluation runs,
         // naming the knob.
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         for (knob, expected) in [
             (Knob::SensorRateScale, "Sensor Framerate"),
             (Knob::SensorRangeScale, "Sensor Range"),
@@ -1275,11 +937,8 @@ mod tests {
             (Knob::WeightScale, "Drone Weight"),
             (Knob::RotorPull, "Rotor Pull"),
         ] {
-            let err = engine
-                .query()
-                .sweep(KnobSweep::new(knob, vec![1e308]))
-                .run()
-                .unwrap_err();
+            let err =
+                run(QueryPlan::builder().sweep(KnobSweep::new(knob, vec![1e308]))).unwrap_err();
             match err {
                 SkylineError::KnobVariant { knob, value, .. } => {
                     assert_eq!(knob, expected);
@@ -1291,12 +950,10 @@ mod tests {
         // Stacked payload deltas compose by addition: two individually
         // valid values summing to +∞ must fail the same way, not panic
         // in the units layer.
-        let err = engine
-            .query()
+        let err = run(QueryPlan::builder()
             .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
-            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308]))
-            .run()
-            .unwrap_err();
+            .sweep(KnobSweep::new(Knob::PayloadDelta, vec![1e308])))
+        .unwrap_err();
         assert!(matches!(
             err,
             SkylineError::KnobVariant {
@@ -1345,41 +1002,16 @@ mod tests {
 
     #[test]
     fn queries_are_deterministic() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
         let build = || {
-            engine
-                .query()
+            run(QueryPlan::builder()
                 .objectives(&[
                     Objective::SafeVelocity,
                     Objective::TotalTdp,
                     Objective::MissionEnergyWhPerKm,
                 ])
-                .sweep(KnobSweep::linear(Knob::TdpScale, 0.5, 1.0, 3))
-                .run()
-                .unwrap()
+                .sweep(KnobSweep::linear(Knob::TdpScale, 0.5, 1.0, 3)))
+            .unwrap()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn query_plan_compiles_the_same_request() {
-        let catalog = Catalog::paper();
-        let engine = Engine::new(&catalog);
-        let query = engine
-            .query()
-            .objectives(&[Objective::TotalTdp, Objective::SafeVelocity])
-            .constraint(Constraint::FeasibleOnly)
-            .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]));
-        let plan = query.plan().unwrap();
-        assert_eq!(
-            plan.objectives(),
-            [Objective::TotalTdp, Objective::SafeVelocity]
-        );
-        // The borrowed run and the owned plan through a session agree.
-        let borrowed = query.run().unwrap();
-        let session = crate::session::Session::new(std::sync::Arc::new(Catalog::paper()));
-        let owned = session.run(&plan).unwrap();
-        assert_eq!(*owned, borrowed);
     }
 }

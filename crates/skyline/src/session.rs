@@ -2,9 +2,8 @@
 //! plan-cached [`Session`] over an `Arc<Catalog>`, and the columnar
 //! [`ResultSet`] it produces.
 //!
-//! A [`Session`] is the serving-side counterpart of
-//! [`Engine`](crate::dse::Engine): it owns its catalog (no lifetimes in
-//! the public API), is `Send + Sync`, and executes owned
+//! A [`Session`] is the one way to run a query: it owns its catalog (no
+//! lifetimes in the public API), is `Send + Sync`, and executes owned
 //! [`QueryPlan`]s on the shard kernel ([`crate::shard`]), the one
 //! executor, which hoists the algorithm-independent work per
 //! (sensor, compute) pair and reduces shards in parallel:
@@ -49,7 +48,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use f1_components::json::{push_number, push_string};
 use f1_components::{
@@ -96,14 +95,10 @@ use crate::SkylineError;
 /// and [`best`](Self::best) rebuild a [`QueryPoint`] **by value**,
 /// running the same kernel over the same parts, so the rebuilt point is
 /// bit-identical to the one the pass evaluated.
-/// [`points`](Self::points) rebuilds every row into a slice on first
-/// call (and caches it): a full rebuild kept for compatibility callers,
-/// which no serving path may call.
 ///
 /// Ranked access scales down gracefully: [`top_k`](Self::top_k) selects
 /// the best *k* with a bounded heap in O(n log k) without materializing
-/// the full ranking, [`pages`](Self::pages) iterates fixed-size windows
-/// for paged serving, and [`ranked`](Self::ranked) still materializes
+/// the full ranking, and [`ranked`](Self::ranked) still materializes
 /// everything when asked.
 ///
 /// The serde derives are inert markers today (`crates/ext/serde`); the
@@ -116,9 +111,9 @@ use crate::SkylineError;
 /// ([`crate::shard::STREAM_TOP_K`] indices) beside the accounting
 /// counters, all **bit-identical** to a retaining run of the same plan
 /// and still addressed by the same global indices. Accessors that need
-/// an arbitrary row ([`points`](Self::points),
-/// [`minimized_keys`](Self::minimized_keys), [`point`](Self::point) on
-/// a non-stored index) panic with a clear message in streamed mode;
+/// an arbitrary row ([`minimized_keys`](Self::minimized_keys),
+/// [`point`](Self::point) on a non-stored index) panic with a clear
+/// message in streamed mode;
 /// [`frontier`](Self::frontier), [`top_k`](Self::top_k),
 /// [`best`](Self::best), [`to_json`](Self::to_json) and the counters
 /// work in both. [`is_streamed`](Self::is_streamed) and
@@ -130,8 +125,6 @@ pub struct ResultSet {
     space: Arc<PassSpace>,
     /// Each stored row's job index, ascending.
     jobs: Vec<u64>,
-    /// The rebuilt point list behind [`points`](Self::points).
-    points_cache: OnceLock<Vec<QueryPoint>>,
     /// One column per objective, one entry per stored row, in each
     /// objective's natural (unnegated) unit.
     columns: Vec<Vec<f64>>,
@@ -225,7 +218,6 @@ impl ResultSet {
             objectives,
             space,
             jobs,
-            points_cache: OnceLock::new(),
             columns,
             feasible,
             frontier,
@@ -373,18 +365,6 @@ impl ResultSet {
         })
     }
 
-    /// Non-panicking [`points`](Self::points): `None` for a streamed
-    /// result, whose full point list was never kept (use
-    /// [`stored_indices`](Self::stored_indices) with
-    /// [`try_point`](Self::try_point) instead).
-    #[must_use]
-    pub fn try_points(&self) -> Option<&[QueryPoint]> {
-        if self.streamed.is_some() {
-            return None;
-        }
-        Some(self.points())
-    }
-
     /// Non-panicking [`row`](Self::row): the objective values of point
     /// `index` across the columns, `None` when the index is out of
     /// range or unstored in a streamed result.
@@ -393,30 +373,6 @@ impl ResultSet {
     pub fn try_row(&self, index: usize) -> Option<Vec<f64>> {
         let r = self.try_row_pos(index)?;
         Some(self.columns.iter().map(|c| c[r]).collect())
-    }
-
-    /// Every kept point as a contiguous slice, in enumeration order.
-    /// The slice is a **full rebuild** — every row's point is
-    /// re-evaluated from its job index on first call, then cached — kept
-    /// for compatibility callers; no serving path may call it. Prefer
-    /// [`try_key`](Self::try_key), [`point`](Self::point) or
-    /// [`iter_points`](Self::iter_points).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streamed result — the full point list was never
-    /// kept. Use [`stored_indices`](Self::stored_indices) with
-    /// [`point`](Self::point), or [`iter_points`](Self::iter_points),
-    /// which yields the stored subset.
-    #[must_use]
-    pub fn points(&self) -> &[QueryPoint] {
-        assert!(
-            self.streamed.is_none(),
-            "a streamed result set does not keep every point; \
-             use stored_indices()/point(i) or iter_points()"
-        );
-        self.points_cache
-            .get_or_init(|| (0..self.jobs.len()).map(|r| self.stored_point(r)).collect())
     }
 
     /// Iterates the stored points in enumeration order, each rebuilt by
@@ -612,35 +568,6 @@ impl ResultSet {
             .map(|&i| self.point(i))
     }
 
-    /// One fixed-size window of the result, for paged serving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero (`offset` past the end just yields an
-    /// empty page).
-    #[must_use]
-    pub fn page(&self, offset: usize, limit: usize) -> ResultPage<'_> {
-        assert!(limit > 0, "page limit must be positive");
-        let start = offset.min(self.len());
-        let end = offset.saturating_add(limit).min(self.len());
-        ResultPage {
-            set: self,
-            start,
-            end,
-        }
-    }
-
-    /// Iterates the whole result as consecutive pages of at most
-    /// `limit` points, in enumeration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn pages(&self, limit: usize) -> impl Iterator<Item = ResultPage<'_>> {
-        assert!(limit > 0, "page limit must be positive");
-        (0..self.len().div_ceil(limit)).map(move |p| self.page(p * limit, limit))
-    }
-
     /// Sensor × compute × algorithm combinations skipped **per airframe
     /// and knob setting** because the platform × algorithm pair was never
     /// characterized.
@@ -657,11 +584,11 @@ impl ResultSet {
 
     /// Number of **feasible** points whose objective row contains a
     /// non-finite value (e.g. [`Objective::MissionEnergyWhPerKm`] at a
-    /// vanishing achieved velocity → `+∞`). Such points stay in
-    /// [`points`](Self::points) and the ranked report but cannot
-    /// participate in the frontier, which is defined over finite keys
-    /// only — this counter is the accounting for that exclusion, so no
-    /// feasible point ever vanishes silently.
+    /// vanishing achieved velocity → `+∞`). Such points stay in the
+    /// result and the ranked report but cannot participate in the
+    /// frontier, which is defined over finite keys only — this counter
+    /// is the accounting for that exclusion, so no feasible point ever
+    /// vanishes silently.
     #[must_use]
     pub fn nonfinite(&self) -> usize {
         self.nonfinite
@@ -701,12 +628,12 @@ impl ResultSet {
     /// The frontier's input domain: minimized objective-key rows
     /// (maximize objectives negated) for every feasible point with
     /// finite values, plus the map from key-row position back to the
-    /// index in [`points`](Self::points). This is exactly what
-    /// [`frontier`](Self::frontier) was computed from — benchmarks and
-    /// tests that compare skyline algorithms against the naive scan
-    /// should extract keys through here so they keep measuring the
-    /// production path. Feasible points skipped for non-finite rows are
-    /// counted by [`nonfinite`](Self::nonfinite).
+    /// point index. This is exactly what [`frontier`](Self::frontier)
+    /// was computed from — benchmarks and tests that compare skyline
+    /// algorithms against the naive scan should extract keys through
+    /// here so they keep measuring the production path. Feasible points
+    /// skipped for non-finite rows are counted by
+    /// [`nonfinite`](Self::nonfinite).
     ///
     /// # Panics
     ///
@@ -922,67 +849,9 @@ pub(crate) fn minimized_row<'a>(
         .map(move |(c, o)| o.minimized(c[row]))
 }
 
-/// One fixed-size window of a [`ResultSet`], for paged serving.
-#[derive(Debug, Clone, Copy)]
-pub struct ResultPage<'a> {
-    set: &'a ResultSet,
-    start: usize,
-    end: usize,
-}
-
-impl<'a> ResultPage<'a> {
-    /// Index of the first point in this page.
-    #[must_use]
-    pub fn offset(&self) -> usize {
-        self.start
-    }
-
-    /// Number of points in this page.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the page is empty (offset past the end).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// The page's points, in enumeration order (rebuilds the parent
-    /// result's whole point list on first access — see
-    /// [`ResultSet::points`]).
-    #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "page bounds were clamped to the result length in page()")
-    pub fn points(&self) -> &'a [QueryPoint] {
-        &self.set.points()[self.start..self.end]
-    }
-
-    /// The page's slice of an objective's value column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position` is out of range.
-    #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "documented `# Panics` contract; page bounds clamped in page()")
-    pub fn column(&self, position: usize) -> &'a [f64] {
-        &self.set.columns[position][self.start..self.end]
-    }
-
-    /// Iterates `(result index, point)` pairs of the page.
-    pub fn rows(self) -> impl Iterator<Item = (usize, &'a QueryPoint)> {
-        let start = self.start;
-        self.points()
-            .iter()
-            .enumerate()
-            .map(move |(i, p)| (start + i, p))
-    }
-}
-
-/// Everything a pass needs, borrowed: both [`Engine`](crate::dse::Engine)
-/// (catalog by reference) and [`Session`] (catalog behind `Arc`) project
-/// themselves into one of these, so the borrowed compatibility query and
-/// the owned serving path execute the **same** code.
+/// Everything a pass needs, borrowed from a [`Session`] and the epoch
+/// state it runs at: what cold passes, batches and delta-repair slabs
+/// all execute over.
 pub(crate) struct PassContext<'a> {
     pub catalog: &'a Catalog,
     pub airframes: &'a [AirframeId],
@@ -1070,11 +939,7 @@ fn same_pass(a: &QueryPlan, b: &QueryPlan) -> bool {
 /// aligned with `plans`.
 // analyze::allow(indexing, scope = "fn", reason = "slot indices come from enumerate() over plans and stay < plans.len()")
 // analyze::allow(panic, scope = "fn", reason = "the grouping loop assigns every plan index to exactly one group")
-pub(crate) fn run_plans(
-    ctx: &PassContext<'_>,
-    plans: &[&QueryPlan],
-    with_frontier: bool,
-) -> Result<Vec<ResultSet>, SkylineError> {
+fn run_plans(ctx: &PassContext<'_>, plans: &[&QueryPlan]) -> Result<Vec<ResultSet>, SkylineError> {
     for plan in plans {
         validate_plan_ids(ctx, plan)?;
     }
@@ -1093,10 +958,7 @@ pub(crate) fn run_plans(
     let mut out: Vec<Option<ResultSet>> = (0..plans.len()).map(|_| None).collect();
     for members in groups {
         let group: Vec<&QueryPlan> = members.iter().map(|&i| plans[i]).collect();
-        for (&slot, result) in members
-            .iter()
-            .zip(crate::shard::run(ctx, &group, with_frontier)?)
-        {
+        for (&slot, result) in members.iter().zip(crate::shard::run(ctx, &group)?) {
             out[slot] = Some(result);
         }
     }
@@ -1260,9 +1122,8 @@ impl EpochState {
 /// published [`CatalogEpoch`] is an immutable `Arc<Catalog>` snapshot,
 /// and the session derives one execution state per epoch it touches
 /// (active id lists in name order, dense throughput table,
-/// paper-calibrated heatsink model) — exactly what
-/// [`Engine::new`](crate::dse::Engine::new) derives for its borrowed
-/// catalog. The session is `Send + Sync` and free of lifetimes: clone
+/// paper-calibrated heatsink model). The session is `Send + Sync` and
+/// free of lifetimes: clone
 /// the `Arc`s, move it into a server, share it across threads.
 ///
 /// * [`run`](Self::run) executes at the store's **current** epoch;
@@ -1535,7 +1396,7 @@ impl Session {
             return Ok(hit);
         }
         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-        let mut results = run_plans(&self.pass_context(state), &[plan], true)?;
+        let mut results = run_plans(&self.pass_context(state), &[plan])?;
         // analyze::allow(panic, reason = "run_plans returns exactly one result per input plan")
         let result = results.pop().expect("one plan in, one result out");
         let result = Arc::new(self.attach_tier2(plan, state, result, None)?);
@@ -1773,7 +1634,7 @@ impl Session {
             self.misses
                 .fetch_add(pending.len() as u64, AtomicOrdering::Relaxed);
             let refs: Vec<&QueryPlan> = pending.iter().map(|&i| &plans[i]).collect();
-            let results = run_plans(&self.pass_context(state), &refs, true)?;
+            let results = run_plans(&self.pass_context(state), &refs)?;
             for (&i, result) in pending.iter().zip(results) {
                 let result = Arc::new(self.attach_tier2(&plans[i], state, result, None)?);
                 self.insert(plans[i].key(), epoch, Arc::clone(&result));
@@ -1856,17 +1717,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<Session>();
         assert_send_sync::<ResultSet>();
-    }
-
-    #[test]
-    fn session_matches_engine_query() {
-        let catalog = Catalog::paper();
-        let engine = crate::dse::Engine::new(&catalog);
-        let borrowed = engine.query().run().unwrap();
-        let owned = session()
-            .run(&QueryPlan::builder().build().unwrap())
-            .unwrap();
-        assert_eq!(*owned, borrowed);
     }
 
     #[test]
@@ -1988,39 +1838,12 @@ mod tests {
             assert_eq!(result.top_k(k), &ranked[..k.min(ranked.len())], "k={k}");
         }
         assert_eq!(
-            result.best().map(|p| p.candidate),
+            result.best(),
             ranked
                 .first()
-                .map(|&i| result.points()[i])
+                .map(|&i| result.point(i))
                 .filter(|p| p.outcome.feasible)
-                .map(|p| p.candidate)
         );
-    }
-
-    #[test]
-    fn pages_tile_the_result_exactly() {
-        let result = session()
-            .run(&QueryPlan::builder().build().unwrap())
-            .unwrap();
-        let n = result.len();
-        for limit in [1, 7, 64, n, n + 3] {
-            let pages: Vec<_> = result.pages(limit).collect();
-            assert_eq!(pages.len(), n.div_ceil(limit), "limit={limit}");
-            let mut seen = 0usize;
-            for page in &pages {
-                assert_eq!(page.offset(), seen);
-                assert!(page.len() <= limit);
-                assert_eq!(page.points().len(), page.len());
-                assert_eq!(page.column(0).len(), page.len());
-                for (index, point) in page.rows() {
-                    assert_eq!(point, &result.points()[index]);
-                }
-                seen += page.len();
-            }
-            assert_eq!(seen, n);
-        }
-        // Out-of-range page is empty, not a panic.
-        assert!(result.page(n + 10, 5).is_empty());
     }
 
     #[test]

@@ -748,7 +748,7 @@ struct ShardOut {
 
 /// Runs a group of plans with one evaluation signature (see
 /// `session::same_pass`) through the shard kernel over the first plan's
-/// resolved space; see [`run_over`].
+/// resolved space, frontier pass included; see [`run_over`].
 ///
 /// # Errors
 ///
@@ -757,15 +757,9 @@ struct ShardOut {
 pub(crate) fn run(
     ctx: &PassContext<'_>,
     plans: &[&QueryPlan],
-    with_frontier: bool,
 ) -> Result<Vec<ResultSet>, SkylineError> {
     match plans.first() {
-        Some(first) => run_over(
-            Arc::new(PassSpace::resolve(ctx, first)?),
-            ctx,
-            plans,
-            with_frontier,
-        ),
+        Some(first) => run_over(Arc::new(PassSpace::resolve(ctx, first)?), ctx, plans, true),
         None => Ok(Vec::new()),
     }
 }
@@ -774,9 +768,9 @@ pub(crate) fn run(
 /// shard kernel, one result per plan in order: a retained [`ResultSet`]
 /// (every kept row) or a streamed one (exact frontier, exact bounded
 /// top-k, exact accounting), as each plan's [`KeepPoints`] policy
-/// decides. Without a frontier pass every plan retains: the callers
-/// that skip the frontier (delta-repair slabs, the classic explore
-/// wrappers) read every row.
+/// decides. Without a frontier pass every plan retains: delta repair,
+/// the one caller that skips the frontier, reads every row of its
+/// slabs.
 ///
 /// # Errors
 ///

@@ -377,20 +377,19 @@ fn airframe_knobs_flow_through_the_session_path() {
     assert_eq!(swept_result.len(), 4 * stock_result.len());
     // Identity-setting points equal the unswept run, in order.
     let identity: Vec<_> = swept_result
-        .points()
-        .iter()
+        .iter_points()
         .filter(|p| p.setting.is_identity())
         .collect();
     assert_eq!(identity.len(), stock_result.len());
-    for (swept_point, stock_point) in identity.iter().zip(stock_result.points()) {
+    for (swept_point, stock_point) in identity.iter().zip(stock_result.iter_points()) {
         assert_eq!(swept_point.outcome, stock_point.outcome);
     }
     // Lighter + stronger can only help velocity, and payload objective
     // values are untouched by frame changes.
-    for point in swept_result.points() {
+    let stock_points: Vec<_> = stock_result.iter_points().collect();
+    for point in swept_result.iter_points() {
         if point.setting.weight_scale == 0.6 && point.setting.rotor_pull_scale == 1.4 {
-            let twin = stock_result
-                .points()
+            let twin = stock_points
                 .iter()
                 .find(|p| p.airframe == point.airframe && p.candidate == point.candidate)
                 .unwrap();

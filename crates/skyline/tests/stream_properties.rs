@@ -237,14 +237,15 @@ fn endurance_objective_streams_bit_identically() {
 }
 
 /// `KeepPoints::Auto` only streams past the job-count threshold: the
-/// paper catalog materializes (points() works), while `FrontierOnly`
+/// paper catalog retains every row, while `FrontierOnly`
 /// streams even the smallest space and `All` never streams.
 #[test]
 fn auto_mode_materializes_small_spaces() {
     let session = Session::new(Arc::new(Catalog::paper()));
     let auto = session.run(&QueryPlan::builder().build().unwrap()).unwrap();
     assert!(!auto.is_streamed());
-    assert!(!auto.points().is_empty());
+    assert_eq!(auto.iter_points().count(), auto.len());
+    assert!(!auto.is_empty());
 
     let forced = session
         .run(

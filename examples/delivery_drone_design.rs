@@ -11,16 +11,17 @@
 //! cargo run --example delivery_drone_design
 //! ```
 
+use std::sync::Arc;
+
 use f1_uav::components::{names, Catalog};
-use f1_uav::skyline::dse::Engine;
+use f1_uav::skyline::plan::QueryPlan;
 use f1_uav::skyline::query::{Constraint, Objective};
+use f1_uav::skyline::session::Session;
 use f1_uav::units::Watts;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let catalog = Catalog::paper();
-    let engine = Engine::new(&catalog);
-    let result = engine
-        .query()
+    let catalog = Arc::new(Catalog::paper());
+    let plan = QueryPlan::builder()
         .airframes(&[catalog.airframe_id(names::ASCTEC_PELICAN)?])
         .battery(catalog.battery_id(names::BATTERY_PELICAN)?)
         .objectives(&[
@@ -30,19 +31,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ])
         .constraint(Constraint::MaxTotalTdp(Watts::new(20.0)))
         .constraint(Constraint::FeasibleOnly)
-        .run()?;
+        .build()?;
+    let result = Session::new(Arc::clone(&catalog)).run(&plan)?;
 
     println!(
         "Explored {} delivery builds under a 20 W TDP budget ({} filtered out, \
          {} platform×algorithm pairs uncharacterized).\n",
-        result.points().len(),
+        result.len(),
         result.dropped(),
         result.uncharacterized()
     );
 
     println!("top 5 builds by safe velocity (energy, endurance alongside):");
     for (rank, index) in result.top_k(5).into_iter().enumerate() {
-        let point = &result.points()[index];
+        let point = result.point(index);
         let values = result.row(index);
         println!(
             "  {}. {:<16} + {:<16} + {:<26} → {:>5.2} m/s  {:>5.2} Wh/km  {:>4.1} min hover",
@@ -58,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nPareto frontier over (velocity ↑, energy ↓, endurance ↑):");
     for &index in result.frontier() {
-        let point = &result.points()[index];
+        let point = result.point(index);
         let values = result.row(index);
         println!(
             "  • {} + {} + {}: {:.2} m/s, {:.2} Wh/km, {:.1} min",

@@ -133,11 +133,16 @@ fn payload_accounting_cross_check() {
 /// assembled §VI configuration.
 #[test]
 fn dse_winner_dominates_case_study_builds() {
-    let catalog = Catalog::paper();
-    let engine = f1_uav::skyline::dse::Engine::new(&catalog);
+    let catalog = std::sync::Arc::new(Catalog::paper());
     let pelican = catalog.airframe_id(names::ASCTEC_PELICAN).unwrap();
-    let dse = engine.describe(&engine.explore_airframe(pelican).unwrap());
-    let best = dse.best().unwrap().velocity.get();
+    let plan = f1_uav::skyline::QueryPlan::builder()
+        .airframes(&[pelican])
+        .build()
+        .unwrap();
+    let dse = f1_uav::skyline::Session::new(std::sync::Arc::clone(&catalog))
+        .run(&plan)
+        .unwrap();
+    let best = dse.best().unwrap().outcome.velocity.get();
     for (platform, algorithm) in [
         (names::TX2, names::DRONET),
         (names::TX2, names::TRAILNET),
