@@ -2,9 +2,11 @@
 //!
 //! In the designated server-facing / hot-path modules, every construct
 //! that can abort the thread — `unwrap()`, `expect()`, `panic!`,
-//! `unreachable!`, `todo!`, `unimplemented!`, and direct slice/array
-//! indexing — must either disappear (return a structured error) or
-//! carry a written justification:
+//! `unreachable!`, `todo!`, `unimplemented!`, `assert!`, `assert_eq!`,
+//! `assert_ne!`, and direct slice/array indexing — must either
+//! disappear (return a structured error) or carry a written
+//! justification (the `debug_assert*` forms are compiled out of
+//! release builds and stay exempt):
 //!
 //! ```text
 //! // analyze::allow(panic, reason = "startup-time config check")
@@ -48,7 +50,15 @@ pub fn is_designated(rel: &str) -> bool {
         )
 }
 
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+const PANIC_MACROS: [&str; 7] = [
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
 
 /// Rust keywords that can precede `[` without forming an index
 /// expression (`let [a, b] = …`, `for x in [..]`, `match … { [..] => }`).
@@ -232,8 +242,18 @@ mod tests {
         // plain `assert!` still panics in release and stays flagged.
         let src = "fn f(v: &[u8]) {\n  debug_assert!(v.windows(2).all(|w| w[0] < w[1]));\n  debug_assert_eq!(v[0], v[1]);\n  assert!(v[2] > 0);\n}\n";
         let found = run(src);
-        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found.len(), 2, "{found:?}");
         assert_eq!(found[0].line, 4);
+    }
+
+    #[test]
+    fn flags_release_asserts() {
+        let src = "fn f(a: u8, b: u8) {\n  assert!(a > 0);\n  assert_eq!(a, b);\n  assert_ne!(a, b, \"m\");\n}\n";
+        let found = run(src);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found
+            .iter()
+            .all(|f| f.message.contains("aborts the thread")));
     }
 
     #[test]

@@ -108,7 +108,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-frame" => args.max_frame = parse("--max-frame", value("--max-frame")?)?,
             "--cache-capacity" => {
-                args.cache_capacity = Some(parse("--cache-capacity", value("--cache-capacity")?)?);
+                let n = parse("--cache-capacity", value("--cache-capacity")?)?;
+                if n == 0 {
+                    return Err("--cache-capacity must be at least 1".into());
+                }
+                args.cache_capacity = Some(n);
             }
             "--data-dir" => args.data_dir = Some(PathBuf::from(value("--data-dir")?)),
             "--replica" => args.replica = true,

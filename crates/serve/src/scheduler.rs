@@ -154,7 +154,13 @@ pub enum SubmitError {
 impl Scheduler {
     /// Starts the executor pool and the background repair thread over a
     /// shared session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue capacity, the batch size or the executor
+    /// count is zero.
     #[must_use]
+    // analyze::allow(panic, scope = "fn", reason = "startup-time config checks (skyline-serve rejects each zero as a usage error first) and thread spawns, before any request is served")
     pub fn start(session: Arc<Session>, config: SchedulerConfig) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         assert!(config.max_batch > 0, "max batch must be positive");
@@ -179,7 +185,6 @@ impl Scheduler {
                 std::thread::Builder::new()
                     .name(format!("skyline-exec-{i}"))
                     .spawn(move || executor_loop(&inner))
-                    // analyze::allow(panic, reason = "startup-time spawn, before any request is served")
                     .expect("spawning an executor thread"),
             );
         }
@@ -189,7 +194,6 @@ impl Scheduler {
                 std::thread::Builder::new()
                     .name("skyline-repair".to_owned())
                     .spawn(move || repair_loop(&inner))
-                    // analyze::allow(panic, reason = "startup-time spawn, before any request is served")
                     .expect("spawning the repair thread"),
             );
         }

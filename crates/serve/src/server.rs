@@ -27,7 +27,6 @@ use std::time::{Duration, Instant};
 use f1_components::CatalogDelta;
 use f1_skyline::plan::QueryPlan;
 use f1_skyline::session::Session;
-use f1_skyline::SkylineError;
 use f1_store::{DurableStore, SpillRecord};
 
 use crate::protocol::{
@@ -518,64 +517,6 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
     }
 }
 
-/// Cheap connection-side validation of a parsed plan against the
-/// admission catalog, so an out-of-catalog plan is rejected before it
-/// can join (and fail) a coalesced batch.
-fn validate_ids(plan: &QueryPlan, catalog: &f1_components::Catalog) -> Result<(), SkylineError> {
-    fn check<T: Copy>(
-        ids: Option<&[T]>,
-        index: impl Fn(T) -> usize,
-        count: usize,
-        family: &'static str,
-    ) -> Result<(), SkylineError> {
-        for &id in ids.unwrap_or_default() {
-            if index(id) >= count {
-                return Err(SkylineError::PlanCatalog {
-                    family,
-                    index: index(id),
-                    count,
-                });
-            }
-        }
-        Ok(())
-    }
-    use f1_components::{AirframeId, AlgorithmId, ComputeId, SensorId};
-    check(
-        plan.airframes(),
-        AirframeId::index,
-        catalog.airframe_count(),
-        "airframe",
-    )?;
-    check(
-        plan.sensors(),
-        SensorId::index,
-        catalog.sensor_count(),
-        "sensor",
-    )?;
-    check(
-        plan.computes(),
-        ComputeId::index,
-        catalog.compute_count(),
-        "compute",
-    )?;
-    check(
-        plan.algorithms(),
-        AlgorithmId::index,
-        catalog.algorithm_count(),
-        "algorithm",
-    )?;
-    if let Some(battery) = plan.battery() {
-        if battery.index() >= catalog.battery_count() {
-            return Err(SkylineError::PlanCatalog {
-                family: "battery",
-                index: battery.index(),
-                count: catalog.battery_count(),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Answers a `query`/`top` request: snapshot the admission epoch, probe
 /// the memo cache (fast path, no queue), otherwise parse + validate the
 /// plan, submit to the scheduler and serialize the reply against the
@@ -617,7 +558,8 @@ fn answer_plan(key: &str, top_k: Option<usize>, writer: &mut TcpStream, shared: 
     }
     let mut canonical = None;
     let submitted = QueryPlan::from_key(key)
-        .and_then(|plan| validate_ids(&plan, snapshot.catalog()).map(|()| plan))
+        // Reject an out-of-catalog plan before it joins (and fails) a batch.
+        .and_then(|plan| plan.validate_ids(snapshot.catalog()).map(|()| plan))
         .map(|plan| {
             canonical = Some(plan.key().to_owned());
             scheduler.submit(plan, snapshot.epoch())

@@ -29,7 +29,7 @@
 //! # Ok::<(), f1_skyline::SkylineError>(())
 //! ```
 
-use f1_components::{AirframeId, AlgorithmId, BatteryId, ComputeId, SensorId};
+use f1_components::{AirframeId, AlgorithmId, BatteryId, Catalog, ComputeId, SensorId};
 use f1_units::{Grams, MetersPerSecond, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -315,6 +315,41 @@ impl QueryPlan {
     #[must_use]
     pub fn has_tier2(&self) -> bool {
         !self.sim_objectives.is_empty()
+    }
+
+    /// Checks that every id the plan carries is in range for `catalog`.
+    /// A [`Session`](crate::Session) runs it before every pass; a server
+    /// can run it at admission, before the plan joins a batch.
+    ///
+    /// # Errors
+    ///
+    /// [`SkylineError::PlanCatalog`] for the first out-of-range id, in
+    /// airframe, sensor, compute, algorithm, battery order.
+    pub fn validate_ids(&self, catalog: &Catalog) -> Result<(), SkylineError> {
+        fn check(
+            family: &'static str,
+            count: usize,
+            mut indices: impl Iterator<Item = usize>,
+        ) -> Result<(), SkylineError> {
+            match indices.find(|&index| index >= count) {
+                Some(index) => Err(SkylineError::PlanCatalog {
+                    family,
+                    index,
+                    count,
+                }),
+                None => Ok(()),
+            }
+        }
+        let airframes = self.airframes.iter().flatten().map(|id| id.index());
+        check("airframe", catalog.airframe_count(), airframes)?;
+        let sensors = self.sensors.iter().flatten().map(|id| id.index());
+        check("sensor", catalog.sensor_count(), sensors)?;
+        let computes = self.computes.iter().flatten().map(|id| id.index());
+        check("compute", catalog.compute_count(), computes)?;
+        let algorithms = self.algorithms.iter().flatten().map(|id| id.index());
+        check("algorithm", catalog.algorithm_count(), algorithms)?;
+        let battery = self.battery.iter().map(|id| id.index());
+        check("battery", catalog.battery_count(), battery)
     }
 
     /// Whether any objective needs the momentum-theory power model.

@@ -280,6 +280,7 @@ impl KnobSweep {
     ///
     /// Panics if `steps < 2` or the interval is not ordered.
     #[must_use]
+    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract of a programmatic constructor; plan keys spell their sweep values and reach KnobSweep::new")
     pub fn linear(knob: Knob, lo: f64, hi: f64, steps: usize) -> Self {
         assert!(steps >= 2, "need at least two sweep steps");
         assert!(lo < hi, "sweep interval must be ordered");

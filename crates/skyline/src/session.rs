@@ -22,7 +22,11 @@
 //! A result stores no points: each row is a job index into its pass's
 //! shared space beside the value and feasibility columns, and the point
 //! accessors rebuild a [`QueryPoint`] by value on demand (see
-//! [`ResultSet`]).
+//! [`ResultSet`]). The job index is defined once, by the shard module's
+//! `PassSpace`; a delta repair ([`Session::refresh`]) places the cached
+//! rows through the new epoch's space. A pass reads everything it needs
+//! from the epoch's execution state; the heatsink model and knee
+//! saturation are the paper's, fixed by the space itself.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -55,8 +59,6 @@ use f1_components::{
     AirframeId, AlgorithmId, Catalog, CatalogEpoch, CatalogStore, ComputeId, EpochSnapshot,
     SensorId, ThroughputTable,
 };
-use f1_model::heatsink::HeatsinkModel;
-use f1_model::roofline::Saturation;
 use serde::{Deserialize, Serialize};
 
 use crate::dse::Candidate;
@@ -461,21 +463,15 @@ impl ResultSet {
         self.frontier.iter().map(|&i| self.point(i))
     }
 
-    /// The rank comparator: feasible before infeasible, then by the
-    /// primary objective, ties in enumeration order. Total.
+    /// The [rank order](rank_order) of rows `a` and `b`.
     // analyze::allow(indexing, scope = "fn", reason = "comparator only sees indices < len() produced by the ranking loops")
     fn rank_cmp(&self, a: usize, b: usize) -> Ordering {
-        self.feasible[b]
-            .cmp(&self.feasible[a])
-            .then_with(|| {
-                let (va, vb) = (self.columns[0][a], self.columns[0][b]);
-                if self.objectives[0].maximize() {
-                    vb.total_cmp(&va)
-                } else {
-                    va.total_cmp(&vb)
-                }
-            })
-            .then_with(|| a.cmp(&b))
+        rank_order(
+            self.objectives[0].maximize(),
+            (self.feasible[a], a),
+            (self.feasible[b], b),
+            || (self.columns[0][a], self.columns[0][b]),
+        )
     }
 
     /// Indices of all points ranked best-first: feasible before
@@ -641,6 +637,7 @@ impl ResultSet {
     /// shard-by-shard and never materialized.
     #[must_use]
     // analyze::allow(indexing, scope = "fn", reason = "i < len() and columns are row-aligned with the point list")
+    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract: a streamed result never kept its key domain, and no serving path asks it for one")
     pub fn minimized_keys(&self) -> (Vec<f64>, Vec<usize>) {
         assert!(
             self.streamed.is_none(),
@@ -849,74 +846,28 @@ pub(crate) fn minimized_row<'a>(
         .map(move |(c, o)| o.minimized(c[row]))
 }
 
-/// Everything a pass needs, borrowed from a [`Session`] and the epoch
-/// state it runs at: what cold passes, batches and delta-repair slabs
-/// all execute over.
-pub(crate) struct PassContext<'a> {
-    pub catalog: &'a Catalog,
-    pub airframes: &'a [AirframeId],
-    pub sensors: &'a [SensorId],
-    pub computes: &'a [ComputeId],
-    pub algorithms: &'a [AlgorithmId],
-    pub table: &'a ThroughputTable,
-    pub heatsink: &'a HeatsinkModel,
-    pub saturation: Saturation,
-}
-
-/// Validates that every id a plan carries is in range for the catalog.
-fn validate_plan_ids(ctx: &PassContext<'_>, plan: &QueryPlan) -> Result<(), SkylineError> {
-    fn check<T: Copy>(
-        ids: Option<&[T]>,
-        index: impl Fn(T) -> usize,
-        count: usize,
-        family: &'static str,
-    ) -> Result<(), SkylineError> {
-        for &id in ids.unwrap_or_default() {
-            if index(id) >= count {
-                return Err(SkylineError::PlanCatalog {
-                    family,
-                    index: index(id),
-                    count,
-                });
+/// The rank order of rows `a` and `b`, each given with its feasibility
+/// flag: feasible before infeasible, then the primary objective values
+/// `primary` reads (descending when `maximize`, by `total_cmp`), ties
+/// by index. Total. [`ResultSet::ranked`] and [`ResultSet::top_k`], a
+/// shard's local top-k and the streamed merge all rank through it.
+pub(crate) fn rank_order(
+    maximize: bool,
+    (a_feasible, a): (bool, usize),
+    (b_feasible, b): (bool, usize),
+    primary: impl FnOnce() -> (f64, f64),
+) -> Ordering {
+    b_feasible
+        .cmp(&a_feasible)
+        .then_with(|| {
+            let (a_value, b_value) = primary();
+            if maximize {
+                b_value.total_cmp(&a_value)
+            } else {
+                a_value.total_cmp(&b_value)
             }
-        }
-        Ok(())
-    }
-    let catalog = ctx.catalog;
-    check(
-        plan.airframes(),
-        AirframeId::index,
-        catalog.airframe_count(),
-        "airframe",
-    )?;
-    check(
-        plan.sensors(),
-        SensorId::index,
-        catalog.sensor_count(),
-        "sensor",
-    )?;
-    check(
-        plan.computes(),
-        ComputeId::index,
-        catalog.compute_count(),
-        "compute",
-    )?;
-    check(
-        plan.algorithms(),
-        AlgorithmId::index,
-        catalog.algorithm_count(),
-        "algorithm",
-    )?;
-    if let Some(battery) = plan.battery() {
-        if battery.index() >= catalog.battery_count() {
-            return Err(SkylineError::PlanCatalog {
-                family: "battery",
-                index: battery.index(),
-                count: catalog.battery_count(),
-            });
-        }
-    }
-    Ok(())
+        })
+        .then_with(|| a.cmp(&b))
 }
 
 /// Two plans can share one kernel pass when everything that shapes the
@@ -939,9 +890,9 @@ fn same_pass(a: &QueryPlan, b: &QueryPlan) -> bool {
 /// aligned with `plans`.
 // analyze::allow(indexing, scope = "fn", reason = "slot indices come from enumerate() over plans and stay < plans.len()")
 // analyze::allow(panic, scope = "fn", reason = "the grouping loop assigns every plan index to exactly one group")
-fn run_plans(ctx: &PassContext<'_>, plans: &[&QueryPlan]) -> Result<Vec<ResultSet>, SkylineError> {
+fn run_plans(state: &EpochState, plans: &[&QueryPlan]) -> Result<Vec<ResultSet>, SkylineError> {
     for plan in plans {
-        validate_plan_ids(ctx, plan)?;
+        plan.validate_ids(state.catalog())?;
     }
     // Group by pass signature (order-preserving; batches are small, the
     // quadratic scan is noise next to a single evaluation).
@@ -958,7 +909,7 @@ fn run_plans(ctx: &PassContext<'_>, plans: &[&QueryPlan]) -> Result<Vec<ResultSe
     let mut out: Vec<Option<ResultSet>> = (0..plans.len()).map(|_| None).collect();
     for members in groups {
         let group: Vec<&QueryPlan> = members.iter().map(|&i| plans[i]).collect();
-        for (&slot, result) in members.iter().zip(crate::shard::run(ctx, &group)?) {
+        for (&slot, result) in members.iter().zip(crate::shard::run(state, &group)?) {
             out[slot] = Some(result);
         }
     }
@@ -1094,7 +1045,7 @@ pub(crate) struct EpochState {
 }
 
 impl EpochState {
-    fn new(snapshot: EpochSnapshot) -> Self {
+    pub(crate) fn new(snapshot: EpochSnapshot) -> Self {
         let catalog = snapshot.catalog();
         Self {
             airframes: catalog.airframe_entries().map(|(id, _)| id).collect(),
@@ -1121,10 +1072,9 @@ impl EpochState {
 /// A session binds to a [`CatalogStore`] rather than one catalog: every
 /// published [`CatalogEpoch`] is an immutable `Arc<Catalog>` snapshot,
 /// and the session derives one execution state per epoch it touches
-/// (active id lists in name order, dense throughput table,
-/// paper-calibrated heatsink model). The session is `Send + Sync` and
-/// free of lifetimes: clone
-/// the `Arc`s, move it into a server, share it across threads.
+/// (active id lists in name order, dense throughput table). The session
+/// is `Send + Sync` and free of lifetimes: clone the `Arc`s, move it
+/// into a server, share it across threads.
 ///
 /// * [`run`](Self::run) executes at the store's **current** epoch;
 ///   [`run_at`](Self::run_at) pins any published epoch.
@@ -1142,8 +1092,6 @@ impl EpochState {
 #[derive(Debug)]
 pub struct Session {
     store: Arc<CatalogStore>,
-    heatsink: HeatsinkModel,
-    saturation: Saturation,
     states: Mutex<HashMap<u64, Arc<EpochState>>>,
     cache: Mutex<MemoCache>,
     hits: AtomicU64,
@@ -1173,8 +1121,6 @@ impl Session {
     pub fn over(store: Arc<CatalogStore>) -> Self {
         Self {
             store,
-            heatsink: HeatsinkModel::paper_calibrated(),
-            saturation: Saturation::DEFAULT,
             states: Mutex::new(HashMap::new()),
             cache: Mutex::new(MemoCache::default()),
             hits: AtomicU64::new(0),
@@ -1210,6 +1156,7 @@ impl Session {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
+        // analyze::allow(panic, reason = "documented `# Panics` contract of a builder; skyline-serve rejects --cache-capacity 0 as a usage error first")
         assert!(capacity > 0, "cache capacity must be positive");
         self.cache
             .lock()
@@ -1274,19 +1221,6 @@ impl Session {
                 requested: epoch.get(),
                 latest: self.store.current_epoch().get(),
             }),
-        }
-    }
-
-    fn pass_context<'a>(&'a self, state: &'a EpochState) -> PassContext<'a> {
-        PassContext {
-            catalog: state.catalog(),
-            airframes: &state.airframes,
-            sensors: &state.sensors,
-            computes: &state.computes,
-            algorithms: &state.algorithms,
-            table: &state.table,
-            heatsink: &self.heatsink,
-            saturation: self.saturation,
         }
     }
 
@@ -1385,23 +1319,16 @@ impl Session {
         self.run_at_state(plan, &state)
     }
 
+    /// One plan through [`run_batch_state`](Self::run_batch_state), the
+    /// one cache path: a hit counts one hit, a pass one miss.
     fn run_at_state(
         &self,
         plan: &QueryPlan,
         state: &EpochState,
     ) -> Result<Arc<ResultSet>, SkylineError> {
-        let epoch = state.epoch().get();
-        if let Some(hit) = self.peek(plan.key(), epoch) {
-            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-            return Ok(hit);
-        }
-        self.misses.fetch_add(1, AtomicOrdering::Relaxed);
-        let mut results = run_plans(&self.pass_context(state), &[plan])?;
-        // analyze::allow(panic, reason = "run_plans returns exactly one result per input plan")
-        let result = results.pop().expect("one plan in, one result out");
-        let result = Arc::new(self.attach_tier2(plan, state, result, None)?);
-        self.insert(plan.key(), epoch, Arc::clone(&result));
-        Ok(result)
+        let mut results = self.run_batch_state(std::slice::from_ref(plan), state)?;
+        // analyze::allow(panic, reason = "run_batch_state returns exactly one result per input plan")
+        Ok(results.pop().expect("one plan in, one result out"))
     }
 
     /// Brings a plan's result to the store's **current** epoch, reusing
@@ -1440,13 +1367,7 @@ impl Session {
             // epoch) unless the cache outlived a different store — then
             // fall through to a cold run.
             if let Ok(old_state) = self.state_at(CatalogEpoch::from_raw(old_epoch)) {
-                match crate::repair::repair_result(
-                    &old_state,
-                    &state,
-                    &self.pass_context(&state),
-                    plan,
-                    &cached,
-                )? {
+                match crate::repair::repair_result(&old_state, &state, plan, &cached)? {
                     crate::repair::Repair::Unchanged => {
                         // The delta does not intersect the plan's design
                         // space: the cached result IS the current-epoch
@@ -1634,7 +1555,7 @@ impl Session {
             self.misses
                 .fetch_add(pending.len() as u64, AtomicOrdering::Relaxed);
             let refs: Vec<&QueryPlan> = pending.iter().map(|&i| &plans[i]).collect();
-            let results = run_plans(&self.pass_context(state), &refs)?;
+            let results = run_plans(state, &refs)?;
             for (&i, result) in pending.iter().zip(results) {
                 let result = Arc::new(self.attach_tier2(&plans[i], state, result, None)?);
                 self.insert(plans[i].key(), epoch, Arc::clone(&result));

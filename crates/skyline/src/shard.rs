@@ -50,6 +50,12 @@
 //! over the same parts, which is bit-deterministic and reaches the
 //! pass's velocity through the same function (late materialization).
 //!
+//! `PassSpace` is the only definition of the job index: `coord` and
+//! `coords` decode a job, and `placement_of` maps another space's
+//! coordinates into it. Delta repair resolves the new epoch's space and
+//! places every cached row and every delta-slab row through it, so no
+//! other module rebuilds the enumeration order.
+//!
 //! Each plan's [`KeepPoints`] policy decides what it keeps beyond its
 //! counters and frontier:
 //!
@@ -86,7 +92,8 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use f1_components::{
-    Airframe, AirframeId, AlgorithmId, ComponentError, ComputeId, ComputePlatform, Sensor, SensorId,
+    Airframe, AirframeId, AlgorithmId, Catalog, ComponentError, ComputeId, ComputePlatform, Sensor,
+    SensorId,
 };
 use f1_model::heatsink::HeatsinkModel;
 use f1_model::mission::{hover_endurance, PowerModel};
@@ -99,7 +106,7 @@ use crate::plan::{KeepPoints, QueryPlan};
 use crate::query::{
     Constraint, Knob, KnobSetting, MissionProfile, Objective, QueryPoint, MAX_OBJECTIVES,
 };
-use crate::session::{PassContext, ResultSet, StreamedMeta};
+use crate::session::{rank_order, EpochState, ResultSet, StreamedMeta};
 use crate::sweep::parallel_map_indices;
 use crate::SkylineError;
 
@@ -173,61 +180,48 @@ pub(crate) struct PassSpace {
     saturation: Saturation,
     /// Sensor × compute × algorithm combinations of the subspace whose
     /// pair was never characterized.
-    uncharacterized: usize,
+    pub(crate) uncharacterized: usize,
 }
 
 impl PassSpace {
-    /// Resolves a plan's subspace (explicit plan lists or session
-    /// defaults, retired components filtered, so cold runs and
-    /// incremental repairs agree on the enumeration at every epoch),
+    /// Resolves a plan's subspace at `state`'s epoch ([`Parts::of`]),
     /// snapshots the characterized pair list in compute-major order and
     /// builds the per-setting variants.
     ///
     /// # Errors
     ///
     /// [`SkylineError::KnobVariant`] for an out-of-domain sweep variant.
-    pub(crate) fn resolve(ctx: &PassContext<'_>, plan: &QueryPlan) -> Result<Self, SkylineError> {
-        let catalog = ctx.catalog;
-        let airframes = active_ids(plan.airframes().unwrap_or(ctx.airframes), |id| {
-            catalog.airframe_is_active(id)
-        });
-        let sensors = active_ids(plan.sensors().unwrap_or(ctx.sensors), |id| {
-            catalog.sensor_is_active(id)
-        });
-        let computes = active_ids(plan.computes().unwrap_or(ctx.computes), |id| {
-            catalog.compute_is_active(id)
-        });
-        let algorithms = active_ids(plan.algorithms().unwrap_or(ctx.algorithms), |id| {
-            catalog.algorithm_is_active(id)
-        });
+    pub(crate) fn resolve(state: &EpochState, plan: &QueryPlan) -> Result<Self, SkylineError> {
+        let parts = Parts::of(state, plan);
         Self::over(
-            ctx,
+            state,
             plan,
-            airframes.into_owned(),
-            sensors.into_owned(),
-            &computes,
-            &algorithms,
+            parts.airframes.into_owned(),
+            parts.sensors.into_owned(),
+            &parts.computes,
+            &parts.algorithms,
         )
     }
 
     /// The space of `plan`'s knob settings and battery over explicit part
-    /// lists, all active at `ctx`'s epoch.
+    /// lists, all active at `state`'s epoch, scored with the
+    /// paper-calibrated heatsink model and the default knee saturation.
     ///
     /// # Errors
     ///
     /// [`SkylineError::KnobVariant`] for an out-of-domain sweep variant.
     pub(crate) fn over(
-        ctx: &PassContext<'_>,
+        state: &EpochState,
         plan: &QueryPlan,
         airframes: Vec<AirframeId>,
         sensors: Vec<SensorId>,
         computes: &[ComputeId],
         algorithms: &[AlgorithmId],
     ) -> Result<Self, SkylineError> {
-        let catalog = ctx.catalog;
+        let catalog = state.catalog();
         let mut pairs = Vec::new();
         for (compute_pos, &compute) in computes.iter().enumerate() {
-            for (_, algorithm, throughput) in ctx
+            for (_, algorithm, throughput) in state
                 .table
                 .characterized_pairs(std::slice::from_ref(&compute), algorithms)
             {
@@ -243,7 +237,7 @@ impl PassSpace {
             .battery()
             .map_or(0.0, |id| catalog.battery_by_id(id).mass().get());
         let variants = build_variants(
-            ctx,
+            catalog,
             &sensors,
             computes,
             &airframes,
@@ -257,8 +251,8 @@ impl PassSpace {
             pairs,
             settings: plan.settings().to_vec(),
             variants,
-            heatsink: *ctx.heatsink,
-            saturation: ctx.saturation,
+            heatsink: HeatsinkModel::paper_calibrated(),
+            saturation: Saturation::DEFAULT,
         })
     }
 
@@ -268,7 +262,7 @@ impl PassSpace {
     }
 
     /// Evaluation jobs of the whole space.
-    fn job_count(&self) -> usize {
+    pub(crate) fn job_count(&self) -> usize {
         self.airframes.len() * self.settings.len() * self.cand_count()
     }
 
@@ -355,6 +349,129 @@ impl PassSpace {
             outcome: algo_stage(&stage, candidate.throughput)?,
         })
     }
+
+    /// Where the rows of `other`, a space of the same plan over other
+    /// part lists (the plan at an older epoch, or a delta-repair slab),
+    /// land in this space's job index. Each of its (airframe, setting)
+    /// blocks, sensors and pairs gets its job offset here, looked up by
+    /// id; a part this space does not enumerate, and a pair whose
+    /// throughput differs here, get `None`.
+    // analyze::allow(indexing, scope = "fn", reason = "a pair position comes from the table over this space's own pairs")
+    pub(crate) fn placement_of(&self, other: &PassSpace) -> Placement {
+        let pairs = self.pairs.len() as u64;
+        let per_setting = self.sensors.len() as u64 * pairs;
+        let per_airframe = self.settings.len() as u64 * per_setting;
+        let airframe_pos = positions(self.airframes.iter().map(|id| id.index()));
+        let sensor_pos = positions(self.sensors.iter().map(|id| id.index()));
+        // Pairs by (compute, algorithm) id: the table spans this space's
+        // largest ids, at most the shape of the epoch's throughput table.
+        let stride = self.pairs.iter().map(|p| p.algorithm.index() + 1).max();
+        let stride = stride.unwrap_or(0);
+        let key = |p: &PairEntry| p.compute.index() * stride + p.algorithm.index();
+        let pair_pos = positions(self.pairs.iter().map(key));
+        let setting_offsets: Vec<Option<u64>> = other
+            .settings
+            .iter()
+            .map(|s| Some(self.settings.iter().position(|t| t == s)? as u64 * per_setting))
+            .collect();
+        Placement {
+            blocks: other
+                .airframes
+                .iter()
+                .flat_map(|id| {
+                    let airframe = airframe_pos(id.index());
+                    setting_offsets
+                        .iter()
+                        .map(move |&setting| Some(u64::from(airframe?) * per_airframe + setting?))
+                })
+                .collect(),
+            settings: other.settings.len(),
+            sensors: other
+                .sensors
+                .iter()
+                .map(|id| Some(u64::from(sensor_pos(id.index())?) * pairs))
+                .collect(),
+            pairs: other
+                .pairs
+                .iter()
+                .map(|p| {
+                    let pos = pair_pos((p.algorithm.index() < stride).then(|| key(p))?)?;
+                    (self.pairs[pos as usize].throughput == p.throughput).then_some(u64::from(pos))
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The position of each of `indices` (dense id indices) in its list,
+/// looked up by index with one array read, no hashing.
+pub(crate) fn positions(
+    indices: impl Iterator<Item = usize> + Clone,
+) -> impl Fn(usize) -> Option<u32> {
+    let mut table = vec![None; indices.clone().max().map_or(0, |max| max + 1)];
+    for (pos, index) in indices.enumerate() {
+        if let Some(slot) = table.get_mut(index) {
+            *slot = Some(pos as u32);
+        }
+    }
+    move |index| table.get(index).copied().flatten()
+}
+
+/// Another space's rows placed in a target space's job index (see
+/// [`PassSpace::placement_of`]): the target job offset of each
+/// (airframe, setting) block, sensor and pair of the placed space,
+/// `None` where the target does not enumerate the part.
+pub(crate) struct Placement {
+    /// One offset per (airframe, setting) block, airframe-major.
+    blocks: Vec<Option<u64>>,
+    /// Settings per airframe of the placed space.
+    settings: usize,
+    sensors: Vec<Option<u64>>,
+    pairs: Vec<Option<u64>>,
+}
+
+impl Placement {
+    /// The target job of `coord`, a coordinate of the placed space: the
+    /// sum of its block, sensor and pair offsets, `None` when the target
+    /// does not enumerate the build.
+    // analyze::allow(indexing, scope = "fn", reason = "coordinates are decoded from jobs of the placed space, whose lists sized the tables")
+    pub(crate) fn job(&self, coord: Coord) -> Option<u64> {
+        Some(
+            self.blocks[coord.airframe * self.settings + coord.setting]?
+                + self.sensors[coord.sensor]?
+                + self.pairs[coord.pair]?,
+        )
+    }
+}
+
+/// The part lists a plan enumerates at one epoch: its explicit lists or
+/// the epoch's defaults, retired parts filtered out, so cold runs and
+/// delta repairs agree on the enumeration at every epoch.
+pub(crate) struct Parts<'s> {
+    pub(crate) airframes: Cow<'s, [AirframeId]>,
+    pub(crate) sensors: Cow<'s, [SensorId]>,
+    pub(crate) computes: Cow<'s, [ComputeId]>,
+    pub(crate) algorithms: Cow<'s, [AlgorithmId]>,
+}
+
+impl<'s> Parts<'s> {
+    pub(crate) fn of(state: &'s EpochState, plan: &'s QueryPlan) -> Self {
+        let catalog = state.catalog();
+        Self {
+            airframes: active_ids(plan.airframes().unwrap_or(&state.airframes), |id| {
+                catalog.airframe_is_active(id)
+            }),
+            sensors: active_ids(plan.sensors().unwrap_or(&state.sensors), |id| {
+                catalog.sensor_is_active(id)
+            }),
+            computes: active_ids(plan.computes().unwrap_or(&state.computes), |id| {
+                catalog.compute_is_active(id)
+            }),
+            algorithms: active_ids(plan.algorithms().unwrap_or(&state.algorithms), |id| {
+                catalog.algorithm_is_active(id)
+            }),
+        }
+    }
 }
 
 /// Filters a component-id list to the catalog's active (non-retired)
@@ -377,14 +494,13 @@ fn active_ids<T: Copy>(list: &[T], is_active: impl Fn(T) -> bool) -> Cow<'_, [T]
 /// surfaces as [`SkylineError::KnobVariant`] naming the offending knob
 /// instead of aborting a running evaluation.
 fn build_variants(
-    ctx: &PassContext<'_>,
+    catalog: &Catalog,
     sensors: &[SensorId],
     computes: &[ComputeId],
     airframes: &[AirframeId],
     settings: &[KnobSetting],
     battery_mass: f64,
 ) -> Result<Vec<VariantParts>, SkylineError> {
-    let catalog = ctx.catalog;
     // A scaled magnitude must stay positive and finite *before* it
     // reaches the unit types (whose constructors panic on non-finite
     // values) or the component constructors.
@@ -684,19 +800,14 @@ impl Share {
     /// enumeration ties), in rank order.
     // analyze::allow(indexing, scope = "fn", reason = "row() maps kept rows to rows of the slab")
     fn topk(&self, slab: &SetSlab, primary_max: bool) -> Vec<u32> {
-        let rank = |a: &u32, b: &u32| {
-            let (ra, rb) = (self.row(*a as usize), self.row(*b as usize));
-            slab.feasible[rb]
-                .cmp(&slab.feasible[ra])
-                .then_with(|| {
-                    let (va, vb) = (slab.cols[0][ra], slab.cols[0][rb]);
-                    if primary_max {
-                        vb.total_cmp(&va)
-                    } else {
-                        va.total_cmp(&vb)
-                    }
-                })
-                .then_with(|| a.cmp(b))
+        let rank = |&a: &u32, &b: &u32| {
+            let (ra, rb) = (self.row(a as usize), self.row(b as usize));
+            rank_order(
+                primary_max,
+                (slab.feasible[ra], a as usize),
+                (slab.feasible[rb], b as usize),
+                || (slab.cols[0][ra], slab.cols[0][rb]),
+            )
         };
         let mut order: Vec<u32> = (0..self.kept(slab) as u32).collect();
         // Partition the best K in O(n), then sort just those — the rank
@@ -755,11 +866,16 @@ struct ShardOut {
 /// As [`run_over`], and [`SkylineError::KnobVariant`] for an
 /// out-of-domain sweep variant.
 pub(crate) fn run(
-    ctx: &PassContext<'_>,
+    state: &EpochState,
     plans: &[&QueryPlan],
 ) -> Result<Vec<ResultSet>, SkylineError> {
     match plans.first() {
-        Some(first) => run_over(Arc::new(PassSpace::resolve(ctx, first)?), ctx, plans, true),
+        Some(first) => run_over(
+            Arc::new(PassSpace::resolve(state, first)?),
+            state,
+            plans,
+            true,
+        ),
         None => Ok(Vec::new()),
     }
 }
@@ -777,10 +893,10 @@ pub(crate) fn run(
 /// Evaluation-kernel model errors ([`SkylineError::Model`]), which
 /// catalog parts and validated variants never produce.
 // analyze::allow(indexing, scope = "fn", reason = "kernel: positions index the part lists, slabs, sets and groups they were enumerated from")
-// analyze::allow(panic, scope = "fn", reason = "pair stages, profile slots and merged result slots are set before use; job positions are usizes, at most 64 bits wide")
+// analyze::allow(panic, scope = "fn", reason = "a space whose block exceeds the u32 shard coordinates is refused up front, the one assert; pair stages, profile slots and merged result slots are set before use; job positions are usizes, at most 64 bits wide")
 pub(crate) fn run_over(
     space: Arc<PassSpace>,
-    ctx: &PassContext<'_>,
+    state: &EpochState,
     plans: &[&QueryPlan],
     with_frontier: bool,
 ) -> Result<Vec<ResultSet>, SkylineError> {
@@ -794,7 +910,7 @@ pub(crate) fn run_over(
     let battery_wh = plans
         .first()
         .and_then(|plan| plan.battery())
-        .map(|id| ctx.catalog.battery_by_id(id).energy_watt_hours());
+        .map(|id| state.catalog().battery_by_id(id).energy_watt_hours());
 
     // Distinct mission profiles of the power-needing plans, the value
     // sets, and the frontier groups: the frontier-reducible plans of
@@ -929,8 +1045,8 @@ pub(crate) fn run_over(
             if cur_pair != (sensor_pos, entry.compute_pos) {
                 cur_pair = (sensor_pos, entry.compute_pos);
                 pair = Some(pair_stage(
-                    ctx.heatsink,
-                    ctx.saturation,
+                    &space.heatsink,
+                    space.saturation,
                     airframe,
                     &parts.sensors[sensor_pos],
                     &parts.computes[entry.compute_pos as usize],
@@ -1326,18 +1442,10 @@ fn merge_streamed(
         .zip(&offsets)
         .flat_map(|(out, &offset)| out.topk.iter().map(move |s| (global(offset, s), s)))
         .collect();
-    topk.sort_unstable_by(|a, b| {
-        b.1.feasible
-            .cmp(&a.1.feasible)
-            .then_with(|| {
-                let (va, vb) = (a.1.row[0], b.1.row[0]);
-                if primary_max {
-                    vb.total_cmp(&va)
-                } else {
-                    va.total_cmp(&vb)
-                }
-            })
-            .then_with(|| a.0.cmp(&b.0))
+    topk.sort_unstable_by(|&(ga, a), &(gb, b)| {
+        rank_order(primary_max, (a.feasible, ga), (b.feasible, gb), || {
+            (a.row[0], b.row[0])
+        })
     });
     topk.truncate(STREAM_TOP_K);
 
@@ -1369,4 +1477,64 @@ fn merge_streamed(
         nonfinite,
     )
     .streamed(meta)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::KnobSweep;
+    use f1_components::{names, Catalog, CatalogDelta, CatalogStore};
+
+    /// The space of a two-setting sweep at the store's current epoch.
+    fn space_at(store: &CatalogStore) -> PassSpace {
+        let plan = QueryPlan::builder()
+            .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5]))
+            .build()
+            .unwrap();
+        PassSpace::resolve(&EpochState::new(store.current()), &plan).unwrap()
+    }
+
+    #[test]
+    fn a_space_placed_into_itself_maps_every_job_to_itself() {
+        let space = space_at(&CatalogStore::new(Catalog::paper()));
+        assert!(space.airframes.len() >= 2 && space.settings.len() == 2);
+        let placement = space.placement_of(&space);
+        let jobs: Vec<u64> = (0..space.job_count() as u64).collect();
+        for (&job, coord) in jobs.iter().zip(space.coords(&jobs)) {
+            assert_eq!(placement.job(coord), Some(job));
+        }
+    }
+
+    #[test]
+    fn placement_across_a_delta_keeps_survivors_and_drops_the_rest() {
+        let store = CatalogStore::new(Catalog::paper());
+        let old = space_at(&store);
+        let catalog = Arc::clone(store.current().catalog());
+        let retired = catalog.sensor_id(names::RGB_60).unwrap();
+        let patched = (
+            catalog.compute_id(names::TX2).unwrap(),
+            catalog.algorithm_id(names::DRONET).unwrap(),
+        );
+        let delta = CatalogDelta::new()
+            .retire_sensor(names::RGB_60)
+            .patch_throughput(names::TX2, names::DRONET, Hertz::new(123.0));
+        store.apply(&delta).unwrap();
+        let new = space_at(&store);
+        let placement = new.placement_of(&old);
+        let jobs: Vec<u64> = (0..old.job_count() as u64).collect();
+        let mut placed = 0;
+        for coord in old.coords(&jobs) {
+            let (airframe, candidate, setting) = old.key(coord);
+            let dead =
+                candidate.sensor == retired || (candidate.compute, candidate.algorithm) == patched;
+            assert_eq!(placement.job(coord).is_none(), dead, "{candidate:?}");
+            if let Some(job) = placement.job(coord) {
+                assert_eq!(new.key(new.coord(job)), (airframe, candidate, setting));
+                placed += 1;
+            }
+        }
+        // Every new job but the re-characterized pair's is a survivor's.
+        let repatched = new.airframes.len() * new.settings.len() * new.sensors.len();
+        assert_eq!(placed + repatched, new.job_count());
+    }
 }
