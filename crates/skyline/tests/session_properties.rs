@@ -201,6 +201,20 @@ proptest! {
                 builder.build().unwrap()
             })
             .collect();
+        // Half the batches add the first member's objectives in the
+        // other order: its rows fill a value set of their own, but it
+        // reduces through the first two members' shared skyline, which
+        // then takes rows from two value sets.
+        if rng.gen_range(0u32..2) == 0 {
+            let mut builder = QueryPlan::builder()
+                .objectives(&[Objective::SafeVelocity, Objective::TotalTdp])
+                .sweep(shared_sweep.clone())
+                .constraint(Constraint::MaxTotalTdp(Watts::new(rng.gen_range(0.5f64..40.0))));
+            if let Some(battery) = battery {
+                builder = builder.battery(battery);
+            }
+            plans.push(builder.build().unwrap());
+        }
         plans.push(random_plan(seed ^ 0xbeef, true));
         let session = Session::new(Arc::clone(&catalog));
         let batch = session.run_batch(&plans).unwrap();
@@ -354,6 +368,55 @@ fn batch_preserves_nonfinite_accounting() {
     assert!(!batch[1].frontier().is_empty());
     for (plan, batched) in [degenerate, healthy].iter().zip(&batch) {
         let standalone = Session::new(Arc::clone(&catalog)).run(plan).unwrap();
+        assert_eq!(**batched, *standalone);
+    }
+}
+
+/// Two frontier-reducible plans that rank the same four objectives in
+/// different orders keep their rows in two value sets but reduce
+/// through one shared skyline, so that skyline takes rows from both
+/// sets; their different TDP caps make each set keep rows the other
+/// drops. Each batch member must equal its standalone run.
+#[test]
+fn reordered_objectives_share_one_skyline_across_value_sets() {
+    let catalog = Arc::new(Catalog::synthesize(42, 22));
+    let airframe = catalog.airframe_entries().map(|(id, _)| id).next().unwrap();
+    let ranked = [
+        Objective::SafeVelocity,
+        Objective::TotalTdp,
+        Objective::PayloadMass,
+        Objective::MissionEnergyWhPerKm,
+    ];
+    let reordered = [
+        Objective::TotalTdp,
+        Objective::MissionEnergyWhPerKm,
+        Objective::SafeVelocity,
+        Objective::PayloadMass,
+    ];
+    let plans: Vec<QueryPlan> = [(&ranked, 20.0), (&reordered, 45.0)]
+        .into_iter()
+        .map(|(objectives, cap)| {
+            QueryPlan::builder()
+                .objectives(objectives)
+                .airframes(&[airframe])
+                .constraint(Constraint::MaxTotalTdp(Watts::new(cap)))
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let batch = Session::new(Arc::clone(&catalog))
+        .run_batch(&plans)
+        .unwrap();
+    // The caps split the candidates: the second plan keeps rows the
+    // first drops.
+    assert!(batch[0].dropped() > batch[1].dropped());
+    assert!(!batch[0].is_empty());
+    for (plan, batched) in plans.iter().zip(&batch) {
+        let standalone = Session::new(Arc::clone(&catalog)).run(plan).unwrap();
+        assert!(!standalone.frontier().is_empty());
+        assert!(columns_bit_identical(batched, &standalone));
+        assert_eq!(batched.frontier(), standalone.frontier());
+        assert_eq!(batched.dropped(), standalone.dropped());
         assert_eq!(**batched, *standalone);
     }
 }
