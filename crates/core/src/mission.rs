@@ -139,6 +139,7 @@ impl PowerModel {
     }
 
     /// Total electrical power at cruise speed `v`.
+    #[inline]
     #[must_use]
     pub fn power_at(&self, v: MetersPerSecond) -> Watts {
         let v = v.get().max(0.0);

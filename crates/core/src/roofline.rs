@@ -267,6 +267,17 @@ impl Roofline {
         self.eq4.velocity_at_rate(f_action)
     }
 
+    /// Eq. 4's two model constants as [`velocity_at`](Self::velocity_at)
+    /// reads them, `(2d, 2d/a_max)`: at a positive action rate `f` with
+    /// period `T = 1/f`, the velocity is `2d / (√(T² + 2d/a_max) + T)`.
+    /// For a caller that evaluates many rates on one roofline in its own
+    /// loop.
+    #[inline]
+    #[must_use]
+    pub fn eq4_constants(&self) -> (f64, f64) {
+        self.eq4.constants()
+    }
+
     /// The classical two-segment linearization of the roofline:
     /// `v ≈ min(d·f, v_max)` — the slanted "bandwidth" line meeting the
     /// flat roof.

@@ -223,6 +223,12 @@ impl Eq4 {
         self.velocity(f_action.period())
     }
 
+    /// The two constants, `(2d, 2d/a_max)`.
+    #[inline]
+    pub(crate) fn constants(self) -> (f64, f64) {
+        (self.two_d, self.two_d_over_a)
+    }
+
     /// `√(2d/a_max)`, the action period scale of the roofline's knee.
     pub(crate) fn knee_period_scale(self) -> f64 {
         self.two_d_over_a.sqrt()

@@ -13,10 +13,10 @@
 //!   airframe ([`Engine::evaluate_parts`]), including what-if parts that
 //!   are not in the catalog;
 //! * the shard kernel ([`crate::shard`]) splits that evaluation into a
-//!   per-(sensor, compute) pair stage and a per-candidate Eq. 4 score,
-//!   and **propagates** model errors as [`SkylineError`] instead of
-//!   panicking (an un-liftable payload is an infeasible outcome, not an
-//!   error).
+//!   per-(sensor, compute) pair stage and the Eq. 4 velocities of the
+//!   pair's run of algorithms, and **propagates** model errors as
+//!   [`SkylineError`] instead of panicking (an un-liftable payload is an
+//!   infeasible outcome, not an error).
 //!
 //! Queries over the catalog — what to optimize, filter and sweep — are
 //! [`QueryPlan`](crate::QueryPlan)s run by a
@@ -30,7 +30,7 @@ use f1_model::heatsink::HeatsinkModel;
 use f1_model::pipeline::StageRates;
 use f1_model::roofline::{Bound, Roofline, Saturation};
 use f1_model::safety::SafetyModel;
-use f1_units::{Grams, Hertz, MetersPerSecond, Watts};
+use f1_units::{Grams, Hertz, MetersPerSecond, Seconds, Watts};
 
 use crate::SkylineError;
 
@@ -238,9 +238,10 @@ impl Engine {
 /// control stage rates. The shard kernel of [`crate::shard`] hoists
 /// this out of its inner loop, computing it once per (sensor, compute)
 /// pair instead of once per candidate; per algorithm, [`algo_stage`]
-/// builds the full outcome and [`PairStage::score`] the kernel's four
-/// values. Splitting here cannot change bits: every per-candidate value
-/// is computed by the same functions from the same inputs.
+/// builds the full outcome, [`PairStage::score`] the kernel's four
+/// values, and [`PairStage::velocities`] a whole run's velocities.
+/// Splitting here cannot change bits: every per-candidate value is
+/// computed by the same operations from the same inputs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PairStage {
     /// The payload is too heavy to hover: every algorithm on this pair
@@ -327,6 +328,61 @@ impl PairStage {
                 })
             }
         }
+    }
+
+    /// The Eq. 4 velocities of a run, the pair's candidates with
+    /// `throughputs`, into `velocities` (cleared first); zero for an
+    /// infeasible pair. Each equals [`score`](Self::score)'s velocity
+    /// bit for bit: the same operations in the same order as
+    /// [`StageRates::new`], [`Roofline::velocity_at`] and Eq. 4 — the
+    /// minimum of the three rates, its period `1/f`, `max(0)`,
+    /// `t·t + 2d/a`, the square root and `2d/(root + t)` — with the
+    /// period and the velocity built by their unit constructors, which
+    /// panic on a non-finite value as the model's do.
+    ///
+    /// The rates are checked as `StageRates::new` checks them before the
+    /// loop; a run with an invalid rate takes `score` candidate by
+    /// candidate instead, which returns its error.
+    ///
+    /// # Errors
+    ///
+    /// [`score`](Self::score)'s error at the first candidate whose rates
+    /// are out of [`StageRates`]' domain.
+    pub(crate) fn velocities(
+        &self,
+        throughputs: impl Iterator<Item = Hertz> + Clone,
+        velocities: &mut Vec<MetersPerSecond>,
+    ) -> Result<(), SkylineError> {
+        velocities.clear();
+        let PairStage::Ready {
+            roofline,
+            sensor_rate,
+            control_rate,
+            ..
+        } = self
+        else {
+            velocities.extend(throughputs.map(|_| MetersPerSecond::ZERO));
+            return Ok(());
+        };
+        let valid = |rate: Hertz| rate.get().is_finite() && rate.get() > 0.0;
+        if !(valid(*sensor_rate) && valid(*control_rate) && throughputs.clone().all(valid)) {
+            for throughput in throughputs {
+                velocities.push(self.score(throughput)?.velocity);
+            }
+            return Ok(());
+        }
+        let (two_d, two_d_over_a) = roofline.eq4_constants();
+        let (sensor, control) = (sensor_rate.get(), control_rate.get());
+        velocities.extend(throughputs.map(|throughput| {
+            let f = sensor.min(throughput.get()).min(control);
+            if f <= 0.0 {
+                return MetersPerSecond::ZERO;
+            }
+            let t = Seconds::new(1.0 / f).get().max(0.0);
+            let root = (t * t + two_d_over_a).sqrt();
+            MetersPerSecond::new(two_d / (root + t))
+        }));
+        Ok(())
     }
 }
 
@@ -557,10 +613,10 @@ mod tests {
     }
 
     /// The shard kernel's four values equal the full evaluation's bit for
-    /// bit, and the full evaluation's knee, roof, bound and assessment
-    /// equal Eq. 4 and the knee's closed form written out literally, over
-    /// feasible and infeasible pairs, every bound kind and TDP-, rate-,
-    /// range- and weight-scaled parts.
+    /// bit, so do its run-level velocities, and the full evaluation's
+    /// knee, roof, bound and assessment equal Eq. 4 and the knee's closed
+    /// form written out literally, over feasible and infeasible pairs,
+    /// every bound kind and TDP-, rate-, range- and weight-scaled parts.
     #[test]
     fn kernel_values_equal_full_evaluation_bit_for_bit() {
         use f1_model::analysis::DesignGap;
@@ -610,6 +666,7 @@ mod tests {
 
         let (mut feasible, mut infeasible) = (0usize, 0usize);
         let mut bounds = Vec::new();
+        let mut run = Vec::new();
         for airframe in &airframes {
             for sensor in &sensors {
                 for platform in &computes {
@@ -622,9 +679,18 @@ mod tests {
                         Grams::ZERO,
                     )
                     .unwrap();
-                    for hz in throughputs {
+                    // The pair's candidates as one run.
+                    stage
+                        .velocities(throughputs.iter().map(|&hz| Hertz::new(hz)), &mut run)
+                        .unwrap();
+                    assert_eq!(run.len(), throughputs.len());
+                    for (hz, run_velocity) in throughputs.into_iter().zip(&run) {
                         let scored = stage.score(Hertz::new(hz)).unwrap();
                         let full = algo_stage(&stage, Hertz::new(hz)).unwrap();
+                        assert_eq!(
+                            run_velocity.get().to_bits(),
+                            scored.velocity.get().to_bits()
+                        );
                         assert_eq!(
                             scored.velocity.get().to_bits(),
                             full.velocity.get().to_bits()

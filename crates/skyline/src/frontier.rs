@@ -148,62 +148,199 @@ pub fn running_frontier_min(dims: usize, keys: &[f64]) -> Vec<usize> {
     survivors
 }
 
+/// `a` dominates `b` under minimization, for rows of a fixed width `D`:
+/// every key `≤` and at least one `<`, folded over all `D` keys with no
+/// early exit, so a probe is straight-line code. Agrees with
+/// [`dominates_min`] on every finite input, `-0.0` and `+0.0` included
+/// (IEEE comparisons treat them as equal).
+#[inline]
+pub(crate) fn dominates_fixed<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
+    let (mut le, mut lt) = (true, false);
+    for (x, y) in a.iter().zip(b) {
+        le &= x <= y;
+        lt |= x < y;
+    }
+    le & lt
+}
+
+/// The first `D` of `keys` as a fixed-width row, `-0.0` normalized to
+/// `+0.0` as [`prepare`] does, so the row can go straight into the
+/// fixed-width skyline.
+#[inline]
+pub(crate) fn fixed_row<const D: usize>(keys: impl IntoIterator<Item = f64>) -> [f64; D] {
+    let mut row = [0.0; D];
+    for (slot, v) in row.iter_mut().zip(keys) {
+        *slot = v + 0.0;
+    }
+    row
+}
+
+/// Runs `$body` with `$d` bound to the row width `$dims` as a constant,
+/// for every width a plan can rank (1 to 5 objectives), so one
+/// const-generic routine serves them all.
+macro_rules! with_width {
+    ($dims:expr, |$d:ident| $body:expr) => {
+        match $dims {
+            1 => {
+                const $d: usize = 1;
+                $body
+            }
+            2 => {
+                const $d: usize = 2;
+                $body
+            }
+            3 => {
+                const $d: usize = 3;
+                $body
+            }
+            4 => {
+                const $d: usize = 4;
+                $body
+            }
+            5 => {
+                const $d: usize = 5;
+                $body
+            }
+            dims => panic!("rows of {dims} keys: a plan ranks 1 to 5 objectives"),
+        }
+    };
+}
+pub(crate) use with_width;
+
 /// How many recently kept rows [`PrefilteredSkyline`] probes each row
 /// against. Purely a constant-factor dial: any value yields identical
-/// results.
+/// results. On a 4-objective explore pass at 47 parts per family
+/// (≈82k offered rows over two shards), windows of 16, 32, 64 and 128
+/// rows kept ≈27k, 23.1k, 18.7k and 14.2k rows for the exact skylines,
+/// but each wider window's extra probes cost more than its smaller
+/// skylines saved.
 const PREFILTER_WINDOW: usize = 16;
 
 /// A skyline over offered `(id, keys)` rows, with a cheap dominance
-/// prefilter in front of the exact [`pareto_min`]. Enumeration order
-/// visits one (sensor, compute) pair's algorithms back-to-back, so a
-/// dominated row's dominator is usually a few rows back: probing the
-/// last [`PREFILTER_WINDOW`] kept rows kills most rows in O(window)
-/// before the superlinear exact pass. Exactness is preserved — a
-/// discarded row is dominated by a kept one, so the kept rows' skyline
-/// is every offered row's skyline.
-pub(crate) struct PrefilteredSkyline {
-    dims: usize,
-    ids: Vec<u32>,
-    keys: Vec<f64>,
+/// prefilter in front of the exact skyline. Enumeration order visits
+/// one (sensor, compute) pair's algorithms back-to-back, so a dominated
+/// row's dominator is usually a few rows back: probing the last
+/// [`PREFILTER_WINDOW`] kept rows kills most rows in O(window) before
+/// the superlinear exact pass. Exactness is preserved — a discarded row
+/// is dominated by a kept one, so the kept rows' skyline is every
+/// offered row's skyline.
+///
+/// Rows are held at their fixed width (one variant per objective
+/// count), so a probe is [`dominates_fixed`] over `[f64; D]` rows, and
+/// at 4 and 5 objectives the kept rows go to the fixed-width skyline as
+/// they are. The window keeps a wider check from paying: at 47 parts
+/// per family a 4-objective explore pass offers ≈82k rows, keeps ≈27k
+/// and reduces them to ≈4.1k skyline rows across its two shards. An
+/// exact per-run 2-D skyline (velocity-sorted) in place of the window
+/// kept 33.5k rows, since the window also removes rows across runs, and
+/// was no faster.
+pub(crate) enum PrefilteredSkyline {
+    W1(Window<1>),
+    W2(Window<2>),
+    W3(Window<3>),
+    W4(Window<4>),
+    W5(Window<5>),
 }
 
 impl PrefilteredSkyline {
     /// An empty skyline over `dims` keys per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dims` is 1 to 5, the objective counts a plan can
+    /// rank.
     pub(crate) fn new(dims: usize) -> Self {
-        Self {
-            dims,
-            ids: Vec::new(),
-            keys: Vec::new(),
+        match dims {
+            1 => Self::W1(Window::default()),
+            2 => Self::W2(Window::default()),
+            3 => Self::W3(Window::default()),
+            4 => Self::W4(Window::default()),
+            5 => Self::W5(Window::default()),
+            dims => panic!("rows of {dims} keys: a plan ranks 1 to 5 objectives"),
         }
     }
 
-    /// Offers row `id` with its first `dims` keys.
+    /// Offers row `id` with the first `dims` of `row`, which must be
+    /// finite. Ids must ascend from offer to offer.
     #[inline]
     pub(crate) fn offer(&mut self, id: u32, row: &[f64]) {
-        let dims = self.dims;
-        let row = &row[..dims];
-        let window = self.ids.len().saturating_sub(PREFILTER_WINDOW);
-        if (window..self.ids.len())
-            .rev()
-            .any(|m| dominates_min(&self.keys[m * dims..(m + 1) * dims], row))
-        {
-            return;
+        let row = row.iter().copied();
+        match self {
+            Self::W1(window) => window.offer(id, fixed_row(row)),
+            Self::W2(window) => window.offer(id, fixed_row(row)),
+            Self::W3(window) => window.offer(id, fixed_row(row)),
+            Self::W4(window) => window.offer(id, fixed_row(row)),
+            Self::W5(window) => window.offer(id, fixed_row(row)),
         }
-        self.ids.push(id);
-        self.keys.extend_from_slice(row);
     }
 
     /// The skyline of every offered row: its ids in offer order, and
-    /// their keys row-major.
+    /// their keys row-major (`-0.0` normalized to `+0.0`).
     pub(crate) fn finish(self) -> (Vec<u32>, Vec<f64>) {
-        let dims = self.dims;
-        let survivors = pareto_min(dims, &self.keys);
-        let keys = survivors
+        fn split<const D: usize>(survivors: Vec<(u32, [f64; D])>) -> (Vec<u32>, Vec<f64>) {
+            let keys = survivors.iter().flat_map(|(_, row)| row).copied().collect();
+            (survivors.into_iter().map(|(id, _)| id).collect(), keys)
+        }
+        match self {
+            Self::W1(window) => split(window.finish()),
+            Self::W2(window) => split(window.finish()),
+            Self::W3(window) => split(window.finish()),
+            Self::W4(window) => split(window.finish()),
+            Self::W5(window) => split(window.finish()),
+        }
+    }
+}
+
+/// [`PrefilteredSkyline`] at one row width: the kept rows, each tagged
+/// with its id, and the last [`PREFILTER_WINDOW`] of them again in the
+/// ring the probe reads.
+pub(crate) struct Window<const D: usize> {
+    /// The most recent kept rows, the oldest overwritten next; `+∞` rows
+    /// until that many were kept, which dominate no finite row.
+    recent: [[f64; D]; PREFILTER_WINDOW],
+    rows: Vec<Row<D>>,
+}
+
+impl<const D: usize> Default for Window<D> {
+    fn default() -> Self {
+        Self {
+            recent: [[f64::INFINITY; D]; PREFILTER_WINDOW],
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl<const D: usize> Window<D> {
+    /// Offers row `id`, whose keys must be finite and whose id must be
+    /// above every id offered before: kept unless one of the last
+    /// [`PREFILTER_WINDOW`] kept rows dominates it, probed newest first.
+    #[inline]
+    pub(crate) fn offer(&mut self, id: u32, row: [f64; D]) {
+        debug_assert!(self.rows.last().map_or(true, |&(_, last)| last < id));
+        let slot = self.rows.len() % PREFILTER_WINDOW;
+        let (newer, older) = self.recent.split_at(slot);
+        if newer
             .iter()
-            .flat_map(|&i| &self.keys[i * dims..(i + 1) * dims])
-            .copied()
-            .collect();
-        (survivors.into_iter().map(|i| self.ids[i]).collect(), keys)
+            .rev()
+            .chain(older.iter().rev())
+            .any(|kept| dominates_fixed(kept, &row))
+        {
+            return;
+        }
+        self.recent[slot] = row;
+        self.rows.push((row, id));
+    }
+
+    /// The skyline of every offered row as `(id, row)`, in offer order.
+    pub(crate) fn finish(self) -> Vec<(u32, [f64; D])> {
+        let rows = self.rows;
+        let survivors = if D >= 4 {
+            fixed_skyline(rows)
+        } else {
+            let keys: Vec<f64> = rows.iter().flat_map(|(row, _)| row).copied().collect();
+            pareto_min(D, &keys).into_iter().map(|i| rows[i]).collect()
+        };
+        survivors.into_iter().map(|(row, id)| (id, row)).collect()
     }
 }
 
@@ -218,28 +355,60 @@ impl PrefilteredSkyline {
 /// live member dominates, with the same strict-dominance ties and
 /// duplicates as [`naive_pareto_min`]. Probing the few dead keys first
 /// keeps the rest of the work to the candidates, and the live probes to
-/// their skyline.
+/// their skyline. Every probe is [`dominates_fixed`], and a row below
+/// the dead keys' per-coordinate minimum in any coordinate is skipped
+/// unprobed: no dead key can dominate it.
 ///
 /// `dead` and `live` are row-major buffers of `dims` keys. `rows` yields
 /// every remaining non-member point as `(id, keys)`, of which the first
-/// `dims` keys are read. Returns the promoted ids in `rows` order.
+/// `dims` keys are read; all keys must be finite. Returns the promoted
+/// ids in `rows` order.
+///
+/// # Panics
+///
+/// Panics unless `dims` is 1 to 5.
 pub(crate) fn promoted<R: AsRef<[f64]>>(
     dims: usize,
     dead: &[f64],
     live: &[f64],
     rows: impl IntoIterator<Item = (u32, R)>,
 ) -> Vec<u32> {
-    let mut candidates = PrefilteredSkyline::new(dims);
+    with_width!(dims, |D| promoted_at::<D, R>(dead, live, rows))
+}
+
+/// [`promoted`] at row width `D`.
+fn promoted_at<const D: usize, R: AsRef<[f64]>>(
+    dead: &[f64],
+    live: &[f64],
+    rows: impl IntoIterator<Item = (u32, R)>,
+) -> Vec<u32> {
+    let fixed = |keys: &[f64]| -> Vec<[f64; D]> {
+        keys.chunks_exact(D)
+            .map(|row| fixed_row(row.iter().copied()))
+            .collect()
+    };
+    let (dead, live) = (fixed(dead), fixed(live));
+    let mut floor = [f64::INFINITY; D];
+    for key in &dead {
+        for (low, &v) in floor.iter_mut().zip(key) {
+            *low = low.min(v);
+        }
+    }
+    let mut candidates = Window::<D>::default();
     for (id, row) in rows {
-        let row = &row.as_ref()[..dims];
-        if dead.chunks_exact(dims).any(|d| dominates_min(d, row)) {
+        let row: [f64; D] = fixed_row(row.as_ref().iter().copied());
+        let below = row
+            .iter()
+            .zip(&floor)
+            .fold(false, |below, (v, low)| below | (v < low));
+        if !below && dead.iter().any(|d| dominates_fixed(d, &row)) {
             candidates.offer(id, row);
         }
     }
-    let (ids, keys) = candidates.finish();
-    ids.into_iter()
-        .zip(keys.chunks_exact(dims))
-        .filter(|(_, row)| !live.chunks_exact(dims).any(|l| dominates_min(l, row)))
+    candidates
+        .finish()
+        .into_iter()
+        .filter(|(_, row)| !live.iter().any(|l| dominates_fixed(l, row)))
         .map(|(id, _)| id)
         .collect()
 }
@@ -472,12 +641,34 @@ const DC_BASE: usize = 64;
 const DC_PAIRWISE: usize = 512;
 
 /// One row of the fixed-width skyline: its `D` keys, `-0.0` normalized
-/// to `+0.0` (see [`prepare`]), and its index in the input.
+/// to `+0.0` (see [`prepare`]), and its tag: its index in the input, or
+/// a prefiltered row's id.
 type Row<const D: usize> = ([f64; D], u32);
 
 /// The d ∈ {4, 5} skyline: Bentley's multidimensional divide and
 /// conquer (CACM 1980) over contiguous, lexicographically sorted
 /// `[f64; D]` rows. Same contract as [`pareto_min`].
+fn fixed_pareto_min<const D: usize>(keys: &[f64]) -> Vec<usize> {
+    let n = point_count(D, keys);
+    let Ok(n32) = u32::try_from(n) else {
+        // Beyond u32 positions (2³² rows are over 130 GB of keys): the
+        // reference running frontier.
+        return running_frontier_min(D, keys);
+    };
+    let rows = keys
+        .chunks_exact(D)
+        .zip(0..n32)
+        .map(|(chunk, i)| (fixed_row(chunk.iter().copied()), i))
+        .collect();
+    fixed_skyline::<D>(rows)
+        .into_iter()
+        .map(|(_, i)| i as usize)
+        .collect()
+}
+
+/// The skyline of `rows` (keys `-0.0`-normalized, each with a distinct
+/// tag), sorted by tag: [`fixed_pareto_min`]'s kernel, which
+/// [`PrefilteredSkyline`] calls on its kept rows as they are.
 ///
 /// Split the sorted rows at the midpoint into a lex-earlier half `A`
 /// and a lex-later half `B`. No point of `B` can dominate a point of
@@ -491,26 +682,9 @@ type Row<const D: usize> = ([f64; D], u32);
 ///
 /// The recursion works on one buffer of row positions, which it
 /// partitions in place: a subproblem's survivors are compacted to the
-/// front of its slice, in no particular order (the survivors' indices
-/// are sorted once at the end).
-fn fixed_pareto_min<const D: usize>(keys: &[f64]) -> Vec<usize> {
-    let n = point_count(D, keys);
-    let Ok(n32) = u32::try_from(n) else {
-        // Beyond u32 positions (2³² rows are over 130 GB of keys): the
-        // reference running frontier.
-        return running_frontier_min(D, keys);
-    };
-    let mut rows: Vec<Row<D>> = keys
-        .chunks_exact(D)
-        .zip(0..n32)
-        .map(|(chunk, i)| {
-            let mut row = [0.0; D];
-            for (slot, v) in row.iter_mut().zip(chunk) {
-                *slot = v + 0.0;
-            }
-            (row, i)
-        })
-        .collect();
+/// front of its slice, in no particular order (they are sorted by tag
+/// once at the end).
+fn fixed_skyline<const D: usize>(mut rows: Vec<Row<D>>) -> Vec<Row<D>> {
     rows.sort_unstable_by(|(a, i), (b, j)| {
         a.iter()
             .zip(b)
@@ -519,18 +693,19 @@ fn fixed_pareto_min<const D: usize>(keys: &[f64]) -> Vec<usize> {
             .unwrap_or(Ordering::Equal)
             .then(i.cmp(j))
     });
-    let mut positions: Vec<u32> = (0..n32).collect();
+    let n = rows.len();
+    let mut positions: Vec<u32> = (0..n).map(|p| p as u32).collect();
     let mut skyline = FixedSkyline {
         rows: &rows,
         dead: vec![false; n],
         pivots: Vec::new(),
     };
     let kept = skyline.reduce(&mut positions);
-    let mut survivors: Vec<usize> = positions[..kept]
+    let mut survivors: Vec<Row<D>> = positions[..kept]
         .iter()
-        .map(|&p| rows[p as usize].1 as usize)
+        .map(|&p| rows[p as usize])
         .collect();
-    survivors.sort_unstable();
+    survivors.sort_unstable_by_key(|&(_, tag)| tag);
     survivors
 }
 
@@ -1114,6 +1289,90 @@ mod tests {
             let front = pareto_min(dims, &crest);
             assert!(block.iter().all(|i| front.binary_search(i).is_ok()));
             assert_eq!(front, naive_pareto_min(dims, &crest), "crest dims {dims}");
+        }
+    }
+
+    /// Tie-heavy rows of `dims` keys from a small grid, each key spelled
+    /// `-0.0` or `+0.0` when it is zero, with runs of exact duplicates.
+    fn signed_zero_rows(seed: u64, n: usize, dims: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut keys = Vec::with_capacity(n * dims);
+        while keys.len() < n * dims {
+            let row: Vec<f64> = (0..dims)
+                .map(|_| match rng.gen_range(0u32..4) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    v => f64::from(v) - 2.5,
+                })
+                .collect();
+            for _ in 0..rng.gen_range(1usize..4) {
+                keys.extend_from_slice(&row);
+            }
+        }
+        keys.truncate(n * dims);
+        keys
+    }
+
+    #[test]
+    fn fixed_width_dominance_agrees_with_the_slice_test() {
+        let values = [-2.0, -0.0, 0.0, 1.5, f64::MAX, f64::MIN];
+        for dims in 1..=3usize {
+            let rows: Vec<Vec<f64>> = (0..values.len().pow(dims as u32))
+                .map(|mut code| {
+                    (0..dims)
+                        .map(|_| {
+                            let v = values[code % values.len()];
+                            code /= values.len();
+                            v
+                        })
+                        .collect()
+                })
+                .collect();
+            for a in &rows {
+                for b in &rows {
+                    let fixed = match dims {
+                        1 => dominates_fixed::<1>(&fixed_row(a.clone()), &fixed_row(b.clone())),
+                        2 => dominates_fixed::<2>(&fixed_row(a.clone()), &fixed_row(b.clone())),
+                        _ => dominates_fixed::<3>(&fixed_row(a.clone()), &fixed_row(b.clone())),
+                    };
+                    assert_eq!(fixed, dominates_min(a, b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..20_000 {
+            let a = fixed_row::<5>((0..5).map(|_| f64::from(rng.gen_range(0u32..3))));
+            let b = fixed_row::<5>((0..5).map(|_| f64::from(rng.gen_range(0u32..3))));
+            assert_eq!(dominates_fixed(&a, &b), dominates_min(&a, &b));
+        }
+    }
+
+    #[test]
+    fn prefilter_matches_naive_at_every_width() {
+        for dims in 1..=5usize {
+            for (seed, n) in [(1u64, 1usize), (2, 17), (3, 200), (4, 900)] {
+                for keys in [
+                    signed_zero_rows(seed * 7 + dims as u64, n, dims),
+                    grid_points(seed * 11 + dims as u64, n, dims, 3),
+                    shard_rows(seed * 13 + dims as u64, n, dims),
+                ] {
+                    let mut skyline = PrefilteredSkyline::new(dims);
+                    for (id, row) in keys.chunks_exact(dims).enumerate() {
+                        skyline.offer(id as u32 * 3 + 1, row);
+                    }
+                    let (ids, kept) = skyline.finish();
+                    let expected = naive_pareto_min(dims, &keys);
+                    let expected_ids: Vec<u32> =
+                        expected.iter().map(|&i| i as u32 * 3 + 1).collect();
+                    assert_eq!(ids, expected_ids, "dims {dims} seed {seed} n {n}");
+                    let expected_keys: Vec<f64> = expected
+                        .iter()
+                        .flat_map(|&i| &keys[i * dims..(i + 1) * dims])
+                        .copied()
+                        .collect();
+                    assert_eq!(kept, expected_keys, "dims {dims} seed {seed} n {n}");
+                }
+            }
         }
     }
 

@@ -20,9 +20,9 @@
 //!   columns, no points — are reassembled in the **new epoch's
 //!   enumeration order** over the new epoch's pass space, exactly the
 //!   space a cold run builds. The repair resolves that space before it
-//!   places anything, then places every cached survivor and every slab
-//!   row through it (`PassSpace::placement_of`): the job index is the
-//!   space's, and this module never encodes one.
+//!   places anything, indexes it once, then places every cached survivor
+//!   and every slab row through that index (`JobIndex::placement_of`):
+//!   the job index is the space's, and this module never encodes one.
 //! * The new frontier is obtained by merging the incremental skyline of
 //!   the delta points into the survivors' frontier
 //!   (`frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D))`, exact
@@ -109,9 +109,30 @@ struct DeltaPoint {
     idx: u32,
 }
 
+/// A row's minimized keys when it is frontier-eligible: feasible, with
+/// every value (`value(pos)` for objective position `pos`) finite,
+/// mirroring [`ResultSet::minimized_keys`].
+fn eligible_row(
+    feasible: bool,
+    value: impl Fn(usize) -> f64,
+    objectives: &[Objective],
+) -> Option<[f64; MAX_OBJECTIVES]> {
+    if !feasible {
+        return None;
+    }
+    let mut row = [0.0f64; MAX_OBJECTIVES];
+    for (pos, (slot, objective)) in row.iter_mut().zip(objectives).enumerate() {
+        let value = value(pos);
+        if !value.is_finite() {
+            return None;
+        }
+        *slot = objective.minimized(value);
+    }
+    Some(row)
+}
+
 /// The frontier-eligible members of `indices` (merged indices) with
-/// their minimized keys: infeasible points and non-finite rows are
-/// excluded, mirroring [`ResultSet::minimized_keys`].
+/// their minimized keys ([`eligible_row`]).
 // analyze::allow(indexing, scope = "fn", reason = "m indexes the row-aligned feasibility and value columns")
 fn eligible_rows<'a>(
     indices: impl Iterator<Item = u32> + 'a,
@@ -120,103 +141,114 @@ fn eligible_rows<'a>(
     objectives: &'a [Objective],
 ) -> impl Iterator<Item = (u32, [f64; MAX_OBJECTIVES])> + 'a {
     indices.filter_map(move |m| {
-        if !feasible[m as usize] {
-            return None;
-        }
-        let mut row = [0.0f64; MAX_OBJECTIVES];
-        for (slot, (column, objective)) in row.iter_mut().zip(columns.iter().zip(objectives)) {
-            let value = column[m as usize];
-            if !value.is_finite() {
-                return None;
-            }
-            *slot = objective.minimized(value);
-        }
-        Some((m, row))
+        let row = eligible_row(
+            feasible[m as usize],
+            |pos| columns[pos][m as usize],
+            objectives,
+        );
+        Some((m, row?))
     })
 }
 
 /// frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)) for two
-/// skylines `s` (the survivors') and `d` (the delta points'), as
-/// ascending merged indices. Dominance is transitive, so every dominated
-/// point has a frontier dominator, and no member of a skyline dominates
-/// another member of it. So the delta points that join are those no
-/// survivor dominates, and only they can push a survivor out: a delta
-/// point that survivor `t` dominates cannot dominate another survivor,
-/// or `t` would too. Against a small delta set that is far fewer
-/// dominance probes than a skyline over the union. Both sides are
-/// sorted by their first key, since a dominator's first key is at most
-/// the dominated point's: a probe scans only that prefix, nearest first.
-// analyze::allow(indexing, scope = "fn", reason = "members index the row-aligned columns; a probe's prefix is a partition point of the same sorted rows")
-fn union_frontier(
+/// skylines `s` (the survivors') and `d` (the delta points'), each given
+/// with its minimized keys (row-major, `dims` per member), as ascending
+/// merged indices. Dominance is transitive, so every dominated point has
+/// a frontier dominator, and no member of a skyline dominates another
+/// member of it. So the delta points that join are those no survivor
+/// dominates, and only they can push a survivor out: a delta point that
+/// survivor `t` dominates cannot dominate another survivor, or `t` would
+/// too. Against a small delta set that is far fewer dominance probes
+/// than a skyline over the union. Both sides are sorted by their first
+/// key, since a dominator's first key is at most the dominated point's:
+/// a probe scans only that prefix, nearest first, with the fixed-width
+/// dominance test.
+fn union_frontier(dims: usize, s: &[u32], s_keys: &[f64], d: &[u32], d_keys: &[f64]) -> Vec<usize> {
+    frontier::with_width!(dims, |D| union_frontier_at::<D>(s, s_keys, d, d_keys))
+}
+
+/// [`union_frontier`] over rows of width `D`.
+// analyze::allow(indexing, scope = "fn", reason = "a probe's prefix is a partition point of the same sorted rows")
+fn union_frontier_at<const D: usize>(
     s: &[u32],
     s_keys: &[f64],
     d: &[u32],
-    columns: &[Vec<f64>],
-    objectives: &[Objective],
+    d_keys: &[f64],
 ) -> Vec<usize> {
-    let dims = objectives.len();
-    // Members (with row-major `keys`) sorted by first key, with their
-    // keys in that order and the sorted first keys.
-    let sorted = |members: &[u32], keys: &[f64]| -> (Vec<u32>, Vec<f64>, Vec<f64>) {
-        let mut order: Vec<(f64, u32, usize)> = members
+    // Members with their rows, sorted by first key.
+    let sorted = |members: &[u32], keys: &[f64]| -> Vec<(u32, [f64; D])> {
+        let mut sorted: Vec<(u32, [f64; D])> = members
             .iter()
-            .zip(keys.chunks_exact(dims))
-            .enumerate()
-            .map(|(i, (&m, row))| (row[0], m, i))
+            .zip(keys.chunks_exact(D))
+            .map(|(&m, row)| (m, frontier::fixed_row(row.iter().copied())))
             .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let rows = order
+        sorted.sort_unstable_by(|a, b| a.1[0].total_cmp(&b.1[0]));
+        sorted
+    };
+    // The members no row of `others` dominates, in `members` order. A
+    // member's candidate dominators are the prefix of `others` up to its
+    // first key; one below that prefix's per-coordinate minimum in any
+    // coordinate has no dominator there, and is not probed.
+    let undominated = |members: &[(u32, [f64; D])], others: &[(u32, [f64; D])]| {
+        let mut floors = Vec::with_capacity(others.len() + 1);
+        let mut floor = [f64::INFINITY; D];
+        floors.push(floor);
+        for (_, other) in others {
+            for (low, &v) in floor.iter_mut().zip(other) {
+                *low = low.min(v);
+            }
+            floors.push(floor);
+        }
+        let kept: Vec<(u32, [f64; D])> = members
             .iter()
-            .flat_map(|&(_, _, i)| &keys[i * dims..(i + 1) * dims])
+            .filter(|(_, row)| {
+                let prefix = others.partition_point(|(_, other)| other[0] <= row[0]);
+                if row.iter().zip(&floors[prefix]).any(|(v, low)| v < low) {
+                    return true;
+                }
+                !others[..prefix]
+                    .iter()
+                    .rev()
+                    .any(|(_, other)| frontier::dominates_fixed(other, row))
+            })
             .copied()
             .collect();
-        (
-            order.iter().map(|&(_, m, _)| m).collect(),
-            rows,
-            order.iter().map(|&(first, ..)| first).collect(),
-        )
-    };
-    let undominated = |(members, rows, _): &(Vec<u32>, Vec<f64>, Vec<f64>),
-                       (_, others, firsts): &(Vec<u32>, Vec<f64>, Vec<f64>)| {
-        let mut kept: Vec<u32> = Vec::new();
-        for (&m, row) in members.iter().zip(rows.chunks_exact(dims)) {
-            let prefix = firsts.partition_point(|&f| f <= row[0]) * dims;
-            if !others[..prefix]
-                .chunks_exact(dims)
-                .rev()
-                .any(|other| frontier::dominates_min(other, row))
-            {
-                kept.push(m);
-            }
-        }
         kept
     };
-    let gather = |members: &[u32]| -> Vec<f64> {
-        members
-            .iter()
-            .flat_map(|&m| minimized_row(columns, objectives, m as usize))
-            .collect()
-    };
     let survivors = sorted(s, s_keys);
-    let joining = undominated(&sorted(d, &gather(d)), &survivors);
-    let mut out = undominated(&survivors, &sorted(&joining, &gather(&joining)));
-    out.extend(joining);
+    // The joining points keep the delta side's order, by first key.
+    let joining = undominated(&sorted(d, d_keys), &survivors);
+    let mut out: Vec<usize> = undominated(&survivors, &joining)
+        .iter()
+        .chain(&joining)
+        .map(|&(m, _)| m as usize)
+        .collect();
     out.sort_unstable();
-    out.into_iter().map(|m| m as usize).collect()
+    out
 }
 
-/// The repaired result under construction: new-epoch job indices plus
-/// the f64 columns and the feasibility column. Survivor *runs* (maximal
-/// stretches of consecutive cached indices with no delta point between
-/// them) go through bulk extends of the columns; their jobs are pushed
-/// as they are mapped, so `jobs` runs ahead of the columns by the
+/// One stretch of the merged rows, in order.
+#[derive(Clone, Copy)]
+enum Segment {
+    /// Cached rows `lo..hi`, all survivors.
+    Cached(usize, usize),
+    /// Row `idx` of delta slab `slab`.
+    Delta { slab: u32, idx: u32 },
+}
+
+/// The repaired result under construction: new-epoch job indices, the
+/// feasibility column, and the segments the value columns are copied
+/// from afterwards ([`columns`](Self::columns)). Survivor *runs*
+/// (maximal stretches of consecutive cached indices with no delta point
+/// between them) are one segment each; their jobs are pushed as they
+/// are mapped, so `jobs` runs ahead of the feasibility column by the
 /// pending run.
 struct Merged<'c> {
     cached: &'c ResultSet,
     jobs: Vec<u64>,
-    columns: Vec<Vec<f64>>,
-    /// The feasibility column, row-aligned with `columns`.
+    /// The feasibility column, row-aligned with `jobs`.
     feasible: Vec<bool>,
+    segments: Vec<Segment>,
     /// Merged position of every delta point, ascending.
     of_delta: Vec<u32>,
     /// Merged positions of the cached frontier points that survived,
@@ -240,10 +272,8 @@ impl<'c> Merged<'c> {
         Self {
             cached,
             jobs: Vec::with_capacity(capacity),
-            columns: (0..cached.objectives().len())
-                .map(|_| Vec::with_capacity(capacity))
-                .collect(),
             feasible: Vec::with_capacity(capacity),
+            segments: Vec::new(),
             of_delta: Vec::with_capacity(delta),
             frontier_survivors: Vec::with_capacity(cached.frontier().len()),
             live_keys: Vec::new(),
@@ -294,7 +324,7 @@ impl<'c> Merged<'c> {
                 self.extend_cached(run_lo, i);
                 run_lo = i;
                 while let Some(d) = pending.next_if(|d| d.job < job) {
-                    self.push_delta(&slabs[d.slab as usize], d.idx as usize, d.job);
+                    self.push_delta(slabs, d);
                 }
             }
             debug_assert!(
@@ -305,14 +335,14 @@ impl<'c> Merged<'c> {
         }
         self.extend_cached(run_lo, cached.len());
         for d in pending {
-            self.push_delta(&slabs[d.slab as usize], d.idx as usize, d.job);
+            self.push_delta(slabs, d);
         }
     }
 
-    /// Appends the columns of cached rows `lo..hi`, all survivors, whose
-    /// new jobs were already pushed. Cached frontier points below `lo`
-    /// that no run covered were dead: their keys are recorded for the
-    /// frontier's promotion step.
+    /// Appends cached rows `lo..hi`, all survivors, whose new jobs were
+    /// already pushed. Cached frontier points below `lo` that no run
+    /// covered were dead: their keys are recorded for the frontier's
+    /// promotion step.
     // analyze::allow(indexing, scope = "fn", reason = "lo <= hi <= cached.len(); the frontier cursor is checked against the frontier length")
     fn extend_cached(&mut self, lo: usize, hi: usize) {
         let (cached, frontier) = (self.cached, self.cached.frontier());
@@ -337,23 +367,68 @@ impl<'c> Merged<'c> {
             self.frontier_cursor += 1;
         }
         debug_assert_eq!(self.jobs.len(), self.feasible.len() + (hi - lo));
-        for (pos, column) in self.columns.iter_mut().enumerate() {
-            column.extend_from_slice(&self.cached.column(pos)[lo..hi]);
+        if lo < hi {
+            self.segments.push(Segment::Cached(lo, hi));
         }
         self.feasible
             .extend_from_slice(&self.cached.feasibility()[lo..hi]);
     }
 
-    /// Appends row `idx` of a delta slab, at new-epoch job `job`.
-    // analyze::allow(indexing, scope = "fn", reason = "idx < slab.len(): delta points were collected from 0..slab.len()")
-    fn push_delta(&mut self, slab: &ResultSet, idx: usize, job: u64) {
+    /// Appends delta point `d`, a row of one of `slabs`.
+    // analyze::allow(indexing, scope = "fn", reason = "delta points name a slab and one of its rows")
+    fn push_delta(&mut self, slabs: &[ResultSet], d: &DeltaPoint) {
         self.of_delta.push(self.jobs.len() as u32);
-        self.jobs.push(job);
-        for (pos, column) in self.columns.iter_mut().enumerate() {
-            column.push(slab.column(pos)[idx]);
-        }
-        self.feasible.push(slab.feasibility()[idx]);
+        self.jobs.push(d.job);
+        self.segments.push(Segment::Delta {
+            slab: d.slab,
+            idx: d.idx,
+        });
+        self.feasible
+            .push(slabs[d.slab as usize].feasibility()[d.idx as usize]);
     }
+
+    /// Merged value column `pos`, copied segment by segment.
+    // analyze::allow(indexing, scope = "fn", reason = "segments name cached rows and slab rows that exist; pos is below the objective count")
+    fn column(&self, pos: usize, slabs: &[ResultSet]) -> Vec<f64> {
+        let cached = self.cached.column(pos);
+        let mut column = Vec::with_capacity(self.feasible.len());
+        for &segment in &self.segments {
+            match segment {
+                Segment::Cached(lo, hi) => column.extend_from_slice(&cached[lo..hi]),
+                Segment::Delta { slab, idx } => {
+                    column.push(slabs[slab as usize].column(pos)[idx as usize]);
+                }
+            }
+        }
+        column
+    }
+
+    /// The frontier-eligible delta points with their minimized keys
+    /// ([`eligible_row`]), read from `slabs`, as merged indices.
+    // analyze::allow(indexing, scope = "fn", reason = "delta points name a slab and one of its rows")
+    fn delta_rows<'a>(
+        &'a self,
+        delta: &'a [DeltaPoint],
+        slabs: &'a [ResultSet],
+        objectives: &'a [Objective],
+    ) -> impl Iterator<Item = (u32, [f64; MAX_OBJECTIVES])> + 'a {
+        // The delta points were merged in `delta`'s order.
+        self.of_delta.iter().zip(delta).filter_map(move |(&m, d)| {
+            let (slab, idx) = (&slabs[d.slab as usize], d.idx as usize);
+            let row = eligible_row(
+                slab.feasibility()[idx],
+                |pos| slab.column(pos)[idx],
+                objectives,
+            );
+            Some((m, row?))
+        })
+    }
+}
+
+/// One task of a repair's parallel tail.
+enum Tail {
+    Frontier(Vec<usize>),
+    Column(Vec<f64>),
 }
 
 /// Repairs `cached` (computed at `old`) into the result the same plan
@@ -470,10 +545,11 @@ pub(crate) fn repair_result(
     // Each slab's own enumeration is already ascending in the global
     // order, but slabs interleave, so one sort over the (small) delta
     // set is the simplest exact merge key.
+    let index = space.index();
     let mut delta: Vec<DeltaPoint> = Vec::new();
     for (slab_pos, slab) in slabs.iter().enumerate() {
         let (slab_space, jobs) = slab.rows();
-        let placement = space.placement_of(slab_space);
+        let placement = index.placement_of(slab_space);
         for (idx, coord) in slab_space.coords(jobs).enumerate() {
             delta.push(DeltaPoint {
                 job: placement
@@ -487,61 +563,78 @@ pub(crate) fn repair_result(
     delta.sort_unstable_by_key(|d| d.job);
 
     let mut merged = Merged::new(cached, delta.len());
-    merged.merge(&space.placement_of(cached.rows().0), &slabs, &delta);
+    merged.merge(&index.placement_of(cached.rows().0), &slabs, &delta);
+
+    // Frontier merge, with no physics: the delta points' skyline joins
+    // the survivors' frontier. The survivors' frontier is the cached
+    // frontier's surviving members plus the survivors off it that only
+    // dead members dominated: with no dead member that is the surviving
+    // members alone, since removing dominated points promotes nothing
+    // while all their dominators remain.
+    let objectives = plan.objectives();
+    let dims = objectives.len();
+    let frontier_over = |base: &[u32], base_keys: &[f64]| {
+        let mut delta_skyline = frontier::PrefilteredSkyline::new(dims);
+        for (m, row) in merged.delta_rows(&delta, &slabs, objectives) {
+            delta_skyline.offer(m, &row);
+        }
+        let (delta_skyline, delta_keys) = delta_skyline.finish();
+        union_frontier(dims, base, base_keys, &delta_skyline, &delta_keys)
+    };
+    // Copying the value columns is most of a repair's time: the first
+    // touch of their fresh pages. Each column is a task of its own, and
+    // without a dead member the frontier, which reads only the
+    // survivors' keys and the slabs, is one more beside them; a
+    // promotion reads the merged columns, so it waits for them.
+    let (columns, merged_frontier) = if merged.dead_keys.is_empty() {
+        let tail = parallel_map_indices(dims + 1, 1, |task| match task.checked_sub(1) {
+            None => Tail::Frontier(frontier_over(&merged.frontier_survivors, &merged.live_keys)),
+            Some(pos) => Tail::Column(merged.column(pos, &slabs)),
+        });
+        let (mut columns, mut merged_frontier) = (Vec::with_capacity(dims), Vec::new());
+        for task in tail {
+            match task {
+                Tail::Frontier(frontier) => merged_frontier = frontier,
+                Tail::Column(column) => columns.push(column),
+            }
+        }
+        (columns, merged_frontier)
+    } else {
+        let columns = parallel_map_indices(dims, 1, |pos| merged.column(pos, &slabs));
+        // The candidates are every merged position that neither a delta
+        // point nor a surviving frontier member took.
+        let (mut base, mut base_keys) =
+            (merged.frontier_survivors.clone(), merged.live_keys.clone());
+        let mut deltas = merged.of_delta.iter().copied().peekable();
+        let mut members = base.iter().copied().peekable();
+        let off_frontier = (0..merged.jobs.len() as u32)
+            .filter(|&m| deltas.next_if_eq(&m).is_none() && members.next_if_eq(&m).is_none());
+        let promoted = frontier::promoted(
+            dims,
+            &merged.dead_keys,
+            &base_keys,
+            eligible_rows(off_frontier, &merged.feasible, &columns, objectives),
+        );
+        for m in promoted {
+            base_keys.extend(minimized_row(&columns, objectives, m as usize));
+            base.push(m);
+        }
+        let merged_frontier = frontier_over(&base, &base_keys);
+        (columns, merged_frontier)
+    };
     let Merged {
         mut jobs,
-        mut columns,
         mut feasible,
-        of_delta,
-        frontier_survivors,
-        live_keys,
-        dead_keys,
         nonfinite,
         ..
     } = merged;
     // The buffers were sized for every cached point surviving; release
     // what the dead ones left unused.
     jobs.shrink_to_fit();
-    for column in &mut columns {
-        column.shrink_to_fit();
-    }
     feasible.shrink_to_fit();
     // The slabs' nonfinite accounting transfers verbatim: every slab
     // point entered the merged result.
     let nonfinite = nonfinite + slabs.iter().map(ResultSet::nonfinite).sum::<usize>();
-
-    // Frontier merge, with no physics. The survivors' frontier is the
-    // cached frontier's surviving members plus the survivors off it that
-    // only dead members dominated: with no dead member that is the
-    // surviving members alone, since removing dominated points promotes
-    // nothing while all their dominators remain.
-    let objectives = plan.objectives();
-    let dims = objectives.len();
-    let (mut base, mut base_keys) = (frontier_survivors, live_keys);
-    if !dead_keys.is_empty() {
-        // The candidates are every merged position that neither a delta
-        // point nor a surviving frontier member took.
-        let mut deltas = of_delta.iter().copied().peekable();
-        let mut members = base.iter().copied().peekable();
-        let off_frontier = (0..jobs.len() as u32)
-            .filter(|&m| deltas.next_if_eq(&m).is_none() && members.next_if_eq(&m).is_none());
-        let promoted = frontier::promoted(
-            dims,
-            &dead_keys,
-            &base_keys,
-            eligible_rows(off_frontier, &feasible, &columns, objectives),
-        );
-        for m in promoted {
-            base_keys.extend(minimized_row(&columns, objectives, m as usize));
-            base.push(m);
-        }
-    }
-    let mut delta_skyline = frontier::PrefilteredSkyline::new(dims);
-    for (m, row) in eligible_rows(of_delta.iter().copied(), &feasible, &columns, objectives) {
-        delta_skyline.offer(m, &row);
-    }
-    let (delta_skyline, _) = delta_skyline.finish();
-    let merged_frontier = union_frontier(&base, &base_keys, &delta_skyline, &columns, objectives);
 
     let (uncharacterized, dropped) = (space.uncharacterized, space.job_count() - jobs.len());
     Ok(Repair::Repaired(Box::new(ResultSet::retained(

@@ -494,14 +494,16 @@ impl ResultSet {
 
     /// The best `k` point indices in rank order, selected with a bounded
     /// heap in O(n log k) — no full sort, no O(n) ranking allocation
-    /// beyond the heap. Equals `ranked()[..k]` exactly (including tie
-    /// order). `k` larger than the result just returns the full ranking.
+    /// beyond the heap, and no comparator call for a row that does not
+    /// beat the worst kept one. Equals `ranked()[..k]` exactly (including
+    /// tie order). `k` larger than the result just returns the full
+    /// ranking.
     ///
     /// A streamed result serves the prefix of its bounded top-k
     /// ranking; `k` beyond [`crate::shard::STREAM_TOP_K`] clamps to
     /// what was kept.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "slice bound is clamped to the stored top-k length first")
+    // analyze::allow(indexing, scope = "fn", reason = "slice bound is clamped to the stored top-k length first; a retained result's indices are rows of its row-aligned feasibility and primary columns")
     pub fn top_k(&self, k: usize) -> Vec<usize> {
         if let Some(meta) = &self.streamed {
             return meta.topk[..k.min(meta.topk.len())].to_vec();
@@ -535,16 +537,30 @@ impl ResultSet {
                 self.set.rank_cmp(self.index, other.index)
             }
         }
-        let mut heap: BinaryHeap<Key<'_>> = BinaryHeap::with_capacity(k + 1);
-        for index in 0..self.len() {
-            let key = Key { set: self, index };
-            if heap.len() < k {
-                heap.push(key);
-            } else if let Some(worst) = heap.peek() {
-                if key.cmp(worst) == Ordering::Less {
-                    heap.pop();
-                    heap.push(key);
+        let mut heap: BinaryHeap<Key<'_>> = (0..k).map(|index| Key { set: self, index }).collect();
+        // The worst kept row's feasibility and primary value. A later row
+        // joins only if it beats them: feasible over infeasible, else a
+        // strictly better primary value. A tie loses, because every kept
+        // index is smaller.
+        let maximize = self.objectives[0].maximize();
+        let (feasible, primary) = (&self.feasible, &self.columns[0]);
+        let worst = |heap: &BinaryHeap<Key<'_>>| {
+            heap.peek()
+                .map_or((true, f64::NAN), |w| (feasible[w.index], primary[w.index]))
+        };
+        let (mut worst_feasible, mut worst_value) = worst(&heap);
+        for index in k..self.len() {
+            let beats = match (feasible[index], worst_feasible) {
+                (true, false) => true,
+                (false, true) => false,
+                _ if maximize => primary[index].total_cmp(&worst_value) == Ordering::Greater,
+                _ => primary[index].total_cmp(&worst_value) == Ordering::Less,
+            };
+            if beats {
+                if let Some(mut top) = heap.peek_mut() {
+                    *top = Key { set: self, index };
                 }
+                (worst_feasible, worst_value) = worst(&heap);
             }
         }
         heap.into_sorted_vec()

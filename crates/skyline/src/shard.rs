@@ -51,10 +51,11 @@
 //! pass's velocity through the same function (late materialization).
 //!
 //! `PassSpace` is the only definition of the job index: `coord` and
-//! `coords` decode a job, and `placement_of` maps another space's
-//! coordinates into it. Delta repair resolves the new epoch's space and
-//! places every cached row and every delta-slab row through it, so no
-//! other module rebuilds the enumeration order.
+//! `coords` decode a job, and its `index` maps another space's
+//! coordinates into it (`JobIndex::placement_of`). Delta repair resolves
+//! the new epoch's space, indexes it once, and places every cached row
+//! and every delta-slab row through that index, so no other module
+//! rebuilds the enumeration order.
 //!
 //! Each plan's [`KeepPoints`] policy decides what it keeps beyond its
 //! counters and frontier:
@@ -100,7 +101,7 @@ use f1_model::mission::{hover_endurance, PowerModel};
 use f1_model::roofline::Saturation;
 use f1_units::{Grams, Hertz, Meters, MetersPerSecond};
 
-use crate::dse::{algo_stage, pair_stage, Candidate, PairStage};
+use crate::dse::{algo_stage, pair_stage, Candidate, PairStage, Scored};
 use crate::frontier;
 use crate::plan::{KeepPoints, QueryPlan};
 use crate::query::{
@@ -350,36 +351,89 @@ impl PassSpace {
         })
     }
 
-    /// Where the rows of `other`, a space of the same plan over other
-    /// part lists (the plan at an older epoch, or a delta-repair slab),
-    /// land in this space's job index. Each of its (airframe, setting)
-    /// blocks, sensors and pairs gets its job offset here, looked up by
-    /// id; a part this space does not enumerate, and a pair whose
-    /// throughput differs here, get `None`.
-    // analyze::allow(indexing, scope = "fn", reason = "a pair position comes from the table over this space's own pairs")
-    pub(crate) fn placement_of(&self, other: &PassSpace) -> Placement {
-        let pairs = self.pairs.len() as u64;
-        let per_setting = self.sensors.len() as u64 * pairs;
-        let per_airframe = self.settings.len() as u64 * per_setting;
-        let airframe_pos = positions(self.airframes.iter().map(|id| id.index()));
-        let sensor_pos = positions(self.sensors.iter().map(|id| id.index()));
+    /// This space's position tables by part id, built once to place any
+    /// number of other spaces' rows ([`JobIndex::placement_of`]).
+    pub(crate) fn index(&self) -> JobIndex<'_> {
         // Pairs by (compute, algorithm) id: the table spans this space's
         // largest ids, at most the shape of the epoch's throughput table.
         let stride = self.pairs.iter().map(|p| p.algorithm.index() + 1).max();
         let stride = stride.unwrap_or(0);
-        let key = |p: &PairEntry| p.compute.index() * stride + p.algorithm.index();
-        let pair_pos = positions(self.pairs.iter().map(key));
+        JobIndex {
+            space: self,
+            airframes: position_table(self.airframes.iter().map(|id| id.index())),
+            sensors: position_table(self.sensors.iter().map(|id| id.index())),
+            pairs: position_table(self.pairs.iter().map(|p| pair_key(p, stride))),
+            stride,
+        }
+    }
+}
+
+/// A pair's slot in a [`JobIndex`] pair table of row length `stride`.
+fn pair_key(pair: &PairEntry, stride: usize) -> usize {
+    pair.compute.index() * stride + pair.algorithm.index()
+}
+
+/// The position of each of `indices` (dense id indices) in its list, as
+/// a table indexed by id index.
+fn position_table(indices: impl Iterator<Item = usize> + Clone) -> Vec<Option<u32>> {
+    let mut table = vec![None; indices.clone().max().map_or(0, |max| max + 1)];
+    for (pos, index) in indices.enumerate() {
+        if let Some(slot) = table.get_mut(index) {
+            *slot = Some(pos as u32);
+        }
+    }
+    table
+}
+
+/// The position at `index` in a [`position_table`], `None` off its list.
+fn position(table: &[Option<u32>], index: usize) -> Option<u32> {
+    table.get(index).copied().flatten()
+}
+
+/// The position of each of `indices` (dense id indices) in its list,
+/// looked up by index with one array read, no hashing.
+pub(crate) fn positions(
+    indices: impl Iterator<Item = usize> + Clone,
+) -> impl Fn(usize) -> Option<u32> {
+    let table = position_table(indices);
+    move |index| position(&table, index)
+}
+
+/// A space's airframe, sensor and pair positions by part id (see
+/// [`PassSpace::index`]).
+pub(crate) struct JobIndex<'s> {
+    space: &'s PassSpace,
+    airframes: Vec<Option<u32>>,
+    sensors: Vec<Option<u32>>,
+    /// Pair positions by [`pair_key`].
+    pairs: Vec<Option<u32>>,
+    stride: usize,
+}
+
+impl JobIndex<'_> {
+    /// Where the rows of `other`, a space of the same plan over other
+    /// part lists (the plan at an older epoch, or a delta-repair slab),
+    /// land in the indexed space's job index. Each of its (airframe,
+    /// setting) blocks, sensors and pairs gets its job offset there,
+    /// looked up by id; a part the space does not enumerate, and a pair
+    /// whose throughput differs there, get `None`.
+    // analyze::allow(indexing, scope = "fn", reason = "a pair position comes from the table over the indexed space's own pairs")
+    pub(crate) fn placement_of(&self, other: &PassSpace) -> Placement {
+        let space = self.space;
+        let pairs = space.pairs.len() as u64;
+        let per_setting = space.sensors.len() as u64 * pairs;
+        let per_airframe = space.settings.len() as u64 * per_setting;
         let setting_offsets: Vec<Option<u64>> = other
             .settings
             .iter()
-            .map(|s| Some(self.settings.iter().position(|t| t == s)? as u64 * per_setting))
+            .map(|s| Some(space.settings.iter().position(|t| t == s)? as u64 * per_setting))
             .collect();
         Placement {
             blocks: other
                 .airframes
                 .iter()
                 .flat_map(|id| {
-                    let airframe = airframe_pos(id.index());
+                    let airframe = position(&self.airframes, id.index());
                     setting_offsets
                         .iter()
                         .map(move |&setting| Some(u64::from(airframe?) * per_airframe + setting?))
@@ -389,36 +443,23 @@ impl PassSpace {
             sensors: other
                 .sensors
                 .iter()
-                .map(|id| Some(u64::from(sensor_pos(id.index())?) * pairs))
+                .map(|id| Some(u64::from(position(&self.sensors, id.index())?) * pairs))
                 .collect(),
             pairs: other
                 .pairs
                 .iter()
                 .map(|p| {
-                    let pos = pair_pos((p.algorithm.index() < stride).then(|| key(p))?)?;
-                    (self.pairs[pos as usize].throughput == p.throughput).then_some(u64::from(pos))
+                    let key = (p.algorithm.index() < self.stride).then(|| pair_key(p, self.stride));
+                    let pos = position(&self.pairs, key?)?;
+                    (space.pairs[pos as usize].throughput == p.throughput).then_some(u64::from(pos))
                 })
                 .collect(),
         }
     }
 }
 
-/// The position of each of `indices` (dense id indices) in its list,
-/// looked up by index with one array read, no hashing.
-pub(crate) fn positions(
-    indices: impl Iterator<Item = usize> + Clone,
-) -> impl Fn(usize) -> Option<u32> {
-    let mut table = vec![None; indices.clone().max().map_or(0, |max| max + 1)];
-    for (pos, index) in indices.enumerate() {
-        if let Some(slot) = table.get_mut(index) {
-            *slot = Some(pos as u32);
-        }
-    }
-    move |index| table.get(index).copied().flatten()
-}
-
 /// Another space's rows placed in a target space's job index (see
-/// [`PassSpace::placement_of`]): the target job offset of each
+/// [`JobIndex::placement_of`]): the target job offset of each
 /// (airframe, setting) block, sensor and pair of the placed space,
 /// `None` where the target does not enumerate the part.
 pub(crate) struct Placement {
@@ -646,18 +687,20 @@ fn frontier_reducible(plan: &QueryPlan) -> bool {
     })
 }
 
-/// One plan of the group, as the candidate loop reads it.
-struct Member<'p> {
-    constraints: &'p [Constraint],
+/// One plan of the group, as the run loop reads it.
+struct Member {
+    /// The constraints every candidate of a (sensor, compute) pair meets
+    /// or fails together (`MaxTotalTdp`, `MaxPayload`, `FeasibleOnly`),
+    /// decided once per run.
+    pair_constraints: Vec<Constraint>,
+    /// The `MinVelocity` constraints, decided per candidate.
+    floors: Vec<Constraint>,
     /// The value set whose rows this plan keeps a subset of.
     set: usize,
     stream: bool,
     /// The frontier group whose skyline this plan reads (`None` without
     /// a frontier pass).
     group: Option<usize>,
-    /// The group's objectives in the group's key order, each with its
-    /// position in this plan's row.
-    to_group: Vec<(usize, Objective)>,
 }
 
 /// Plans with one objective list and mission profile compute identical
@@ -678,21 +721,28 @@ struct ValueSet<'p> {
 struct FrontierGroup {
     /// The key order, the first member's objectives.
     objectives: Vec<Objective>,
+    /// The members' mission profile, when their objectives need one.
+    profile: Option<usize>,
     /// `Some((objective-set bitmask, profile))` for a group of
     /// frontier-reducible plans, which later such plans may join.
     shared: Option<(u8, Option<usize>)>,
+    /// The plans that read this skyline, possibly from several value
+    /// sets (one objective set ranked in different orders).
+    members: Vec<usize>,
 }
 
-/// One distinct mission profile's power state on the current pair.
+/// One distinct mission profile's power state on the current run.
 struct ProfilePower {
     profile: MissionProfile,
     wants_endurance: bool,
-    /// Whether `power` and `endurance` describe the current pair; they
-    /// are built at the pair's first kept candidate, so a fully dropped
-    /// pair builds no power model.
+    /// Whether `power`, `endurance` and `energies` describe the current
+    /// run; they are built when a plan of the profile keeps one of its
+    /// candidates, so a fully dropped pair builds no power model.
     ready: bool,
     power: Option<PowerModel>,
     endurance: f64,
+    /// The run's mission energies, one per candidate.
+    energies: Vec<f64>,
 }
 
 impl ProfilePower {
@@ -703,17 +753,20 @@ impl ProfilePower {
             ready: false,
             power: None,
             endurance: 0.0,
+            energies: Vec::new(),
         }
     }
 
     /// Builds the pair's power model and hover endurance — the same
     /// construction for every plan of the profile; every argument is
-    /// pair-level, which is what lets it hoist.
+    /// pair-level, which is what lets it hoist — and the energies of the
+    /// run's `velocities`.
     fn prepare(
         &mut self,
         stage: &PairStage,
         airframe: &Airframe,
         battery_wh: Option<f64>,
+        velocities: &[MetersPerSecond],
     ) -> Result<(), SkylineError> {
         self.ready = true;
         self.power = if stage.feasible() {
@@ -735,15 +788,316 @@ impl ProfilePower {
                 self.endurance = hover_endurance(p, wh, self.profile.battery_reserve)?.get();
             }
         }
+        let mut energies = std::mem::take(&mut self.energies);
+        energies.clear();
+        energies.extend(velocities.iter().map(|&v| self.energy(v)));
+        self.energies = energies;
         Ok(())
     }
 
     /// The mission energy per km at cruise velocity `v`.
+    #[inline]
     fn energy(&self, v: MetersPerSecond) -> f64 {
         match &self.power {
             Some(p) if v.get() > 0.0 => p.power_at(v).get() * (1000.0 / v.get()) / 3600.0,
             _ => f64::INFINITY,
         }
+    }
+}
+
+/// Which of a run's candidates a plan admits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admits {
+    /// None: a pair-level constraint fails.
+    Nothing,
+    /// All: the pair-level constraints hold, and the plan sets no
+    /// velocity floor.
+    Everything,
+    /// Those its velocity floors admit, per the plan's run mask.
+    Masked,
+}
+
+/// A run's per-candidate state, reused from run to run of a shard.
+struct RunScratch {
+    velocities: Vec<MetersPerSecond>,
+    /// Per plan, which of the run's candidates it admits.
+    admits: Vec<Admits>,
+    /// Per plan, its velocity floors' verdict per candidate, read when
+    /// it admits [`Admits::Masked`].
+    masks: Vec<Vec<bool>>,
+    /// A value set's kept candidates, as run positions.
+    kept: Vec<u32>,
+}
+
+impl RunScratch {
+    /// Whether plan `m` admits run candidate `i`.
+    // analyze::allow(indexing, scope = "fn", reason = "m indexes the group's plans and i the current run, which size the admits and masks")
+    #[inline]
+    fn admits(&self, m: usize, i: usize) -> bool {
+        match self.admits[m] {
+            Admits::Nothing => false,
+            Admits::Everything => true,
+            Admits::Masked => self.masks[m][i],
+        }
+    }
+
+    /// Whether plan `m` admits any candidate of the run.
+    // analyze::allow(indexing, scope = "fn", reason = "m indexes the group's plans, which size the admits and masks")
+    fn admits_any(&self, m: usize) -> bool {
+        match self.admits[m] {
+            Admits::Nothing => false,
+            Admits::Everything => true,
+            Admits::Masked => self.masks[m].contains(&true),
+        }
+    }
+
+    /// The run positions any of `members` admits, into `kept`.
+    // analyze::allow(indexing, scope = "fn", reason = "members index the group's plans, which size the admits")
+    fn keep(&mut self, members: &[usize]) {
+        let mut kept = std::mem::take(&mut self.kept);
+        kept.clear();
+        let n = self.velocities.len() as u32;
+        if members
+            .iter()
+            .any(|&m| self.admits[m] == Admits::Everything)
+        {
+            kept.extend(0..n);
+        } else if members.iter().any(|&m| self.admits[m] == Admits::Masked) {
+            kept.extend((0..n).filter(|&i| members.iter().any(|&m| self.admits(m, i as usize))));
+        }
+        self.kept = kept;
+    }
+}
+
+/// A pass's plans as its runs read them.
+struct Plans<'p> {
+    members: Vec<Member>,
+    sets: Vec<ValueSet<'p>>,
+    groups: Vec<FrontierGroup>,
+}
+
+/// One run: the consecutive candidates of one (sensor, compute) pair in
+/// a shard, one per characterized algorithm, sharing its pair stage.
+struct Run<'r> {
+    stage: &'r PairStage,
+    /// The run's pairs, in enumeration order.
+    pairs: &'r [PairEntry],
+    /// The shard-local index of the run's first candidate.
+    local: u32,
+    /// The job of the run's first candidate.
+    job: u64,
+}
+
+/// One shard's state as its runs fill it.
+struct ShardState {
+    slabs: Vec<SetSlab>,
+    shares: Vec<Share>,
+    skylines: Vec<frontier::PrefilteredSkyline>,
+    powers: Vec<ProfilePower>,
+    scratch: RunScratch,
+}
+
+impl ShardState {
+    /// Scores `run` for every plan of the pass: the run's Eq. 4
+    /// velocities and, for a profile a plan keeps a candidate of, its
+    /// energies, each in one loop over the run; each plan's pair-level
+    /// constraints once and its velocity floors per candidate; each value
+    /// set's rows, with the pair-constant columns filled in bulk; and
+    /// each frontier group's offers, in ascending job order.
+    // analyze::allow(indexing, scope = "fn", reason = "plan, set, group and profile positions index the lists built with the plans; run positions index the run's scratch")
+    // analyze::allow(panic, scope = "fn", reason = "sets and groups with a power-model objective carry a mission profile")
+    fn run(
+        &mut self,
+        plans: &Plans<'_>,
+        run: Run<'_>,
+        airframe: &Airframe,
+        battery_wh: Option<f64>,
+    ) -> Result<(), SkylineError> {
+        let Self {
+            slabs,
+            shares,
+            skylines,
+            powers,
+            scratch,
+        } = self;
+        let stage = run.stage;
+        stage.velocities(
+            run.pairs.iter().map(|p| p.throughput),
+            &mut scratch.velocities,
+        )?;
+        let n = scratch.velocities.len();
+        let pair = Scored {
+            feasible: stage.feasible(),
+            velocity: MetersPerSecond::ZERO,
+            total_tdp: stage.total_tdp(),
+            payload: stage.payload(),
+        };
+
+        for (m, member) in plans.members.iter().enumerate() {
+            scratch.admits[m] = if !member
+                .pair_constraints
+                .iter()
+                .all(|c| c.admits_scored(&pair))
+            {
+                Admits::Nothing
+            } else if member.floors.is_empty() {
+                Admits::Everything
+            } else {
+                let mask = &mut scratch.masks[m];
+                mask.clear();
+                mask.extend(scratch.velocities.iter().map(|&velocity| {
+                    let scored = Scored { velocity, ..pair };
+                    member.floors.iter().all(|c| c.admits_scored(&scored))
+                }));
+                Admits::Masked
+            };
+        }
+        for power in powers.iter_mut() {
+            power.ready = false;
+        }
+        for set in &plans.sets {
+            let Some(p) = set.profile else {
+                continue;
+            };
+            if !powers[p].ready && set.members.iter().any(|&m| scratch.admits_any(m)) {
+                powers[p].prepare(stage, airframe, battery_wh, &scratch.velocities)?;
+            }
+        }
+
+        let (tdp, payload) = (pair.total_tdp.get(), pair.payload.get());
+        // A row is finite when its pair-constant values are and, with the
+        // energy objective, its energy is: a velocity is finite by
+        // construction.
+        let finite = |pair_finite: bool, energies: Option<&[f64]>, i: u32| {
+            pair_finite && energies.map_or(true, |e| e[i as usize].is_finite())
+        };
+        for (set, slab) in plans.sets.iter().zip(slabs.iter_mut()) {
+            scratch.keep(&set.members);
+            let kept = &scratch.kept;
+            let power = set.profile.map(|p| &powers[p]);
+            let base = slab.jobs.len() as u32;
+            let mut pair_finite = true;
+            let mut energies = None;
+            // The whole run, or the candidates a velocity floor admits.
+            let whole = kept.len() == n;
+            for (col, &objective) in slab.cols.iter_mut().zip(set.objectives) {
+                let constant = match objective {
+                    Objective::SafeVelocity => {
+                        let velocities = &scratch.velocities;
+                        if whole {
+                            col.extend(velocities.iter().map(|v| v.get()));
+                        } else {
+                            col.extend(kept.iter().map(|&i| velocities[i as usize].get()));
+                        }
+                        continue;
+                    }
+                    Objective::MissionEnergyWhPerKm => {
+                        let e = &power.expect("power sets carry a profile").energies;
+                        if whole {
+                            col.extend_from_slice(e);
+                        } else {
+                            col.extend(kept.iter().map(|&i| e[i as usize]));
+                        }
+                        energies = Some(&e[..]);
+                        continue;
+                    }
+                    Objective::TotalTdp => tdp,
+                    Objective::PayloadMass => payload,
+                    Objective::HoverEnduranceMin => {
+                        power.expect("power sets carry a profile").endurance
+                    }
+                };
+                col.extend(std::iter::repeat(constant).take(kept.len()));
+                pair_finite &= constant.is_finite();
+            }
+            slab.feasible
+                .extend(std::iter::repeat(pair.feasible).take(kept.len()));
+            slab.jobs
+                .extend(kept.iter().map(|&i| run.job + u64::from(i)));
+            for &m in &set.members {
+                let share = &mut shares[m];
+                let admitted = if scratch.admits[m] == Admits::Everything {
+                    if let Some(rows) = &mut share.rows {
+                        rows.extend(base..base + kept.len() as u32);
+                    }
+                    if pair.feasible {
+                        share.nonfinite += kept
+                            .iter()
+                            .filter(|&&i| !finite(pair_finite, energies, i))
+                            .count();
+                    }
+                    kept.len()
+                } else {
+                    let mut admitted = 0;
+                    for (r, &i) in (base..).zip(kept) {
+                        if !scratch.admits(m, i as usize) {
+                            continue;
+                        }
+                        admitted += 1;
+                        if let Some(rows) = &mut share.rows {
+                            rows.push(r);
+                        }
+                        if pair.feasible && !finite(pair_finite, energies, i) {
+                            share.nonfinite += 1;
+                        }
+                    }
+                    admitted
+                };
+                share.dropped += n - admitted;
+            }
+        }
+
+        // Offers, group by group: a group's plans can keep rows in
+        // several value sets, and its skyline takes each candidate any of
+        // them keeps once, in job order.
+        if !pair.feasible {
+            return Ok(());
+        }
+        for (group, skyline) in plans.groups.iter().zip(skylines.iter_mut()) {
+            scratch.keep(&group.members);
+            if scratch.kept.is_empty() {
+                continue;
+            }
+            let power = group.profile.map(|p| &powers[p]);
+            let mut key = [0.0f64; MAX_OBJECTIVES];
+            let (mut velocity_slot, mut energy_slot) = (None, None);
+            let mut pair_finite = true;
+            for (j, (slot, &objective)) in key.iter_mut().zip(&group.objectives).enumerate() {
+                let constant = match objective {
+                    Objective::SafeVelocity => {
+                        velocity_slot = Some(j);
+                        continue;
+                    }
+                    Objective::MissionEnergyWhPerKm => {
+                        energy_slot = Some(j);
+                        continue;
+                    }
+                    Objective::TotalTdp => tdp,
+                    Objective::PayloadMass => payload,
+                    Objective::HoverEnduranceMin => {
+                        power.expect("power groups carry a profile").endurance
+                    }
+                };
+                *slot = objective.minimized(constant);
+                pair_finite &= constant.is_finite();
+            }
+            let energies =
+                energy_slot.map(|_| &power.expect("power groups carry a profile").energies[..]);
+            for &i in &scratch.kept {
+                if !finite(pair_finite, energies, i) {
+                    continue;
+                }
+                if let Some(j) = velocity_slot {
+                    key[j] =
+                        Objective::SafeVelocity.minimized(scratch.velocities[i as usize].get());
+                }
+                if let (Some(j), Some(e)) = (energy_slot, energies) {
+                    key[j] = Objective::MissionEnergyWhPerKm.minimized(e[i as usize]);
+                }
+                skyline.offer(run.local + i, &key);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -919,7 +1273,7 @@ pub(crate) fn run_over(
     let mut profiles: Vec<(MissionProfile, bool)> = Vec::new();
     let mut sets: Vec<ValueSet<'_>> = Vec::new();
     let mut groups: Vec<FrontierGroup> = Vec::new();
-    let mut members: Vec<Member<'_>> = Vec::with_capacity(plans.len());
+    let mut members: Vec<Member> = Vec::with_capacity(plans.len());
     for (m, plan) in plans.iter().enumerate() {
         let objectives = plan.objectives();
         let profile = plan.needs_power().then(|| {
@@ -965,33 +1319,55 @@ pub(crate) fn run_over(
                 None => {
                     groups.push(FrontierGroup {
                         objectives: objectives.to_vec(),
+                        profile,
                         shared,
+                        members: Vec::new(),
                     });
                     groups.len() - 1
                 }
             }
         });
-        let to_group = group.map_or_else(Vec::new, |g| {
-            groups[g]
-                .objectives
-                .iter()
-                .map(|o| (objectives.iter().position(|m| m == o).unwrap_or(0), *o))
-                .collect()
-        });
+        if let Some(g) = group {
+            groups[g].members.push(m);
+        }
+        let (floors, pair_constraints) = plan
+            .constraints()
+            .iter()
+            .partition(|c| matches!(c, Constraint::MinVelocity(_)));
         members.push(Member {
-            constraints: plan.constraints(),
+            pair_constraints,
+            floors,
             set,
             stream,
             group,
-            to_group,
         });
     }
+    let group_plans = Plans {
+        members,
+        sets,
+        groups,
+    };
+    let Plans {
+        members,
+        sets,
+        groups,
+    } = &group_plans;
 
     // An empty space has no shards, and the merge of none is the empty
     // result of either mode.
     let shards_per_block = cand_count.div_ceil(SHARD_SIZE);
     let shard_count = space.airframes.len() * settings * shards_per_block;
     let pair_count = space.pairs.len();
+    // Where the run of each pair ends: the pair list is compute-major,
+    // so one compute's pairs are one sensor's run on it.
+    let mut run_ends = vec![pair_count; pair_count];
+    for p in (1..pair_count).rev() {
+        run_ends[p - 1] = if space.pairs[p - 1].compute_pos == space.pairs[p].compute_pos {
+            run_ends[p]
+        } else {
+            p
+        };
+    }
 
     let eval_shard = |shard: usize| -> Result<ShardOut, SkylineError> {
         let block = shard / shards_per_block;
@@ -1003,133 +1379,77 @@ pub(crate) fn run_over(
         let first_job = u64::try_from(block * cand_count + start).expect("job indices fit u64");
 
         let cap = end - start;
-        let mut slabs: Vec<SetSlab> = sets
-            .iter()
-            .map(|set| SetSlab {
-                cols: (0..set.objectives.len())
-                    .map(|_| Vec::with_capacity(cap))
-                    .collect(),
-                feasible: Vec::with_capacity(cap),
-                jobs: Vec::with_capacity(cap),
-            })
-            .collect();
-        let mut shares: Vec<Share> = members
-            .iter()
-            .map(|member| Share {
-                dropped: 0,
-                nonfinite: 0,
-                rows: (sets[member.set].members.len() > 1).then(Vec::new),
-                frontier: Vec::new(),
-            })
-            .collect();
-        let mut skylines: Vec<frontier::PrefilteredSkyline> = groups
-            .iter()
-            .map(|g| frontier::PrefilteredSkyline::new(g.objectives.len()))
-            .collect();
-        // The last job each group's skyline was offered: a candidate
-        // joins a shared skyline once, whichever plan kept it first.
-        let mut offered: Vec<u64> = vec![u64::MAX; groups.len()];
-        let mut powers: Vec<ProfilePower> = profiles
-            .iter()
-            .map(|&(profile, wants_endurance)| ProfilePower::new(profile, wants_endurance))
-            .collect();
-        let mut admitted: Vec<bool> = vec![false; members.len()];
+        let mut state = ShardState {
+            slabs: sets
+                .iter()
+                .map(|set| SetSlab {
+                    cols: (0..set.objectives.len())
+                        .map(|_| Vec::with_capacity(cap))
+                        .collect(),
+                    feasible: Vec::with_capacity(cap),
+                    jobs: Vec::with_capacity(cap),
+                })
+                .collect(),
+            shares: members
+                .iter()
+                .map(|member| Share {
+                    dropped: 0,
+                    nonfinite: 0,
+                    rows: (sets[member.set].members.len() > 1).then(Vec::new),
+                    frontier: Vec::new(),
+                })
+                .collect(),
+            skylines: groups
+                .iter()
+                .map(|g| frontier::PrefilteredSkyline::new(g.objectives.len()))
+                .collect(),
+            powers: profiles
+                .iter()
+                .map(|&(profile, wants_endurance)| ProfilePower::new(profile, wants_endurance))
+                .collect(),
+            scratch: RunScratch {
+                velocities: Vec::new(),
+                admits: vec![Admits::Nothing; members.len()],
+                masks: members.iter().map(|_| Vec::new()).collect(),
+                kept: Vec::new(),
+            },
+        };
 
-        // Per-(sensor, compute) hoisted pair stage.
-        let mut cur_pair = (usize::MAX, u32::MAX);
-        let mut pair = None::<PairStage>;
-        let mut job = first_job;
-        for c in start..end {
-            let sensor_pos = c / pair_count;
-            let entry = &space.pairs[c % pair_count];
-            if cur_pair != (sensor_pos, entry.compute_pos) {
-                cur_pair = (sensor_pos, entry.compute_pos);
-                pair = Some(pair_stage(
-                    &space.heatsink,
-                    space.saturation,
-                    airframe,
-                    &parts.sensors[sensor_pos],
-                    &parts.computes[entry.compute_pos as usize],
-                    parts.extra_payload,
-                )?);
-                for power in &mut powers {
-                    power.ready = false;
-                }
-            }
-            let stage = pair.as_ref().expect("pair stage set on first candidate");
-            let scored = stage.score(entry.throughput)?;
-            for (set, slab) in sets.iter().zip(&mut slabs) {
-                let mut any = false;
-                for &m in &set.members {
-                    admitted[m] = members[m]
-                        .constraints
-                        .iter()
-                        .all(|con| con.admits_scored(&scored));
-                    if admitted[m] {
-                        any = true;
-                    } else {
-                        shares[m].dropped += 1;
-                    }
-                }
-                if !any {
-                    continue;
-                }
-                // The row, computed once for every plan of the set.
-                let mut row = [0.0f64; MAX_OBJECTIVES];
-                let mut finite = true;
-                for ((slot, col), &objective) in
-                    row.iter_mut().zip(&mut slab.cols).zip(set.objectives)
-                {
-                    let v = match objective {
-                        Objective::SafeVelocity => scored.velocity.get(),
-                        Objective::TotalTdp => scored.total_tdp.get(),
-                        Objective::PayloadMass => scored.payload.get(),
-                        Objective::MissionEnergyWhPerKm | Objective::HoverEnduranceMin => {
-                            let power =
-                                &mut powers[set.profile.expect("power sets carry a profile")];
-                            if !power.ready {
-                                power.prepare(stage, airframe, battery_wh)?;
-                            }
-                            if objective == Objective::HoverEnduranceMin {
-                                power.endurance
-                            } else {
-                                power.energy(scored.velocity)
-                            }
-                        }
-                    };
-                    *slot = v;
-                    finite &= v.is_finite();
-                    col.push(v);
-                }
-                let r = slab.jobs.len() as u32;
-                slab.feasible.push(scored.feasible);
-                slab.jobs.push(job);
-                for &m in &set.members {
-                    if !admitted[m] {
-                        continue;
-                    }
-                    let share = &mut shares[m];
-                    if let Some(rows) = &mut share.rows {
-                        rows.push(r);
-                    }
-                    if scored.feasible && !finite {
-                        share.nonfinite += 1;
-                    }
-                    let member = &members[m];
-                    if let Some(g) = member.group {
-                        if scored.feasible && finite && offered[g] != job {
-                            offered[g] = job;
-                            let mut key = [0.0f64; MAX_OBJECTIVES];
-                            for (slot, &(pos, objective)) in key.iter_mut().zip(&member.to_group) {
-                                *slot = objective.minimized(row[pos]);
-                            }
-                            skylines[g].offer((c - start) as u32, &key);
-                        }
-                    }
-                }
-            }
-            job += 1;
+        // One run per (sensor, compute) pair, clipped to the shard: a
+        // pair that straddles a shard boundary is two runs, one in each
+        // shard, and each builds its own pair stage.
+        let mut c = start;
+        while c < end {
+            let (sensor_pos, first) = (c / pair_count, c % pair_count);
+            let pairs = &space.pairs[first..run_ends[first].min(first + (end - c))];
+            let stage = pair_stage(
+                &space.heatsink,
+                space.saturation,
+                airframe,
+                &parts.sensors[sensor_pos],
+                &parts.computes[pairs[0].compute_pos as usize],
+                parts.extra_payload,
+            )?;
+            let local = (c - start) as u32;
+            state.run(
+                &group_plans,
+                Run {
+                    stage: &stage,
+                    pairs,
+                    local,
+                    job: first_job + u64::from(local),
+                },
+                airframe,
+                battery_wh,
+            )?;
+            c += pairs.len();
         }
+        let ShardState {
+            slabs,
+            shares,
+            skylines,
+            ..
+        } = state;
 
         // Each group's local skyline as jobs, and each plan's local
         // frontier: the skyline members it kept, as kept-row positions.
@@ -1498,7 +1818,7 @@ mod tests {
     fn a_space_placed_into_itself_maps_every_job_to_itself() {
         let space = space_at(&CatalogStore::new(Catalog::paper()));
         assert!(space.airframes.len() >= 2 && space.settings.len() == 2);
-        let placement = space.placement_of(&space);
+        let placement = space.index().placement_of(&space);
         let jobs: Vec<u64> = (0..space.job_count() as u64).collect();
         for (&job, coord) in jobs.iter().zip(space.coords(&jobs)) {
             assert_eq!(placement.job(coord), Some(job));
@@ -1520,7 +1840,7 @@ mod tests {
             .patch_throughput(names::TX2, names::DRONET, Hertz::new(123.0));
         store.apply(&delta).unwrap();
         let new = space_at(&store);
-        let placement = new.placement_of(&old);
+        let placement = new.index().placement_of(&old);
         let jobs: Vec<u64> = (0..old.job_count() as u64).collect();
         let mut placed = 0;
         for coord in old.coords(&jobs) {

@@ -15,10 +15,15 @@
 //! * **Shard boundaries.** A space with two shards per block on two
 //!   airframes has the frontier `pareto_min` computes over
 //!   the whole key domain at once.
+//! * **Run boundaries.** The kernel scores a (sensor, compute) pair's
+//!   algorithms as one run: a run split by a shard boundary, runs of one
+//!   candidate, a velocity floor that keeps part of a run and a batch
+//!   whose members admit different runs all match the per-candidate
+//!   enumeration.
 
 use std::sync::Arc;
 
-use f1_components::{names, AirframeId, Catalog};
+use f1_components::{names, AirframeId, AlgorithmId, Catalog, ComputeId, SensorId};
 use f1_model::mission::hover_endurance;
 use f1_skyline::dse::{Engine, Outcome};
 use f1_skyline::frontier::{naive_pareto_min, pareto_min};
@@ -26,6 +31,7 @@ use f1_skyline::mission::power_model_for_parts;
 use f1_skyline::plan::{KeepPoints, QueryPlan};
 use f1_skyline::query::{Constraint, Knob, KnobSweep, Objective};
 use f1_skyline::session::{ResultSet, Session};
+use f1_skyline::shard::SHARD_SIZE;
 use f1_units::{Grams, MetersPerSecond, Watts};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -152,9 +158,10 @@ fn objective_value(
 }
 
 /// Checks a retained result of an identity-setting plan against a plain
-/// enumeration: airframes (plan order, else name order) × sensors ×
-/// computes × algorithms in name order, every characterized candidate
-/// evaluated on its own and filtered by the plan's constraints.
+/// enumeration: airframes × sensors × computes × algorithms, each in
+/// plan order when the plan names them and name order otherwise, every
+/// characterized candidate evaluated on its own and filtered by the
+/// plan's constraints.
 fn assert_matches_enumeration(catalog: &Catalog, plan: &QueryPlan, result: &ResultSet) {
     assert!(plan.settings().iter().all(|s| s.is_identity()));
     let engine = Engine::new(catalog);
@@ -167,20 +174,32 @@ fn assert_matches_enumeration(catalog: &Catalog, plan: &QueryPlan, result: &Resu
         Some(ids) => ids.to_vec(),
         None => catalog.airframe_entries().map(|(id, _)| id).collect(),
     };
+    let sensors: Vec<SensorId> = match plan.sensors() {
+        Some(ids) => ids.to_vec(),
+        None => catalog.sensor_entries().map(|(id, _)| id).collect(),
+    };
+    let computes: Vec<ComputeId> = match plan.computes() {
+        Some(ids) => ids.to_vec(),
+        None => catalog.compute_entries().map(|(id, _)| id).collect(),
+    };
+    let algorithms: Vec<AlgorithmId> = match plan.algorithms() {
+        Some(ids) => ids.to_vec(),
+        None => catalog.algorithm_entries().map(|(id, _)| id).collect(),
+    };
     let mut index = 0usize;
     let mut dropped = 0usize;
     for &airframe in &airframes {
-        for (sensor, sensor_part) in catalog.sensor_entries() {
-            for (compute, compute_part) in catalog.compute_entries() {
-                for (algorithm, _) in catalog.algorithm_entries() {
+        for &sensor in &sensors {
+            for &compute in &computes {
+                for &algorithm in &algorithms {
                     let Some(throughput) = table.get(compute, algorithm) else {
                         continue;
                     };
                     let outcome = engine
                         .evaluate_parts_loaded(
                             catalog.airframe_by_id(airframe),
-                            sensor_part,
-                            compute_part,
+                            catalog.sensor_by_id(sensor),
+                            catalog.compute_by_id(compute),
                             throughput,
                             extra,
                         )
@@ -287,4 +306,183 @@ fn two_shard_blocks_match_one_whole_skyline() {
     assert_eq!(retained.frontier(), &whole[..]);
     let streamed = session.run(&build(KeepPoints::FrontierOnly)).unwrap();
     assert_eq!(streamed.frontier(), &whole[..]);
+}
+
+/// The four analytic objectives, each with a per-run source: velocity
+/// and energy per candidate, TDP and payload per (sensor, compute) run.
+const FOUR_OBJECTIVES: [Objective; 4] = [
+    Objective::SafeVelocity,
+    Objective::TotalTdp,
+    Objective::PayloadMass,
+    Objective::MissionEnergyWhPerKm,
+];
+
+/// The frontier `pareto_min` finds over the result's whole key domain.
+fn whole_skyline(result: &ResultSet) -> Vec<usize> {
+    let (keys, map) = result.minimized_keys();
+    pareto_min(result.objectives().len(), &keys)
+        .into_iter()
+        .map(|i| map[i])
+        .collect()
+}
+
+/// A velocity floor between the slowest and fastest feasible velocity
+/// of `plan` without constraints: the median.
+fn median_velocity(catalog: &Arc<Catalog>, plan: &QueryPlan) -> f64 {
+    let result = Session::new(Arc::clone(catalog)).run(plan).unwrap();
+    let mut velocities: Vec<f64> = (0..result.len())
+        .filter(|&i| result.try_key(i).unwrap().feasible)
+        .map(|i| result.value(i, 0))
+        .collect();
+    velocities.sort_by(f64::total_cmp);
+    velocities[velocities.len() / 2]
+}
+
+/// At 47 parts per family a block is 47 × 2 209 = 103 823 candidates,
+/// two shards, and the boundary at candidate 65 536 falls inside one
+/// (sensor, compute) run: each shard scores its part of that run with
+/// its own pair stage. Every kept point, value and the dropped count
+/// match a plain per-candidate enumeration, and the frontier is one
+/// skyline over the whole key domain.
+#[test]
+fn a_shard_boundary_inside_a_run_matches_the_enumeration() {
+    let catalog = Catalog::synthesize(42, 47);
+    let computes: Vec<ComputeId> = catalog.compute_entries().map(|(id, _)| id).collect();
+    let algorithms: Vec<AlgorithmId> = catalog.algorithm_entries().map(|(id, _)| id).collect();
+    let pairs: Vec<ComputeId> = catalog
+        .throughput_table()
+        .characterized_pairs(&computes, &algorithms)
+        .map(|(compute, _, _)| compute)
+        .collect();
+    let boundary = SHARD_SIZE % pairs.len();
+    assert!(catalog.sensor_count() * pairs.len() > SHARD_SIZE);
+    assert!(
+        boundary > 0 && pairs[boundary - 1] == pairs[boundary],
+        "the shard boundary falls inside a run"
+    );
+    let airframe = catalog.airframe_entries().map(|(id, _)| id).next().unwrap();
+    let plan = QueryPlan::builder()
+        .airframes(&[airframe])
+        .objectives(&FOUR_OBJECTIVES)
+        .constraint(Constraint::MaxTotalTdp(Watts::new(30.0)))
+        .keep_points(KeepPoints::All)
+        .build()
+        .unwrap();
+    let result = Session::new(Arc::new(catalog.clone())).run(&plan).unwrap();
+    assert_matches_enumeration(&catalog, &plan, &result);
+    assert!(!result.frontier().is_empty());
+    assert_eq!(result.frontier(), &whole_skyline(&result)[..]);
+}
+
+/// A plan over one algorithm makes every run one candidate long, as in
+/// a repair slab of one re-characterized pair.
+#[test]
+fn single_candidate_runs_match_the_enumeration() {
+    let catalog = Arc::new(Catalog::paper());
+    let dronet = catalog.algorithm_id(names::DRONET).unwrap();
+    for constraint in [
+        None,
+        Some(Constraint::MinVelocity(MetersPerSecond::new(2.0))),
+    ] {
+        let mut builder = QueryPlan::builder()
+            .algorithms(&[dronet])
+            .objectives(&FOUR_OBJECTIVES);
+        if let Some(constraint) = constraint {
+            builder = builder.constraint(constraint);
+        }
+        let plan = builder.build().unwrap();
+        let result = Session::new(Arc::clone(&catalog)).run(&plan).unwrap();
+        assert!(!result.is_empty());
+        assert_matches_enumeration(&catalog, &plan, &result);
+        assert_eq!(result.frontier(), &naive_frontier(&result)[..]);
+    }
+}
+
+/// A velocity floor decided per candidate keeps part of a run: some
+/// (airframe, sensor, compute) run keeps some of its algorithms and
+/// drops the rest, and the kept points, values and frontier match the
+/// per-candidate enumeration.
+#[test]
+fn a_velocity_floor_keeps_part_of_a_run() {
+    let catalog = Arc::new(Catalog::paper());
+    let open = QueryPlan::builder()
+        .objectives(&FOUR_OBJECTIVES)
+        .build()
+        .unwrap();
+    let floor = median_velocity(&catalog, &open);
+    let plan = QueryPlan::builder()
+        .objectives(&FOUR_OBJECTIVES)
+        .constraint(Constraint::MinVelocity(MetersPerSecond::new(floor)))
+        .build()
+        .unwrap();
+    let result = Session::new(Arc::clone(&catalog)).run(&plan).unwrap();
+    assert_matches_enumeration(&catalog, &plan, &result);
+    assert_eq!(result.frontier(), &naive_frontier(&result)[..]);
+    // Kept candidates per run against the run's length.
+    let mut kept = std::collections::HashMap::new();
+    for i in 0..result.len() {
+        let key = result.try_key(i).unwrap();
+        *kept
+            .entry((key.airframe, key.candidate.sensor, key.candidate.compute))
+            .or_insert(0usize) += 1;
+    }
+    let table = catalog.throughput_table();
+    let algorithms: Vec<AlgorithmId> = catalog.algorithm_entries().map(|(id, _)| id).collect();
+    let partial = kept.iter().any(|(&(_, _, compute), &count)| {
+        let run = table.characterized_pairs(&[compute], &algorithms).count();
+        count < run
+    });
+    assert!(partial, "no run was kept in part");
+}
+
+/// A batch whose members admit different runs — TDP and payload caps
+/// decided per run, feasibility, a velocity floor decided per candidate,
+/// and reordered objectives — returns for each member exactly what the
+/// per-candidate enumeration keeps.
+#[test]
+fn batch_members_admitting_different_runs_match_the_enumeration() {
+    let catalog = Arc::new(Catalog::paper());
+    let reordered = [
+        Objective::TotalTdp,
+        Objective::MissionEnergyWhPerKm,
+        Objective::SafeVelocity,
+        Objective::PayloadMass,
+    ];
+    let plan = |objectives: &[Objective], constraints: &[Constraint]| {
+        constraints
+            .iter()
+            .fold(QueryPlan::builder().objectives(objectives), |b, &c| {
+                b.constraint(c)
+            })
+            .build()
+            .unwrap()
+    };
+    let plans = vec![
+        plan(
+            &FOUR_OBJECTIVES,
+            &[Constraint::MaxTotalTdp(Watts::new(5.0))],
+        ),
+        plan(&reordered, &[Constraint::MaxTotalTdp(Watts::new(15.0))]),
+        plan(
+            &FOUR_OBJECTIVES,
+            &[Constraint::MaxPayload(Grams::new(400.0))],
+        ),
+        plan(
+            &reordered,
+            &[
+                Constraint::FeasibleOnly,
+                Constraint::MinVelocity(MetersPerSecond::new(3.0)),
+            ],
+        ),
+        plan(&FOUR_OBJECTIVES, &[]),
+    ];
+    let batch = Session::new(Arc::clone(&catalog))
+        .run_batch(&plans)
+        .unwrap();
+    let kept: std::collections::HashSet<usize> = batch.iter().map(|r| r.len()).collect();
+    assert_eq!(kept.len(), plans.len(), "every member keeps its own rows");
+    for (plan, result) in plans.iter().zip(&batch) {
+        assert_matches_enumeration(&catalog, plan, result);
+        assert_eq!(result.frontier(), &naive_frontier(result)[..]);
+    }
 }
