@@ -433,7 +433,6 @@ enum Tail {
 
 /// Repairs `cached` (computed at `old`) into the result the same plan
 /// produces at `new` — see the [module docs](self).
-// analyze::allow(indexing, scope = "fn", reason = "slab specs are indexed by the parallel map's own range")
 // analyze::allow(panic, scope = "fn", reason = "merge invariants (one result per slab plan, the new epoch's space enumerates every slab point) hold by construction")
 pub(crate) fn repair_result(
     old: &EpochState,
@@ -530,16 +529,17 @@ pub(crate) fn repair_result(
     }
     specs.retain(|(a, s, c, g)| !(a.is_empty() || s.is_empty() || c.is_empty() || g.is_empty()));
     // Each slab is a pass of the plan over its own parts (retaining every
-    // row: no frontier pass), most of them a single small shard: run
-    // them side by side.
-    let slabs: Vec<ResultSet> = parallel_map_indices(specs.len(), 1, |i| {
-        let (a, s, c, g) = specs[i];
-        let slab = PassSpace::over(new, plan, a.to_vec(), s.to_vec(), c, g)?;
-        crate::shard::run_over(Arc::new(slab), new, &[plan], false)
-            .map(|mut results| results.pop().expect("one slab plan in, one result out"))
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
+    // row: no frontier pass). Most are one small shard, so they run one
+    // after another: side by side, starting the threads cost more than
+    // it saved. A slab of several shards runs them in parallel itself.
+    let slabs: Vec<ResultSet> = specs
+        .iter()
+        .map(|&(a, s, c, g)| {
+            let slab = PassSpace::over(new, plan, a.to_vec(), s.to_vec(), c, g)?;
+            crate::shard::run_over(Arc::new(slab), new, &[plan], false)
+                .map(|mut results| results.pop().expect("one slab plan in, one result out"))
+        })
+        .collect::<Result<_, _>>()?;
 
     // Collect and order the delta points by their job in the new space.
     // Each slab's own enumeration is already ascending in the global

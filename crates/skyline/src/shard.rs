@@ -1014,34 +1014,45 @@ impl ShardState {
                 .extend(std::iter::repeat(pair.feasible).take(kept.len()));
             slab.jobs
                 .extend(kept.iter().map(|&i| run.job + u64::from(i)));
+            // The set's kept rows that are feasible but not finite, counted
+            // once for every plan that keeps them all.
+            let nonfinite = || {
+                if pair.feasible {
+                    kept.iter()
+                        .filter(|&&i| !finite(pair_finite, energies, i))
+                        .count()
+                } else {
+                    0
+                }
+            };
+            let mut whole_nonfinite = None;
             for &m in &set.members {
                 let share = &mut shares[m];
-                let admitted = if scratch.admits[m] == Admits::Everything {
-                    if let Some(rows) = &mut share.rows {
-                        rows.extend(base..base + kept.len() as u32);
-                    }
-                    if pair.feasible {
-                        share.nonfinite += kept
-                            .iter()
-                            .filter(|&&i| !finite(pair_finite, energies, i))
-                            .count();
-                    }
-                    kept.len()
-                } else {
-                    let mut admitted = 0;
-                    for (r, &i) in (base..).zip(kept) {
-                        if !scratch.admits(m, i as usize) {
-                            continue;
-                        }
-                        admitted += 1;
+                let admitted = match scratch.admits[m] {
+                    Admits::Nothing => 0,
+                    Admits::Everything => {
                         if let Some(rows) = &mut share.rows {
-                            rows.push(r);
+                            rows.extend(base..base + kept.len() as u32);
                         }
-                        if pair.feasible && !finite(pair_finite, energies, i) {
-                            share.nonfinite += 1;
-                        }
+                        share.nonfinite += *whole_nonfinite.get_or_insert_with(nonfinite);
+                        kept.len()
                     }
-                    admitted
+                    Admits::Masked => {
+                        let mut admitted = 0;
+                        for (r, &i) in (base..).zip(kept) {
+                            if !scratch.admits(m, i as usize) {
+                                continue;
+                            }
+                            admitted += 1;
+                            if let Some(rows) = &mut share.rows {
+                                rows.push(r);
+                            }
+                            if pair.feasible && !finite(pair_finite, energies, i) {
+                                share.nonfinite += 1;
+                            }
+                        }
+                        admitted
+                    }
                 };
                 share.dropped += n - admitted;
             }
