@@ -209,11 +209,12 @@ pub(crate) use with_width;
 
 /// How many recently kept rows [`PrefilteredSkyline`] probes each row
 /// against. Purely a constant-factor dial: any value yields identical
-/// results. On a 4-objective explore pass at 47 parts per family
-/// (≈82k offered rows over two shards), windows of 16, 32, 64 and 128
-/// rows kept ≈27k, 23.1k, 18.7k and 14.2k rows for the exact skylines,
-/// but each wider window's extra probes cost more than its smaller
-/// skylines saved.
+/// results. Replaying the offers of six 4-objective single-airframe
+/// passes at 47 parts per family (≈67.6k rows a pass over two shards)
+/// on a 2-vCPU Xeon VM, windows of 16, 32, 64 and 128 rows kept 24.7k,
+/// 21.3k, 17.6k and 14.3k rows a pass for the exact skylines, at 18,
+/// 25, 34 and 50 ns a probe: a wider window's probes cost about what
+/// its smaller skylines save.
 const PREFILTER_WINDOW: usize = 16;
 
 /// A skyline over offered `(id, keys)` rows, with a cheap dominance
@@ -226,14 +227,9 @@ const PREFILTER_WINDOW: usize = 16;
 /// offered row's skyline.
 ///
 /// Rows are held at their fixed width (one variant per objective
-/// count), so a probe is [`dominates_fixed`] over `[f64; D]` rows, and
-/// at 4 and 5 objectives the kept rows go to the fixed-width skyline as
-/// they are. The window keeps a wider check from paying: at 47 parts
-/// per family a 4-objective explore pass offers ≈82k rows, keeps ≈27k
-/// and reduces them to ≈4.1k skyline rows across its two shards. An
-/// exact per-run 2-D skyline (velocity-sorted) in place of the window
-/// kept 33.5k rows, since the window also removes rows across runs, and
-/// was no faster.
+/// count): the last kept rows sit in a ring the probe reads newest
+/// first with [`dominates_fixed`] over `[f64; D]` rows, and at 4 and 5
+/// objectives the kept rows go to the fixed-width skyline as they are.
 pub(crate) enum PrefilteredSkyline {
     W1(Window<1>),
     W2(Window<2>),
@@ -313,7 +309,8 @@ impl<const D: usize> Default for Window<D> {
 impl<const D: usize> Window<D> {
     /// Offers row `id`, whose keys must be finite and whose id must be
     /// above every id offered before: kept unless one of the last
-    /// [`PREFILTER_WINDOW`] kept rows dominates it, probed newest first.
+    /// [`PREFILTER_WINDOW`] kept rows dominates it. The probe reads the
+    /// newest first, where a dominator usually is, and stops at one.
     #[inline]
     pub(crate) fn offer(&mut self, id: u32, row: [f64; D]) {
         debug_assert!(self.rows.last().map_or(true, |&(_, last)| last < id));

@@ -46,7 +46,6 @@ use crate::plan::QueryPlan;
 use crate::query::{Objective, MAX_OBJECTIVES};
 use crate::session::{minimized_row, EpochState, ResultSet};
 use crate::shard::{positions, Parts, PassSpace, Placement};
-use crate::sweep::parallel_map_indices;
 use crate::SkylineError;
 
 /// Outcome of a repair attempt.
@@ -387,11 +386,11 @@ impl<'c> Merged<'c> {
             .push(slabs[d.slab as usize].feasibility()[d.idx as usize]);
     }
 
-    /// Merged value column `pos`, copied segment by segment.
+    /// Copies merged value column `pos` into `column`, segment by
+    /// segment.
     // analyze::allow(indexing, scope = "fn", reason = "segments name cached rows and slab rows that exist; pos is below the objective count")
-    fn column(&self, pos: usize, slabs: &[ResultSet]) -> Vec<f64> {
+    fn fill(&self, pos: usize, column: &mut Vec<f64>, slabs: &[ResultSet]) {
         let cached = self.cached.column(pos);
-        let mut column = Vec::with_capacity(self.feasible.len());
         for &segment in &self.segments {
             match segment {
                 Segment::Cached(lo, hi) => column.extend_from_slice(&cached[lo..hi]),
@@ -400,7 +399,6 @@ impl<'c> Merged<'c> {
                 }
             }
         }
-        column
     }
 
     /// The frontier-eligible delta points with their minimized keys
@@ -423,12 +421,6 @@ impl<'c> Merged<'c> {
             Some((m, row?))
         })
     }
-}
-
-/// One task of a repair's parallel tail.
-enum Tail {
-    Frontier(Vec<usize>),
-    Column(Vec<f64>),
 }
 
 /// Repairs `cached` (computed at `old`) into the result the same plan
@@ -581,26 +573,30 @@ pub(crate) fn repair_result(
         let (delta_skyline, delta_keys) = delta_skyline.finish();
         union_frontier(dims, base, base_keys, &delta_skyline, &delta_keys)
     };
-    // Copying the value columns is most of a repair's time: the first
-    // touch of their fresh pages. Each column is a task of its own, and
-    // without a dead member the frontier, which reads only the
-    // survivors' keys and the slabs, is one more beside them; a
-    // promotion reads the merged columns, so it waits for them.
-    let (columns, merged_frontier) = if merged.dead_keys.is_empty() {
-        let tail = parallel_map_indices(dims + 1, 1, |task| match task.checked_sub(1) {
-            None => Tail::Frontier(frontier_over(&merged.frontier_survivors, &merged.live_keys)),
-            Some(pos) => Tail::Column(merged.column(pos, &slabs)),
-        });
-        let (mut columns, mut merged_frontier) = (Vec::with_capacity(dims), Vec::new());
-        for task in tail {
-            match task {
-                Tail::Frontier(frontier) => merged_frontier = frontier,
-                Tail::Column(column) => columns.push(column),
-            }
+    // Copying the value columns is most of a repair's time, and in a
+    // fresh process most of that is the first touch of their pages. The
+    // columns are allocated here, where a running server's allocator
+    // reuses freed memory, and a second thread fills all but a third of
+    // them while this one finds the frontier, which without a dead
+    // member reads only the survivors' keys and the slabs, and fills the
+    // rest. A promotion reads the merged columns, so it waits for them.
+    let rows = merged.feasible.len();
+    let mut columns: Vec<Vec<f64>> = (0..dims).map(|_| Vec::with_capacity(rows)).collect();
+    let (ours, theirs) = columns.split_at_mut(dims / 3);
+    let fill = |columns: &mut [Vec<f64>], first: usize| {
+        for (pos, column) in (first..).zip(columns) {
+            merged.fill(pos, column, &slabs);
         }
-        (columns, merged_frontier)
-    } else {
-        let columns = parallel_map_indices(dims, 1, |pos| merged.column(pos, &slabs));
+    };
+    let mut merged_frontier = None;
+    std::thread::scope(|scope| {
+        scope.spawn(|| fill(theirs, dims / 3));
+        if merged.dead_keys.is_empty() {
+            merged_frontier = Some(frontier_over(&merged.frontier_survivors, &merged.live_keys));
+        }
+        fill(ours, 0);
+    });
+    let merged_frontier = merged_frontier.unwrap_or_else(|| {
         // The candidates are every merged position that neither a delta
         // point nor a surviving frontier member took.
         let (mut base, mut base_keys) =
@@ -619,9 +615,8 @@ pub(crate) fn repair_result(
             base_keys.extend(minimized_row(&columns, objectives, m as usize));
             base.push(m);
         }
-        let merged_frontier = frontier_over(&base, &base_keys);
-        (columns, merged_frontier)
-    };
+        frontier_over(&base, &base_keys)
+    });
     let Merged {
         mut jobs,
         mut feasible,

@@ -11,9 +11,9 @@
 //!   pair list
 //!   ([`ThroughputTable::characterized_pairs`](f1_components::ThroughputTable::characterized_pairs)
 //!   order) — the cross product is never held in memory.
-//! * **One evaluation for the whole group.** Each candidate is scored
-//!   once; each plan then applies its own constraint filter and fills
-//!   its own objective columns and feasibility mask.
+//! * **One evaluation for the whole group.** Each run is scored once;
+//!   each plan then applies its own constraint filter and keeps its own
+//!   rows of the shared objective columns and feasibility mask.
 //! * **Pair hoisting.** Shards never cross an (airframe, setting)
 //!   block, and candidates within a block are sensor-major over the
 //!   compute-major pair list, so everything but the algorithm's
@@ -22,12 +22,22 @@
 //!   sensor and control stage rates, and the safety roofline with its
 //!   knee, roof, optimal band and Eq. 4's `2d` and `2d/a`. The mission
 //!   power model is built once per pair and distinct mission profile.
-//! * **Per-candidate work is Eq. 4.** For each candidate the kernel
-//!   validates the stage rates as `StageRates::new` does, takes the
-//!   action throughput and its Eq. 4 velocity, and reads feasibility,
-//!   TDP and payload from the pair (`PairStage::score`). Constraints
-//!   and objective columns read those four values; the kernel builds no
-//!   `Outcome`. The full outcome (bound, knee, assessment) is rebuilt
+//! * **The run is the unit of work.** A run is the consecutive
+//!   candidates of one (sensor, compute) pair, one per characterized
+//!   algorithm, clipped to its shard: a pair that straddles a shard
+//!   boundary is two runs, each with its own pair stage. Per run the
+//!   kernel builds the pair stage once and computes the run's Eq. 4
+//!   velocities (`PairStage::velocities`, bit for bit what
+//!   `PairStage::score` gives one candidate) and, for each profile a
+//!   plan keeps a candidate of, its mission energies, each in one loop
+//!   over the run. It decides each plan's pair-level constraints
+//!   (`MaxTotalTdp`, `MaxPayload`, `FeasibleOnly`) once and its
+//!   `MinVelocity` floors per candidate, fills the TDP, payload,
+//!   endurance, feasibility and job columns in bulk, and offers each
+//!   frontier group the candidates any of its plans kept, in job order:
+//!   a group's plans can keep their rows in several value sets (one
+//!   objective set ranked in different orders). The kernel builds no
+//!   `Outcome`; the full outcome (bound, knee, assessment) is rebuilt
 //!   only for materialized points, by `algo_stage` on the same velocity
 //!   function.
 //! * **Struct-of-arrays slabs.** Within a shard, each plan's objective
