@@ -294,11 +294,13 @@ impl PairStage {
         }
     }
 
-    /// The shard kernel's per-candidate work: the stage rates validated
-    /// exactly as [`StageRates::new`] does, the action throughput and
-    /// its Eq. 4 velocity on the pair's roofline. The values equal the
-    /// same fields of [`algo_stage`]'s outcome bit for bit, which reaches
-    /// its velocity through the same [`Roofline::velocity_at`].
+    /// One candidate's kernel values: the stage rates validated exactly
+    /// as [`StageRates::new`] does, the action throughput and its Eq. 4
+    /// velocity on the pair's roofline. The values equal the same fields
+    /// of [`algo_stage`]'s outcome bit for bit, which reaches its velocity
+    /// through the same [`Roofline::velocity_at`]. The shard kernel
+    /// scores a whole run with [`velocities`](Self::velocities), which
+    /// falls back to this when a rate is out of domain.
     ///
     /// # Errors
     ///
