@@ -24,8 +24,9 @@ use crate::source::SourceFile;
 
 /// Relative paths the audit covers: `serve/*`, `store/*`, the tier-2
 /// simulation harness (`sim/*` — it runs inside every query with sim
-/// objectives), the `skyline` session/plan/repair/shard modules, the
-/// `skyline` evaluation core (`dse.rs` — the shard kernel runs its
+/// objectives), the `skyline` session/plan/repair/shard modules and
+/// the stored rows every result reads (`rows.rs`), the `skyline`
+/// evaluation core (`dse.rs` — the shard kernel runs its
 /// `pair_stage` and `PairStage::score` for every candidate of every
 /// query) and query vocabulary (`query.rs` — it validates every plan),
 /// the components store, the strict-JSON parser (it decodes every wire
@@ -43,6 +44,7 @@ pub fn is_designated(rel: &str) -> bool {
                 | "crates/skyline/src/dse.rs"
                 | "crates/skyline/src/query.rs"
                 | "crates/skyline/src/repair.rs"
+                | "crates/skyline/src/rows.rs"
                 | "crates/skyline/src/shard.rs"
                 | "crates/components/src/store.rs"
                 | "crates/components/src/json.rs"

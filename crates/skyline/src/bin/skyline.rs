@@ -250,7 +250,8 @@ fn describe_point(catalog: &Catalog, result: &ResultSet, index: usize) -> String
         catalog.algorithm_by_id(point.candidate.algorithm).name(),
     );
     let values = result
-        .row(index)
+        .try_row(index)
+        .expect("ranked, top-k and frontier indices are stored rows")
         .iter()
         .zip(result.objectives())
         .map(|(v, o)| format!("{v:>8.2} {}", o.unit()))

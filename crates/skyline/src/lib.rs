@@ -74,6 +74,7 @@ pub mod query;
 pub mod redundancy;
 mod repair;
 pub mod report;
+mod rows;
 pub mod session;
 pub mod shard;
 pub mod sweep;

@@ -556,8 +556,8 @@ mod tests {
             .sweep(KnobSweep::new(Knob::TdpScale, vec![1.0, 0.5])))
         .unwrap();
         assert_eq!(result.len(), 2);
-        let stock = result.point(0);
-        let halved = result.point(1);
+        let stock = result.try_point(0).unwrap();
+        let halved = result.try_point(1).unwrap();
         assert!(stock.setting.is_identity());
         assert_eq!(halved.setting.tdp_scale, 0.5);
         let manual = engine
@@ -703,7 +703,7 @@ mod tests {
                 catalog.throughput(names::NCS, names::DRONET).unwrap(),
             )
             .unwrap();
-        assert_eq!(result.point(0).outcome, manual);
+        assert_eq!(result.try_point(0).unwrap().outcome, manual);
     }
 
     #[test]
@@ -783,7 +783,7 @@ mod tests {
             .constraint(Constraint::FeasibleOnly))
         .unwrap();
         let battery_mass = catalog.battery_by_id(battery).mass().get();
-        let loaded_first = result.point(0);
+        let loaded_first = result.try_point(0).unwrap();
         let unloaded_match = unloaded
             .iter_points()
             .find(|p| p.candidate == loaded_first.candidate)

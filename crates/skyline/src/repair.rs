@@ -16,13 +16,16 @@
 //!   newly characterized throughput pair) are the only ones evaluated,
 //!   on the shard kernel like a cold run — as a handful of
 //!   cross-product *slabs* that exactly tile `new-space ∖ survivors`.
-//! * The merged rows — job indices beside the value and feasibility
-//!   columns, no points — are reassembled in the **new epoch's
-//!   enumeration order** over the new epoch's pass space, exactly the
-//!   space a cold run builds. The repair resolves that space before it
-//!   places anything, indexes it once, then places every cached survivor
-//!   and every slab row through that index (`JobIndex::placement_of`):
-//!   the job index is the space's, and this module never encodes one.
+//! * The merged rows — records of jobs, feasibility and pair-constant
+//!   values beside the dense per-candidate columns, no points — are
+//!   reassembled in the **new epoch's enumeration order** over the new
+//!   epoch's pass space, exactly the space a cold run builds. The repair
+//!   resolves that space before it places anything, indexes it once,
+//!   then places every cached survivor and every slab row through that
+//!   index (`JobIndex::placement_of`): the job index is the space's, and
+//!   this module never encodes one. Rows are pushed through the same
+//!   coalescing writer a cold run uses, so the repaired records are a
+//!   cold run's, however many repairs came before.
 //! * The new frontier is obtained by merging the incremental skyline of
 //!   the delta points into the survivors' frontier
 //!   (`frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D))`, exact
@@ -43,9 +46,10 @@ use f1_components::{AirframeId, AlgorithmId, ComputeId, SensorId};
 
 use crate::frontier;
 use crate::plan::QueryPlan;
-use crate::query::{Objective, MAX_OBJECTIVES};
-use crate::session::{minimized_row, EpochState, ResultSet};
-use crate::shard::{positions, Parts, PassSpace, Placement};
+use crate::query::MAX_OBJECTIVES;
+use crate::rows::{Record, Rows};
+use crate::session::{EpochState, ResultSet};
+use crate::shard::{positions, Parts, PassSpace, Placement, SHARD_SIZE};
 use crate::SkylineError;
 
 /// Outcome of a repair attempt.
@@ -54,8 +58,8 @@ pub(crate) enum Repair {
     /// result is the current-epoch answer as-is.
     Unchanged,
     /// The repaired result — bit-identical to a cold run at the new
-    /// epoch. Boxed: a `ResultSet` (columns + jobs + streamed meta)
-    /// dwarfs the other variants.
+    /// epoch. Boxed: a `ResultSet` (rows + streamed meta) dwarfs the
+    /// other variants.
     Repaired(Box<ResultSet>),
     /// The cached result is streamed, so there are no stored rows to
     /// splice the delta into; run cold.
@@ -101,52 +105,13 @@ fn family_delta<T: Copy>(old: &[T], new: &[T], index: impl Fn(T) -> usize) -> Fa
 }
 
 /// One delta point awaiting its slot in the merge: the new-epoch job
-/// index, the slab that evaluated it, and its index there.
+/// index, the slab that evaluated it, its index there and the slab
+/// record that holds it.
 struct DeltaPoint {
     job: u64,
     slab: u32,
     idx: u32,
-}
-
-/// A row's minimized keys when it is frontier-eligible: feasible, with
-/// every value (`value(pos)` for objective position `pos`) finite,
-/// mirroring [`ResultSet::minimized_keys`].
-fn eligible_row(
-    feasible: bool,
-    value: impl Fn(usize) -> f64,
-    objectives: &[Objective],
-) -> Option<[f64; MAX_OBJECTIVES]> {
-    if !feasible {
-        return None;
-    }
-    let mut row = [0.0f64; MAX_OBJECTIVES];
-    for (pos, (slot, objective)) in row.iter_mut().zip(objectives).enumerate() {
-        let value = value(pos);
-        if !value.is_finite() {
-            return None;
-        }
-        *slot = objective.minimized(value);
-    }
-    Some(row)
-}
-
-/// The frontier-eligible members of `indices` (merged indices) with
-/// their minimized keys ([`eligible_row`]).
-// analyze::allow(indexing, scope = "fn", reason = "m indexes the row-aligned feasibility and value columns")
-fn eligible_rows<'a>(
-    indices: impl Iterator<Item = u32> + 'a,
-    feasible: &'a [bool],
-    columns: &'a [Vec<f64>],
-    objectives: &'a [Objective],
-) -> impl Iterator<Item = (u32, [f64; MAX_OBJECTIVES])> + 'a {
-    indices.filter_map(move |m| {
-        let row = eligible_row(
-            feasible[m as usize],
-            |pos| columns[pos][m as usize],
-            objectives,
-        );
-        Some((m, row?))
-    })
+    record: Record,
 }
 
 /// frontier(S ∪ D) = frontier(frontier(S) ∪ frontier(D)) for two
@@ -235,25 +200,25 @@ enum Segment {
     Delta { slab: u32, idx: u32 },
 }
 
-/// The repaired result under construction: new-epoch job indices, the
-/// feasibility column, and the segments the value columns are copied
-/// from afterwards ([`columns`](Self::columns)). Survivor *runs*
-/// (maximal stretches of consecutive cached indices with no delta point
-/// between them) are one segment each; their jobs are pushed as they
-/// are mapped, so `jobs` runs ahead of the feasibility column by the
-/// pending run.
+/// The repaired result under construction: the merged rows, whose
+/// records are pushed as rows are placed and whose dense columns are
+/// copied afterwards from the segments ([`fill`]). Survivor
+/// *runs* (maximal stretches of consecutive cached indices with no
+/// delta point between them) are one segment each; their rows are
+/// pushed as they are mapped, so the rows run ahead of the segments by
+/// the pending run.
 struct Merged<'c> {
     cached: &'c ResultSet,
-    jobs: Vec<u64>,
-    /// The feasibility column, row-aligned with `jobs`.
-    feasible: Vec<bool>,
+    rows: Rows,
     segments: Vec<Segment>,
     /// Merged position of every delta point, ascending.
     of_delta: Vec<u32>,
+    /// The cached frontier's rows with their minimized keys.
+    frontier: Vec<(usize, [f64; MAX_OBJECTIVES])>,
     /// Merged positions of the cached frontier points that survived,
     /// ascending.
     frontier_survivors: Vec<u32>,
-    /// Their minimized keys, row-major, read while their run is copied.
+    /// Their minimized keys, row-major.
     live_keys: Vec<f64>,
     /// Minimized keys of the cached frontier points that did not
     /// survive (retired or re-evaluated), row-major.
@@ -265,15 +230,17 @@ struct Merged<'c> {
 }
 
 impl<'c> Merged<'c> {
-    /// Sized for every cached point surviving plus `delta` fresh ones.
-    fn new(cached: &'c ResultSet, delta: usize) -> Self {
-        let capacity = cached.len() + delta;
+    fn new(cached: &'c ResultSet) -> Self {
+        let rows = cached.stored().1;
+        // A frontier point is feasible with finite values.
+        let frontier = rows.walk(cached.frontier().iter().copied());
+        let frontier = frontier.map(|(f, record)| (f, rows.key(record, f).unwrap_or_default()));
         Self {
             cached,
-            jobs: Vec::with_capacity(capacity),
-            feasible: Vec::with_capacity(capacity),
+            rows: Rows::with_capacity(cached.objectives(), 0),
             segments: Vec::new(),
-            of_delta: Vec::with_capacity(delta),
+            of_delta: Vec::new(),
+            frontier: frontier.collect(),
             frontier_survivors: Vec::with_capacity(cached.frontier().len()),
             live_keys: Vec::new(),
             dead_keys: Vec::new(),
@@ -291,135 +258,114 @@ impl<'c> Merged<'c> {
     /// survivors — and each delta point is emitted before the first
     /// survivor whose job follows it. `nonfinite` loses the dead rows'
     /// contribution (deaths are the small set; a full recount would
-    /// rescan every column).
+    /// rescan every row).
     ///
     /// The per-row loop stays out of line: inlined into the much larger
     /// `repair_result`, more of its state lived on the stack, and the
     /// merge of 10⁵ rows measured about 4% slower.
-    // analyze::allow(indexing, scope = "fn", reason = "i enumerates the cached rows; delta points name a slab and one of its rows")
     #[inline(never)]
-    fn merge(&mut self, placement: &Placement, slabs: &[ResultSet], delta: &[DeltaPoint]) {
-        let cached = self.cached;
-        let (space, jobs) = cached.rows();
-        let dims = cached.objectives().len();
+    fn merge(&mut self, placement: &Placement, delta: &[DeltaPoint]) {
+        let (space, rows) = self.cached.stored();
         let mut pending = delta.iter().peekable();
         // First cached index of the survivor run not yet emitted.
         let mut run_lo = 0usize;
         let mut last_job = None::<u64>;
-        for (i, coord) in space.coords(jobs).enumerate() {
-            let Some(job) = placement.job(coord) else {
-                self.extend_cached(run_lo, i);
-                run_lo = i + 1;
-                if cached.feasibility()[i]
-                    && (0..dims).any(|pos| !cached.column(pos)[i].is_finite())
-                {
-                    self.nonfinite -= 1;
+        for (record, span) in rows.stretches() {
+            // The record's rows as (first row, its new job, how many): all
+            // at once when they land on consecutive jobs, as most do, and
+            // one by one otherwise.
+            let whole = placement.run(space.coord(record.job), span.len());
+            let jobs = record.job..record.job_at(span.end);
+            let one_by_one = whole.is_none().then(|| {
+                span.clone()
+                    .zip(space.coords(jobs))
+                    .map(|(i, coord)| (i, placement.job(coord), 1))
+            });
+            let placed = whole.map(|job| (span.start, Some(job), span.len()));
+            for (i, job, count) in placed.into_iter().chain(one_by_one.into_iter().flatten()) {
+                let Some(job) = job else {
+                    self.extend_cached(run_lo, i);
+                    run_lo = i + 1;
+                    if record.feasible && rows.key(record, i).is_none() {
+                        self.nonfinite -= 1;
+                    }
+                    continue;
+                };
+                debug_assert!(last_job.map_or(true, |last| last < job), "survivor order");
+                last_job = Some(job + count as u64 - 1);
+                if pending.peek().is_some_and(|d| d.job < job) {
+                    self.extend_cached(run_lo, i);
+                    run_lo = i;
+                    while let Some(d) = pending.next_if(|d| d.job < job) {
+                        self.push_delta(d);
+                    }
                 }
-                continue;
-            };
-            debug_assert!(last_job.map_or(true, |last| last < job), "survivor order");
-            last_job = Some(job);
-            if pending.peek().is_some_and(|d| d.job < job) {
-                self.extend_cached(run_lo, i);
-                run_lo = i;
-                while let Some(d) = pending.next_if(|d| d.job < job) {
-                    self.push_delta(slabs, d);
-                }
+                debug_assert!(
+                    pending.peek().map_or(true, |d| d.job >= job + count as u64),
+                    "slabs and survivors are disjoint"
+                );
+                self.rows
+                    .push(job, count, record.feasible, record.constants);
             }
-            debug_assert!(
-                pending.peek().map_or(true, |d| d.job != job),
-                "slabs and survivors are disjoint"
-            );
-            self.jobs.push(job);
         }
-        self.extend_cached(run_lo, cached.len());
+        self.extend_cached(run_lo, rows.len());
         for d in pending {
-            self.push_delta(slabs, d);
+            self.push_delta(d);
         }
     }
 
-    /// Appends cached rows `lo..hi`, all survivors, whose new jobs were
-    /// already pushed. Cached frontier points below `lo` that no run
-    /// covered were dead: their keys are recorded for the frontier's
-    /// promotion step.
-    // analyze::allow(indexing, scope = "fn", reason = "lo <= hi <= cached.len(); the frontier cursor is checked against the frontier length")
+    /// Closes the segment of cached rows `lo..hi`, all survivors, whose
+    /// rows were already pushed. Cached frontier points below `lo` that
+    /// no run covered were dead: their keys are recorded for the
+    /// frontier's promotion step.
     fn extend_cached(&mut self, lo: usize, hi: usize) {
-        let (cached, frontier) = (self.cached, self.cached.frontier());
-        let key = |f: usize| {
-            let objectives = cached.objectives();
-            objectives
-                .iter()
-                .enumerate()
-                .map(move |(pos, o)| o.minimized(cached.column(pos)[f]))
-        };
-        while let Some(&f) = frontier.get(self.frontier_cursor) {
+        let dims = self.cached.objectives().len();
+        // The merged position of cached row `lo`.
+        let start = self.rows.len() - (hi - lo);
+        while let Some(&(f, key)) = self.frontier.get(self.frontier_cursor) {
             if f >= hi {
                 break;
             }
+            let key = key.into_iter().take(dims);
             if f >= lo {
-                self.frontier_survivors
-                    .push((self.feasible.len() + (f - lo)) as u32);
-                self.live_keys.extend(key(f));
+                self.frontier_survivors.push((start + (f - lo)) as u32);
+                self.live_keys.extend(key);
             } else {
-                self.dead_keys.extend(key(f));
+                self.dead_keys.extend(key);
             }
             self.frontier_cursor += 1;
         }
-        debug_assert_eq!(self.jobs.len(), self.feasible.len() + (hi - lo));
         if lo < hi {
             self.segments.push(Segment::Cached(lo, hi));
         }
-        self.feasible
-            .extend_from_slice(&self.cached.feasibility()[lo..hi]);
     }
 
-    /// Appends delta point `d`, a row of one of `slabs`.
-    // analyze::allow(indexing, scope = "fn", reason = "delta points name a slab and one of its rows")
-    fn push_delta(&mut self, slabs: &[ResultSet], d: &DeltaPoint) {
-        self.of_delta.push(self.jobs.len() as u32);
-        self.jobs.push(d.job);
+    /// Appends delta point `d`.
+    fn push_delta(&mut self, d: &DeltaPoint) {
+        self.of_delta.push(self.rows.len() as u32);
         self.segments.push(Segment::Delta {
             slab: d.slab,
             idx: d.idx,
         });
-        self.feasible
-            .push(slabs[d.slab as usize].feasibility()[d.idx as usize]);
+        let DeltaPoint { job, record, .. } = *d;
+        self.rows.push(job, 1, record.feasible, record.constants);
     }
+}
 
-    /// Copies merged value column `pos` into `column`, segment by
-    /// segment.
-    // analyze::allow(indexing, scope = "fn", reason = "segments name cached rows and slab rows that exist; pos is below the objective count")
-    fn fill(&self, pos: usize, column: &mut Vec<f64>, slabs: &[ResultSet]) {
-        let cached = self.cached.column(pos);
-        for &segment in &self.segments {
+/// Copies the merged dense columns of `rows` from the cached rows and
+/// the slabs, segment by segment, into the room reserved for them.
+// analyze::allow(indexing, scope = "fn", reason = "segments name cached rows and slab rows that exist")
+fn fill(rows: &mut Rows, segments: &[Segment], cached: &Rows, slabs: &[ResultSet]) {
+    for (c, column) in rows.dense_mut().iter_mut().enumerate() {
+        let values = cached.dense(c);
+        for &segment in segments {
             match segment {
-                Segment::Cached(lo, hi) => column.extend_from_slice(&cached[lo..hi]),
+                Segment::Cached(lo, hi) => column.extend_from_slice(&values[lo..hi]),
                 Segment::Delta { slab, idx } => {
-                    column.push(slabs[slab as usize].column(pos)[idx as usize]);
+                    column.push(slabs[slab as usize].stored().1.dense(c)[idx as usize]);
                 }
             }
         }
-    }
-
-    /// The frontier-eligible delta points with their minimized keys
-    /// ([`eligible_row`]), read from `slabs`, as merged indices.
-    // analyze::allow(indexing, scope = "fn", reason = "delta points name a slab and one of its rows")
-    fn delta_rows<'a>(
-        &'a self,
-        delta: &'a [DeltaPoint],
-        slabs: &'a [ResultSet],
-        objectives: &'a [Objective],
-    ) -> impl Iterator<Item = (u32, [f64; MAX_OBJECTIVES])> + 'a {
-        // The delta points were merged in `delta`'s order.
-        self.of_delta.iter().zip(delta).filter_map(move |(&m, d)| {
-            let (slab, idx) = (&slabs[d.slab as usize], d.idx as usize);
-            let row = eligible_row(
-                slab.feasibility()[idx],
-                |pos| slab.column(pos)[idx],
-                objectives,
-            );
-            Some((m, row?))
-        })
     }
 }
 
@@ -540,22 +486,33 @@ pub(crate) fn repair_result(
     let index = space.index();
     let mut delta: Vec<DeltaPoint> = Vec::new();
     for (slab_pos, slab) in slabs.iter().enumerate() {
-        let (slab_space, jobs) = slab.rows();
+        let (slab_space, rows) = slab.stored();
         let placement = index.placement_of(slab_space);
-        for (idx, coord) in slab_space.coords(jobs).enumerate() {
+        for ((idx, &record), coord) in rows.iter().zip(slab_space.coords(rows.jobs())) {
             delta.push(DeltaPoint {
                 job: placement
                     .job(coord)
                     .expect("slab points are enumerated at the new epoch"),
                 slab: slab_pos as u32,
                 idx: idx as u32,
+                record,
             });
         }
     }
     delta.sort_unstable_by_key(|d| d.job);
 
-    let mut merged = Merged::new(cached, delta.len());
-    merged.merge(&index.placement_of(cached.rows().0), &slabs, &delta);
+    let mut merged = Merged::new(cached);
+    merged.merge(&index.placement_of(cached.stored().0), &delta);
+    let Merged {
+        mut rows,
+        segments,
+        of_delta,
+        frontier_survivors: mut base,
+        live_keys: mut base_keys,
+        dead_keys,
+        nonfinite,
+        ..
+    } = merged;
 
     // Frontier merge, with no physics: the delta points' skyline joins
     // the survivors' frontier. The survivors' frontier is the cached
@@ -563,84 +520,125 @@ pub(crate) fn repair_result(
     // dead members dominated: with no dead member that is the surviving
     // members alone, since removing dominated points promotes nothing
     // while all their dominators remain.
-    let objectives = plan.objectives();
-    let dims = objectives.len();
-    let frontier_over = |base: &[u32], base_keys: &[f64]| {
+    let dims = plan.objectives().len();
+    let union = |base: &[u32], base_keys: &[f64]| {
         let mut delta_skyline = frontier::PrefilteredSkyline::new(dims);
-        for (m, row) in merged.delta_rows(&delta, &slabs, objectives) {
-            delta_skyline.offer(m, &row);
+        // The delta points were merged in `delta`'s order.
+        for (&m, d) in of_delta.iter().zip(&delta) {
+            let slab = slabs.get(d.slab as usize).map(|slab| slab.stored().1);
+            if let Some(key) = slab.and_then(|slab| slab.key(&d.record, d.idx as usize)) {
+                delta_skyline.offer(m, &key);
+            }
         }
         let (delta_skyline, delta_keys) = delta_skyline.finish();
         union_frontier(dims, base, base_keys, &delta_skyline, &delta_keys)
     };
-    // Copying the value columns is most of a repair's time, and in a
-    // fresh process most of that is the first touch of their pages. The
-    // columns are allocated here, where a running server's allocator
-    // reuses freed memory, and a second thread fills all but a third of
-    // them while this one finds the frontier, which without a dead
-    // member reads only the survivors' keys and the slabs, and fills the
-    // rest. A promotion reads the merged columns, so it waits for them.
-    let rows = merged.feasible.len();
-    let mut columns: Vec<Vec<f64>> = (0..dims).map(|_| Vec::with_capacity(rows)).collect();
-    let (ours, theirs) = columns.split_at_mut(dims / 3);
-    let fill = |columns: &mut [Vec<f64>], first: usize| {
-        for (pos, column) in (first..).zip(columns) {
-            merged.fill(pos, column, &slabs);
+    // Copying the dense columns is most of a repair's time, and in a
+    // fresh process most of that is the first touch of their pages. They
+    // are allocated here, where a running server's allocator reuses
+    // freed memory. A repair of more rows than a shard holds fills them
+    // on a second thread while this one merges the frontier, which
+    // without a dead member reads only the survivors' keys and the
+    // slabs. A smaller one, such as a serving delta's, does both here:
+    // there a thread costs more CPU than it saves. A promotion reads the
+    // merged columns, so it waits for them.
+    rows.reserve_exact(rows.len());
+    let cached_rows = cached.stored().1;
+    let merged_frontier = if dead_keys.is_empty() && rows.len() > SHARD_SIZE {
+        std::thread::scope(|scope| {
+            scope.spawn(|| fill(&mut rows, &segments, cached_rows, &slabs));
+            union(&base, &base_keys)
+        })
+    } else {
+        fill(&mut rows, &segments, cached_rows, &slabs);
+        if !dead_keys.is_empty() {
+            // The candidates are every eligible merged row that neither a
+            // delta point nor a surviving frontier member took.
+            let mut taken: Vec<u32> = of_delta.iter().chain(&base).copied().collect();
+            taken.sort_unstable();
+            let mut taken = taken.into_iter().peekable();
+            let eligible = rows
+                .keys()
+                .map(|(m, key)| (m as u32, key))
+                .filter(|&(m, _)| {
+                    while taken.next_if(|&t| t < m).is_some() {}
+                    taken.peek() != Some(&m)
+                });
+            for m in frontier::promoted(dims, &dead_keys, &base_keys, eligible) {
+                let key = rows
+                    .record(m as usize)
+                    .and_then(|r| rows.key(r, m as usize));
+                base_keys.extend(key.into_iter().flatten().take(dims));
+                base.push(m);
+            }
         }
+        union(&base, &base_keys)
     };
-    let mut merged_frontier = None;
-    std::thread::scope(|scope| {
-        scope.spawn(|| fill(theirs, dims / 3));
-        if merged.dead_keys.is_empty() {
-            merged_frontier = Some(frontier_over(&merged.frontier_survivors, &merged.live_keys));
-        }
-        fill(ours, 0);
-    });
-    let merged_frontier = merged_frontier.unwrap_or_else(|| {
-        // The candidates are every merged position that neither a delta
-        // point nor a surviving frontier member took.
-        let (mut base, mut base_keys) =
-            (merged.frontier_survivors.clone(), merged.live_keys.clone());
-        let mut deltas = merged.of_delta.iter().copied().peekable();
-        let mut members = base.iter().copied().peekable();
-        let off_frontier = (0..merged.jobs.len() as u32)
-            .filter(|&m| deltas.next_if_eq(&m).is_none() && members.next_if_eq(&m).is_none());
-        let promoted = frontier::promoted(
-            dims,
-            &merged.dead_keys,
-            &base_keys,
-            eligible_rows(off_frontier, &merged.feasible, &columns, objectives),
-        );
-        for m in promoted {
-            base_keys.extend(minimized_row(&columns, objectives, m as usize));
-            base.push(m);
-        }
-        frontier_over(&base, &base_keys)
-    });
-    let Merged {
-        mut jobs,
-        mut feasible,
-        nonfinite,
-        ..
-    } = merged;
-    // The buffers were sized for every cached point surviving; release
-    // what the dead ones left unused.
-    jobs.shrink_to_fit();
-    feasible.shrink_to_fit();
+
+    rows.shrink_to_fit();
     // The slabs' nonfinite accounting transfers verbatim: every slab
     // point entered the merged result.
     let nonfinite = nonfinite + slabs.iter().map(ResultSet::nonfinite).sum::<usize>();
 
-    let (uncharacterized, dropped) = (space.uncharacterized, space.job_count() - jobs.len());
+    let (uncharacterized, dropped) = (space.uncharacterized, space.job_count() - rows.len());
     Ok(Repair::Repaired(Box::new(ResultSet::retained(
-        objectives.to_vec(),
         space,
-        jobs,
-        columns,
-        feasible,
+        rows,
         merged_frontier,
         uncharacterized,
         dropped,
         nonfinite,
     ))))
+}
+
+#[cfg(test)]
+mod tests {
+    use f1_components::{Catalog, CatalogDelta, CatalogStore};
+    use f1_units::{Hertz, Watts};
+
+    use crate::query::{Constraint, Objective};
+    use crate::session::Session;
+
+    use super::*;
+
+    /// Twenty single-pair throughput patches in a row, each repaired from
+    /// the previous repair: the records never fragment, because every
+    /// writer coalesces rows into the one encoding a cold run has.
+    #[test]
+    fn successive_repairs_keep_a_cold_runs_records() {
+        let catalog = Catalog::synthesize(42, 12);
+        let airframe = catalog.airframe_entries().next().map(|(id, _)| id).unwrap();
+        let pairs: Vec<(String, String, f64)> = catalog
+            .matrix()
+            .iter()
+            .map(|(compute, algorithm, hz)| (compute.to_owned(), algorithm.to_owned(), hz.get()))
+            .collect();
+        let store = Arc::new(CatalogStore::new(catalog));
+        let session = Session::over(Arc::clone(&store));
+        let plan = QueryPlan::builder()
+            .objectives(&[
+                Objective::SafeVelocity,
+                Objective::TotalTdp,
+                Objective::PayloadMass,
+                Objective::MissionEnergyWhPerKm,
+            ])
+            .constraint(Constraint::MaxTotalTdp(Watts::new(30.0)))
+            .airframes(&[airframe])
+            .build()
+            .unwrap();
+        session.run(&plan).unwrap();
+        for epoch in 0..20u32 {
+            let (compute, algorithm, hz) = &pairs[(epoch as usize * 7) % pairs.len()];
+            let hz = Hertz::new(hz * (0.9 + 0.04 * f64::from(epoch % 5)));
+            store
+                .apply(&CatalogDelta::new().patch_throughput(compute, algorithm, hz))
+                .unwrap();
+            let repaired = session.refresh(&plan).unwrap();
+            let cold = Session::over(Arc::clone(&store)).run(&plan).unwrap();
+            assert_eq!(session.cache_stats().repairs, u64::from(epoch) + 1);
+            let records = |result: &ResultSet| result.stored().1.records().to_vec();
+            assert_eq!(records(&repaired), records(&cold), "epoch {epoch}");
+            assert_eq!(*repaired, *cold, "epoch {epoch}");
+        }
+    }
 }

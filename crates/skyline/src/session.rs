@@ -20,13 +20,15 @@
 //!   cache lookup returning the same `Arc<ResultSet>`, not a pass.
 //!
 //! A result stores no points: each row is a job index into its pass's
-//! shared space beside the value and feasibility columns, and the point
-//! accessors rebuild a [`QueryPoint`] by value on demand (see
-//! [`ResultSet`]). The job index is defined once, by the shard module's
-//! `PassSpace`; a delta repair ([`Session::refresh`]) places the cached
-//! rows through the new epoch's space. A pass reads everything it needs
-//! from the epoch's execution state; the heatsink model and knee
-//! saturation are the paper's, fixed by the space itself.
+//! shared space, its per-candidate values sit in dense columns, and its
+//! job, feasibility and pair-constant values are stored once per run of
+//! rows that share them; the point accessors rebuild a [`QueryPoint`]
+//! by value on demand (see [`ResultSet`]). The job index is defined
+//! once, by the shard module's `PassSpace`; a delta repair
+//! ([`Session::refresh`]) places the cached rows through the new
+//! epoch's space. A pass reads everything it needs from the epoch's
+//! execution state; the heatsink model and knee saturation are the
+//! paper's, fixed by the space itself.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -48,8 +50,7 @@
 //! ```
 #![warn(clippy::format_push_string)]
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -64,6 +65,8 @@ use serde::{Deserialize, Serialize};
 use crate::dse::Candidate;
 use crate::plan::QueryPlan;
 use crate::query::{KnobSetting, Objective, QueryPoint};
+pub use crate::rows::Column;
+use crate::rows::Rows;
 use crate::shard::PassSpace;
 use crate::tier2::{SharedTier2, SimBlock, SimStats, Tier2Context};
 use crate::SkylineError;
@@ -71,32 +74,35 @@ use crate::SkylineError;
 // ---------------------------------------------------------------------
 // ResultSet
 // ---------------------------------------------------------------------
-
 /// The columnar result of executing one plan: every evaluated build
 /// that passed the constraints, per-objective value columns, and the
 /// Pareto frontier.
 ///
-/// Objective values are stored **column-major** — one contiguous
-/// `Vec<f64>` per objective ([`column`](Self::column)) — the layout a
-/// serving tier wants for export, streaming top-k selection and
-/// columnar analytics. Each stored row's `outcome.feasible` flag is
-/// kept as a one-byte **feasibility column** beside them, so ranking
-/// ([`top_k`](Self::top_k), [`ranked`](Self::ranked),
+/// Objective values are read **column-major**, one [`Column`] view per
+/// objective ([`column`](Self::column)): the layout a serving tier
+/// wants for export, streaming top-k selection and columnar analytics.
+/// Each stored row's `outcome.feasible` flag is kept beside them, so
+/// ranking ([`top_k`](Self::top_k), [`ranked`](Self::ranked),
 /// [`survivors`](Self::survivors)) and
-/// [`minimized_keys`](Self::minimized_keys) scan columns only.
+/// [`minimized_keys`](Self::minimized_keys) read no point.
 ///
 /// A row stores no point. It is the build's **job index** into the
 /// pass's space — the resolved part lists, the characterized pairs with
 /// their throughputs, the knob settings and the variant parts — which
-/// every result of one pass shares behind an `Arc`. A retained row
-/// therefore costs a job index, one `f64` per objective and a flag.
+/// every result of one pass shares behind an `Arc`. What a whole run
+/// shares is stored once: a row's per-candidate objectives
+/// ([`Objective::SafeVelocity`], [`Objective::MissionEnergyWhPerKm`])
+/// cost one `f64` each, and its job, feasibility flag and pair-constant
+/// objectives (TDP, payload, hover endurance) live in a record per
+/// stretch of consecutive jobs that share them, which is one record per
+/// (sensor, compute) run when the plan has no velocity floor.
 /// [`to_json`](Self::to_json) and [`try_key`](Self::try_key) decode a
 /// row's build identity from its index without running the model.
-/// [`point`](Self::point), [`try_point`](Self::try_point),
-/// [`iter_points`](Self::iter_points), [`frontier_points`](Self::frontier_points)
-/// and [`best`](Self::best) rebuild a [`QueryPoint`] **by value**,
-/// running the same kernel over the same parts, so the rebuilt point is
-/// bit-identical to the one the pass evaluated.
+/// [`try_point`](Self::try_point), [`iter_points`](Self::iter_points),
+/// [`frontier_points`](Self::frontier_points) and [`best`](Self::best)
+/// rebuild a [`QueryPoint`] **by value**, running the same kernel over
+/// the same parts, so the rebuilt point is bit-identical to the one the
+/// pass evaluated.
 ///
 /// Ranked access scales down gracefully: [`top_k`](Self::top_k) selects
 /// the best *k* with a bounded heap in O(n log k) without materializing
@@ -112,33 +118,28 @@ use crate::SkylineError;
 /// to streaming store only the Pareto frontier and a bounded top-k
 /// ([`crate::shard::STREAM_TOP_K`] indices) beside the accounting
 /// counters, all **bit-identical** to a retaining run of the same plan
-/// and still addressed by the same global indices. Accessors that need
-/// an arbitrary row ([`minimized_keys`](Self::minimized_keys),
-/// [`point`](Self::point) on a non-stored index) panic with a clear
-/// message in streamed mode;
-/// [`frontier`](Self::frontier), [`top_k`](Self::top_k),
+/// and still addressed by the same global indices. Accessors given an
+/// index the result did not store return `None`
+/// ([`try_point`](Self::try_point), [`try_row`](Self::try_row)),
+/// [`minimized_keys`](Self::minimized_keys) panics with a clear
+/// message, and [`frontier`](Self::frontier), [`top_k`](Self::top_k),
 /// [`best`](Self::best), [`to_json`](Self::to_json) and the counters
 /// work in both. [`is_streamed`](Self::is_streamed) and
 /// [`stored_indices`](Self::stored_indices) report the mode.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResultSet {
-    objectives: Vec<Objective>,
     /// The pass space every row's job index points into.
     space: Arc<PassSpace>,
-    /// Each stored row's job index, ascending.
-    jobs: Vec<u64>,
-    /// One column per objective, one entry per stored row, in each
-    /// objective's natural (unnegated) unit.
-    columns: Vec<Vec<f64>>,
-    /// Each stored row's `outcome.feasible`, row-aligned with `columns`.
-    feasible: Vec<bool>,
+    /// The stored rows, ascending by job: each row's job, feasibility
+    /// and value in each objective's natural (unnegated) unit.
+    rows: Rows,
     frontier: Vec<usize>,
     uncharacterized: usize,
     dropped: usize,
     nonfinite: usize,
-    /// `Some` when this result was produced in streaming mode: `jobs`
-    /// and `columns` hold only the stored (frontier ∪ top-k) rows, while
-    /// indices everywhere stay global.
+    /// `Some` when this result was produced in streaming mode: `rows`
+    /// holds only the stored (frontier ∪ top-k) rows, while indices
+    /// everywhere stay global.
     streamed: Option<StreamedMeta>,
     /// The tier-2 simulation block, attached by the session after the
     /// tier-1 pass for plans with sim objectives (see [`crate::tier2`]).
@@ -164,8 +165,8 @@ pub(crate) struct StreamedMeta {
 }
 
 /// A stored row read without running the model: the build's identity,
-/// decoded from the row's job index, and its feasibility flag from the
-/// feasibility column (see [`ResultSet::try_key`]).
+/// decoded from the row's job index, and its feasibility flag (see
+/// [`ResultSet::try_key`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowKey {
     /// The airframe the build flies on.
@@ -187,41 +188,35 @@ impl PartialEq for ResultSet {
     /// streamed and a retaining result are never equal — they answer
     /// different queries even when produced from the same plan shape.
     fn eq(&self, other: &Self) -> bool {
-        self.objectives == other.objectives
+        self.objectives() == other.objectives()
             && self.len() == other.len()
-            && self.columns == other.columns
+            && self.rows.len() == other.rows.len()
+            && (0..self.objectives().len()).all(|pos| self.column(pos) == other.column(pos))
             && self.frontier == other.frontier
             && self.uncharacterized == other.uncharacterized
             && self.dropped == other.dropped
             && self.nonfinite == other.nonfinite
             && self.streamed == other.streamed
             && self.sim == other.sim
-            && self.jobs.len() == other.jobs.len()
-            && ((self.jobs == other.jobs && self.space == other.space)
+            && ((self.rows.jobs().eq(other.rows.jobs()) && self.space == other.space)
                 || self.iter_points().eq(other.iter_points()))
     }
 }
 
 impl ResultSet {
     /// Builds a retained result: one stored row per kept job.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn retained(
-        objectives: Vec<Objective>,
         space: Arc<PassSpace>,
-        jobs: Vec<u64>,
-        columns: Vec<Vec<f64>>,
-        feasible: Vec<bool>,
+        rows: Rows,
         frontier: Vec<usize>,
         uncharacterized: usize,
         dropped: usize,
         nonfinite: usize,
     ) -> Self {
+        debug_assert!(rows.is_well_formed(), "stored rows are malformed");
         Self {
-            objectives,
             space,
-            jobs,
-            columns,
-            feasible,
+            rows,
             frontier,
             uncharacterized,
             dropped,
@@ -229,14 +224,13 @@ impl ResultSet {
             streamed: None,
             sim: None,
         }
-        .checked()
     }
 
     /// Marks a result built over only its stored (frontier ∪ top-k) rows,
     /// ascending by global index, as streamed: `meta` carries the logical
     /// count and rankings.
     pub(crate) fn streamed(self, meta: StreamedMeta) -> Self {
-        debug_assert_eq!(self.jobs.len(), meta.stored.len());
+        debug_assert_eq!(self.rows.len(), meta.stored.len());
         debug_assert!(meta.stored.windows(2).all(|w| w[0] < w[1]));
         Self {
             streamed: Some(meta),
@@ -244,29 +238,10 @@ impl ResultSet {
         }
     }
 
-    /// Every constructor's exit: debug builds check that the job and
-    /// feasibility columns are row-aligned with the value columns and
-    /// that jobs ascend (enumeration order).
-    fn checked(self) -> Self {
-        debug_assert!(
-            self.feasible.len() == self.jobs.len()
-                && self.columns.iter().all(|c| c.len() == self.jobs.len())
-                && self.jobs.windows(2).all(|w| w[0] < w[1]),
-            "stored rows are misaligned or out of enumeration order"
-        );
-        self
-    }
-
-    /// The feasibility column: each stored row's `outcome.feasible`.
-    pub(crate) fn feasibility(&self) -> &[bool] {
-        &self.feasible
-    }
-
-    /// The pass space the rows index into, and each stored row's job
-    /// index (for the repair path, which re-indexes them at a new
-    /// epoch).
-    pub(crate) fn rows(&self) -> (&PassSpace, &[u64]) {
-        (&self.space, &self.jobs)
+    /// The pass space the rows index into, and the stored rows (for the
+    /// repair path, which re-indexes them at a new epoch).
+    pub(crate) fn stored(&self) -> (&PassSpace, &Rows) {
+        (&self.space, &self.rows)
     }
 
     /// Whether this result was produced in streamed mode (frontier +
@@ -289,65 +264,41 @@ impl ResultSet {
     /// out of range or a streamed result did not store it.
     fn try_row_pos(&self, index: usize) -> Option<usize> {
         match &self.streamed {
-            None => (index < self.jobs.len()).then_some(index),
+            None => (index < self.rows.len()).then_some(index),
             Some(meta) => meta.stored.binary_search(&index).ok(),
         }
     }
 
-    /// Maps a global index to its stored row, panicking for an index
-    /// out of range or not stored by a streamed result.
-    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract of the panicking accessors; serving code routes through the try_ forms")
-    fn row_pos(&self, index: usize) -> usize {
-        self.try_row_pos(index).unwrap_or_else(|| {
-            if self.streamed.is_some() {
-                panic!(
-                    "point {index} is not materialized in this streamed result \
-                     (only the frontier and top-k are stored; see stored_indices())"
-                )
-            }
-            panic!("point {index} is out of range for {} points", self.len())
-        })
+    /// The point of `job`, a stored row's job, rebuilt by value.
+    // analyze::allow(panic, scope = "fn", reason = "the pass evaluated the same parts without error, and evaluation is deterministic")
+    fn point_of(&self, job: u64) -> QueryPoint {
+        self.space
+            .point(job)
+            .expect("the pass evaluated this job without error")
     }
 
-    /// The point in stored row `r`, rebuilt from its job index.
-    // analyze::allow(indexing, scope = "fn", reason = "callers pass a stored row r < jobs.len()")
-    // analyze::allow(panic, scope = "fn", reason = "the pass evaluated the same parts without error, and evaluation is deterministic")
-    fn stored_point(&self, r: usize) -> QueryPoint {
-        self.space
-            .point(self.jobs[r])
-            .expect("the pass evaluated this job without error")
+    /// The point in stored row `r`, `None` past the last row.
+    fn stored_point(&self, r: usize) -> Option<QueryPoint> {
+        self.rows.job(r).map(|job| self.point_of(job))
     }
 
     /// The plan's objectives, primary first.
     #[must_use]
     pub fn objectives(&self) -> &[Objective] {
-        &self.objectives
+        self.rows.objectives()
     }
 
     /// The point at `index`, in deterministic enumeration order
     /// (airframe-major, then knob setting, then sensor × compute ×
     /// algorithm in name order), rebuilt by value from the row's job
-    /// index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range, or if a streamed result did
-    /// not store the point (only frontier and top-k indices are
-    /// addressable then).
-    #[must_use]
-    pub fn point(&self, index: usize) -> QueryPoint {
-        self.stored_point(self.row_pos(index))
-    }
-
-    /// Non-panicking [`point`](Self::point): `None` when `index` is out
-    /// of range, or when a streamed result did not store the point
-    /// (only frontier ∪ top-k indices are stored then). This is the
-    /// accessor a serving tier should route client-supplied indices
-    /// through — a bad request becomes a structured error, not a dead
-    /// worker.
+    /// index: `None` when `index` is out of range, or when a streamed
+    /// result did not store the point (only frontier ∪ top-k indices
+    /// are stored then). A serving tier routes client-supplied indices
+    /// through here, so a bad request becomes a structured error, not a
+    /// dead worker.
     #[must_use]
     pub fn try_point(&self, index: usize) -> Option<QueryPoint> {
-        self.try_row_pos(index).map(|r| self.stored_point(r))
+        self.stored_point(self.try_row_pos(index)?)
     }
 
     /// The stored row at `index` without running the model: the build's
@@ -355,33 +306,33 @@ impl ResultSet {
     /// `None` when `index` is out of range or a streamed result did not
     /// store it. What the serving renderers read.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "r is a stored row from try_row_pos; jobs and feasible are row-aligned")
     pub fn try_key(&self, index: usize) -> Option<RowKey> {
         let r = self.try_row_pos(index)?;
-        let (airframe, candidate, setting) = self.space.key(self.space.coord(self.jobs[r]));
+        let record = self.rows.record(r)?;
+        let (airframe, candidate, setting) = self.space.key(self.space.coord(record.job_at(r)));
         Some(RowKey {
             airframe,
             candidate,
             setting,
-            feasible: self.feasible[r],
+            feasible: record.feasible,
         })
     }
 
-    /// Non-panicking [`row`](Self::row): the objective values of point
-    /// `index` across the columns, `None` when the index is out of
+    /// The objective values of point `index`, aligned with
+    /// [`objectives`](Self::objectives); `None` when the index is out of
     /// range or unstored in a streamed result.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "r is a stored row from try_row_pos; columns are row-aligned")
     pub fn try_row(&self, index: usize) -> Option<Vec<f64>> {
         let r = self.try_row_pos(index)?;
-        Some(self.columns.iter().map(|c| c[r]).collect())
+        let values = self.rows.values(self.rows.record(r)?, r);
+        Some(values.into_iter().take(self.objectives().len()).collect())
     }
 
     /// Iterates the stored points in enumeration order, each rebuilt by
     /// value. For a retaining result that is every kept point; for a
     /// streamed one, the stored (frontier ∪ top-k) subset.
     pub fn iter_points(&self) -> impl Iterator<Item = QueryPoint> + '_ {
-        (0..self.jobs.len()).map(|r| self.stored_point(r))
+        self.rows.jobs().map(|job| self.point_of(job))
     }
 
     /// Number of points the plan kept. In streamed mode this is the
@@ -391,7 +342,7 @@ impl ResultSet {
     pub fn len(&self) -> usize {
         self.streamed
             .as_ref()
-            .map_or(self.jobs.len(), |meta| meta.total_kept)
+            .map_or(self.rows.len(), |meta| meta.total_kept)
     }
 
     /// Whether the result holds no points.
@@ -400,28 +351,27 @@ impl ResultSet {
         self.len() == 0
     }
 
-    /// The contiguous value column of the objective at `position` in
-    /// [`objectives`](Self::objectives). In streamed mode the column
-    /// holds only the stored rows, aligned with
+    /// The values of the objective at `position` in
+    /// [`objectives`](Self::objectives), one per stored row. In streamed
+    /// mode the column holds only the stored rows, aligned with
     /// [`stored_indices`](Self::stored_indices).
     ///
     /// # Panics
     ///
     /// Panics if `position` is out of range.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "documented `# Panics` contract; column_for is the checked sibling")
-    pub fn column(&self, position: usize) -> &[f64] {
-        &self.columns[position]
+    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract; column_for is the checked sibling")
+    pub fn column(&self, position: usize) -> Column<'_> {
+        self.rows
+            .column(position)
+            .expect("objective position is in range")
     }
 
-    /// The value column of `objective`, if the plan carried it.
+    /// The values of `objective`, if the plan carried it.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "position comes from iter().position over the same objectives vec")
-    pub fn column_for(&self, objective: Objective) -> Option<&[f64]> {
-        self.objectives
-            .iter()
-            .position(|&o| o == objective)
-            .map(|pos| self.columns[pos].as_slice())
+    pub fn column_for(&self, objective: Objective) -> Option<Column<'_>> {
+        let position = self.objectives().iter().position(|&o| o == objective)?;
+        self.rows.column(position)
     }
 
     /// The value of point `index` under the objective at `position`.
@@ -431,23 +381,17 @@ impl ResultSet {
     /// Panics if either index is out of range, or if a streamed result
     /// did not store the point.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "documented `# Panics` contract; the row index is validated by row_pos")
+    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract; try_row is the checked form")
     pub fn value(&self, index: usize, position: usize) -> f64 {
-        self.columns[position][self.row_pos(index)]
-    }
-
-    /// The objective values of point `index` gathered across the
-    /// columns, aligned with [`objectives`](Self::objectives).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range, or if a streamed result did
-    /// not store the point.
-    #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "row index validated by row_pos; columns are row-aligned")
-    pub fn row(&self, index: usize) -> Vec<f64> {
-        let r = self.row_pos(index);
-        self.columns.iter().map(|c| c[r]).collect()
+        self.try_row_pos(index)
+            .and_then(|r| self.column(position).get(r))
+            .unwrap_or_else(|| {
+                panic!(
+                    "point {index} is not a stored row of this result ({} points, streamed: {})",
+                    self.len(),
+                    self.is_streamed()
+                )
+            })
     }
 
     /// Indices of the Pareto frontier over all objectives jointly,
@@ -460,18 +404,9 @@ impl ResultSet {
 
     /// The frontier as points rebuilt by value, in enumeration order.
     pub fn frontier_points(&self) -> impl Iterator<Item = QueryPoint> + '_ {
-        self.frontier.iter().map(|&i| self.point(i))
-    }
-
-    /// The [rank order](rank_order) of rows `a` and `b`.
-    // analyze::allow(indexing, scope = "fn", reason = "comparator only sees indices < len() produced by the ranking loops")
-    fn rank_cmp(&self, a: usize, b: usize) -> Ordering {
-        rank_order(
-            self.objectives[0].maximize(),
-            (self.feasible[a], a),
-            (self.feasible[b], b),
-            || (self.columns[0][a], self.columns[0][b]),
-        )
+        self.frontier
+            .iter()
+            .filter_map(|&i| self.stored_point(self.try_row_pos(i)?))
     }
 
     /// Indices of all points ranked best-first: feasible before
@@ -487,97 +422,34 @@ impl ResultSet {
         if let Some(meta) = &self.streamed {
             return meta.topk.clone();
         }
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_unstable_by(|&a, &b| self.rank_cmp(a, b));
-        order
+        self.rows.best(None, self.rows.len())
     }
 
     /// The best `k` point indices in rank order, selected with a bounded
-    /// heap in O(n log k) — no full sort, no O(n) ranking allocation
-    /// beyond the heap, and no comparator call for a row that does not
-    /// beat the worst kept one. Equals `ranked()[..k]` exactly (including
-    /// tie order). `k` larger than the result just returns the full
-    /// ranking.
+    /// heap in O(n log k) — no full sort and no O(n) ranking allocation
+    /// beyond the heap. Equals `ranked()[..k]` exactly (including tie
+    /// order). `k` larger than the result just returns the full ranking.
     ///
     /// A streamed result serves the prefix of its bounded top-k
     /// ranking; `k` beyond [`crate::shard::STREAM_TOP_K`] clamps to
     /// what was kept.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "slice bound is clamped to the stored top-k length first; a retained result's indices are rows of its row-aligned feasibility and primary columns")
     pub fn top_k(&self, k: usize) -> Vec<usize> {
         if let Some(meta) = &self.streamed {
-            return meta.topk[..k.min(meta.topk.len())].to_vec();
+            return meta.topk.iter().take(k).copied().collect();
         }
-        let k = k.min(self.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        // Max-heap ordered worst-first via `Reverse`-free trick: the heap
-        // key inverts the rank comparator, so `peek` is the worst kept
-        // index and a better candidate evicts it.
-        struct Key<'a> {
-            set: &'a ResultSet,
-            index: usize,
-        }
-        impl PartialEq for Key<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.index == other.index
-            }
-        }
-        impl Eq for Key<'_> {}
-        impl PartialOrd for Key<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Key<'_> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Greater = worse, so BinaryHeap's max is the eviction
-                // candidate.
-                self.set.rank_cmp(self.index, other.index)
-            }
-        }
-        let mut heap: BinaryHeap<Key<'_>> = (0..k).map(|index| Key { set: self, index }).collect();
-        // The worst kept row's feasibility and primary value. A later row
-        // joins only if it beats them: feasible over infeasible, else a
-        // strictly better primary value. A tie loses, because every kept
-        // index is smaller.
-        let maximize = self.objectives[0].maximize();
-        let (feasible, primary) = (&self.feasible, &self.columns[0]);
-        let worst = |heap: &BinaryHeap<Key<'_>>| {
-            heap.peek()
-                .map_or((true, f64::NAN), |w| (feasible[w.index], primary[w.index]))
-        };
-        let (mut worst_feasible, mut worst_value) = worst(&heap);
-        for index in k..self.len() {
-            let beats = match (feasible[index], worst_feasible) {
-                (true, false) => true,
-                (false, true) => false,
-                _ if maximize => primary[index].total_cmp(&worst_value) == Ordering::Greater,
-                _ => primary[index].total_cmp(&worst_value) == Ordering::Less,
-            };
-            if beats {
-                if let Some(mut top) = heap.peek_mut() {
-                    *top = Key { set: self, index };
-                }
-                (worst_feasible, worst_value) = worst(&heap);
-            }
-        }
-        heap.into_sorted_vec()
-            .into_iter()
-            .map(|k| k.index)
-            .collect()
+        self.rows.best(None, k)
     }
 
     /// The best feasible point by the primary objective, if any,
     /// rebuilt by value — bounded-heap selection, no full ranking.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "row_pos maps a top-k index to a stored row of the row-aligned feasibility column")
     pub fn best(&self) -> Option<QueryPoint> {
-        self.top_k(1)
-            .first()
-            .filter(|&&i| self.feasible[self.row_pos(i)])
-            .map(|&i| self.point(i))
+        let r = self.try_row_pos(*self.top_k(1).first()?)?;
+        self.rows
+            .record(r)
+            .filter(|record| record.feasible)
+            .map(|record| self.point_of(record.job_at(r)))
     }
 
     /// Sensor × compute × algorithm combinations skipped **per airframe
@@ -627,7 +499,7 @@ impl ResultSet {
     /// ascending. Works identically in materializing and streamed mode
     /// for `budget ≤ `[`STREAM_TOP_K`](crate::shard::STREAM_TOP_K) —
     /// a streamed result stores exactly frontier ∪ top-k, so every
-    /// survivor is addressable via [`point`](Self::point)/[`value`](Self::value).
+    /// survivor is addressable via [`try_point`](Self::try_point)/[`value`](Self::value).
     #[must_use]
     pub fn survivors(&self, budget: usize) -> Vec<usize> {
         let mut out: Vec<usize> = self.frontier.clone();
@@ -652,26 +524,18 @@ impl ResultSet {
     /// Panics on a streamed result: the full key domain was reduced
     /// shard-by-shard and never materialized.
     #[must_use]
-    // analyze::allow(indexing, scope = "fn", reason = "i < len() and columns are row-aligned with the point list")
     // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract: a streamed result never kept its key domain, and no serving path asks it for one")
     pub fn minimized_keys(&self) -> (Vec<f64>, Vec<usize>) {
         assert!(
             self.streamed.is_none(),
             "a streamed result set never kept its full frontier key domain"
         );
+        let dims = self.objectives().len();
         let mut keys = Vec::new();
         let mut map = Vec::new();
-        'points: for i in 0..self.len() {
-            if !self.feasible[i] {
-                continue;
-            }
-            for column in &self.columns {
-                if !column[i].is_finite() {
-                    continue 'points;
-                }
-            }
-            map.push(i);
-            keys.extend(minimized_row(&self.columns, &self.objectives, i));
+        for (row, key) in self.rows.keys() {
+            map.push(row);
+            keys.extend(key.into_iter().take(dims));
         }
         (keys, map)
     }
@@ -680,10 +544,9 @@ impl ResultSet {
     /// document with the objective schema, the per-objective value
     /// columns (column-major, `null` for non-finite values — JSON has
     /// no `Infinity`), the catalog-resolved build identity of every
-    /// stored row (decoded from its job index, with its flag from the
-    /// feasibility column — no physics runs), the frontier indices and
-    /// the accounting counters. The catalog must be the one the plan
-    /// executed against.
+    /// stored row (decoded from its job index, with its feasibility
+    /// flag — no physics runs), the frontier indices and the accounting
+    /// counters. The catalog must be the one the plan executed against.
     ///
     /// A streamed result exports its stored (frontier ∪ top-k) rows
     /// plus a `"stored"` array mapping each row to its global index
@@ -704,9 +567,10 @@ impl ResultSet {
     /// value. Space is reserved for the rows the document prints — the
     /// stored rows, not a streamed result's logical kept count.
     pub fn write_json(&self, catalog: &Catalog, out: &mut String) {
-        out.reserve(256 + self.jobs.len() * (192 + 24 * self.objectives.len()));
+        let objectives = self.objectives();
+        out.reserve(256 + self.rows.len() * (192 + 24 * objectives.len()));
         out.push_str("{\n  \"objectives\": [");
-        for (i, o) in self.objectives.iter().enumerate() {
+        for (i, o) in objectives.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
@@ -730,18 +594,18 @@ impl ResultSet {
             out.push_str("],\n");
         }
         out.push_str("  \"columns\": {");
-        for (pos, (objective, column)) in self.objectives.iter().zip(&self.columns).enumerate() {
+        for (pos, objective) in objectives.iter().enumerate() {
             if pos > 0 {
                 out.push_str(", ");
             }
             push_string(out, objective.label());
             out.push_str(": [");
-            push_numbers(out, column);
+            push_numbers(out, self.column(pos).iter());
             out.push(']');
         }
         out.push_str("},\n  \"builds\": [");
-        let coords = self.space.coords(&self.jobs);
-        for (i, (coord, feasible)) in coords.zip(&self.feasible).enumerate() {
+        let coords = self.space.coords(self.rows.jobs());
+        for (i, (coord, (_, record))) in coords.zip(self.rows.iter()).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -754,7 +618,7 @@ impl ResultSet {
             push_string(out, catalog.compute_by_id(candidate.compute).name());
             out.push_str(", \"algorithm\": ");
             push_string(out, catalog.algorithm_by_id(candidate.algorithm).name());
-            let _ = write!(out, ", \"feasible\": {feasible}");
+            let _ = write!(out, ", \"feasible\": {}", record.feasible);
             if !setting.is_identity() {
                 let s = &setting;
                 let fields = [
@@ -800,7 +664,7 @@ impl ResultSet {
                     "\n      {{\"id\": {}, \"index\": {}, \"values\": [",
                     row.candidate_id, row.index
                 );
-                push_numbers(out, &row.values);
+                push_numbers(out, row.values.iter().copied());
                 out.push_str("]}");
             }
             out.push_str("\n    ],\n    \"report\": [");
@@ -827,8 +691,8 @@ impl ResultSet {
 }
 
 /// Appends `values` comma-separated through the wire number writer.
-fn push_numbers(out: &mut String, values: &[f64]) {
-    for (i, &v) in values.iter().enumerate() {
+fn push_numbers(out: &mut String, values: impl Iterator<Item = f64>) {
+    for (i, v) in values.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -844,46 +708,6 @@ fn push_integers<T: fmt::Display>(out: &mut String, values: &[T]) {
         }
         let _ = write!(out, "{v}");
     }
-}
-
-/// Row `row` of row-aligned objective `columns` as minimized keys
-/// ([`Objective::minimized`]), one per objective, in order — the key
-/// convention of [`ResultSet::minimized_keys`] and every executor's
-/// frontier.
-pub(crate) fn minimized_row<'a>(
-    columns: &'a [Vec<f64>],
-    objectives: &'a [Objective],
-    row: usize,
-) -> impl Iterator<Item = f64> + 'a {
-    columns
-        .iter()
-        .zip(objectives)
-        // analyze::allow(indexing, reason = "callers pass a row of these row-aligned columns")
-        .map(move |(c, o)| o.minimized(c[row]))
-}
-
-/// The rank order of rows `a` and `b`, each given with its feasibility
-/// flag: feasible before infeasible, then the primary objective values
-/// `primary` reads (descending when `maximize`, by `total_cmp`), ties
-/// by index. Total. [`ResultSet::ranked`] and [`ResultSet::top_k`], a
-/// shard's local top-k and the streamed merge all rank through it.
-pub(crate) fn rank_order(
-    maximize: bool,
-    (a_feasible, a): (bool, usize),
-    (b_feasible, b): (bool, usize),
-    primary: impl FnOnce() -> (f64, f64),
-) -> Ordering {
-    b_feasible
-        .cmp(&a_feasible)
-        .then_with(|| {
-            let (a_value, b_value) = primary();
-            if maximize {
-                b_value.total_cmp(&a_value)
-            } else {
-                a_value.total_cmp(&b_value)
-            }
-        })
-        .then_with(|| a.cmp(&b))
 }
 
 /// Two plans can share one kernel pass when everything that shapes the
@@ -1778,7 +1602,7 @@ mod tests {
             result.best(),
             ranked
                 .first()
-                .map(|&i| result.point(i))
+                .and_then(|&i| result.try_point(i))
                 .filter(|p| p.outcome.feasible)
         );
     }
@@ -1857,7 +1681,10 @@ mod tests {
         );
         assert!(result.column_for(Objective::PayloadMass).is_none());
         for i in 0..result.len().min(50) {
-            assert_eq!(result.row(i), vec![result.value(i, 0), result.value(i, 1)]);
+            assert_eq!(
+                result.try_row(i).unwrap(),
+                vec![result.value(i, 0), result.value(i, 1)]
+            );
         }
     }
 }

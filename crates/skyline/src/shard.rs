@@ -32,18 +32,21 @@
 //!   plan keeps a candidate of, its mission energies, each in one loop
 //!   over the run. It decides each plan's pair-level constraints
 //!   (`MaxTotalTdp`, `MaxPayload`, `FeasibleOnly`) once and its
-//!   `MinVelocity` floors per candidate, fills the TDP, payload,
-//!   endurance, feasibility and job columns in bulk, and offers each
+//!   `MinVelocity` floors per candidate, pushes the run's job, flag and
+//!   pair-constant values (TDP, payload, endurance) once, and offers each
 //!   frontier group the candidates any of its plans kept, in job order:
 //!   a group's plans can keep their rows in several value sets (one
 //!   objective set ranked in different orders). The kernel builds no
 //!   `Outcome`; the full outcome (bound, knee, assessment) is rebuilt
 //!   only for materialized points, by `algo_stage` on the same velocity
 //!   function.
-//! * **Struct-of-arrays slabs.** Within a shard, each plan's objective
-//!   values land in contiguous per-column `f64` slabs and its
-//!   feasibility in a flat mask; the merge carries the mask into the
-//!   result's feasibility column, which ranking reads.
+//! * **Columns and records.** Within a shard, each value set's
+//!   per-candidate values (velocity, energy) land in contiguous `f64`
+//!   columns, and each run it keeps is one record of its first job,
+//!   feasibility flag and pair-constant values (one per stretch a
+//!   velocity floor leaves). The merge appends shards' records, joining
+//!   the runs a shard boundary split, so a result holds the same records
+//!   however it was built; ranking reads flags and values in place.
 //! * **Shared local skylines.** Each shard reduces the frontier domain
 //!   to a local Pareto frontier (a cheap dominance prefilter, then one
 //!   exact skyline) before the serial merge. Plans with the same
@@ -54,11 +57,12 @@
 //! A result never stores a point. Each stored row is the candidate's
 //! **job index** into the pass's `PassSpace` (the resolved part
 //! lists, the pair list with throughputs, the settings and the variant
-//! parts), which every result of the pass shares behind an `Arc`,
-//! beside the value and feasibility columns. A [`QueryPoint`] is rebuilt
-//! on demand by running the pass's `pair_stage` and then `algo_stage`
-//! over the same parts, which is bit-deterministic and reaches the
-//! pass's velocity through the same function (late materialization).
+//! parts), which every result of the pass shares behind an `Arc`; the
+//! rows of a run share one record, which holds its first job. A
+//! [`QueryPoint`] is rebuilt on demand by running the pass's
+//! `pair_stage` and then `algo_stage` over the same parts, which is
+//! bit-deterministic and reaches the pass's velocity through the same
+//! function (late materialization).
 //!
 //! `PassSpace` is the only definition of the job index: `coord` and
 //! `coords` decode a job, and its `index` maps another space's
@@ -117,7 +121,8 @@ use crate::plan::{KeepPoints, QueryPlan};
 use crate::query::{
     Constraint, Knob, KnobSetting, MissionProfile, Objective, QueryPoint, MAX_OBJECTIVES,
 };
-use crate::session::{rank_order, EpochState, ResultSet, StreamedMeta};
+use crate::rows::{rank_key, Rows, MAX_CONSTANTS};
+use crate::session::{EpochState, ResultSet, StreamedMeta};
 use crate::sweep::parallel_map_indices;
 use crate::SkylineError;
 
@@ -302,10 +307,13 @@ impl PassSpace {
     /// The coordinates of every job in `jobs`, decoded without a
     /// division per job while consecutive jobs stay on one sensor's
     /// row of pairs (the common case for ascending jobs).
-    pub(crate) fn coords<'s>(&'s self, jobs: &'s [u64]) -> impl Iterator<Item = Coord> + 's {
+    pub(crate) fn coords<'s>(
+        &'s self,
+        jobs: impl IntoIterator<Item = u64> + 's,
+    ) -> impl Iterator<Item = Coord> + 's {
         let pairs = self.pairs.len() as u64;
         let mut row: Option<(u64, Coord)> = None;
-        jobs.iter().map(move |&job| {
+        jobs.into_iter().map(move |job| {
             if let Some((start, coord)) = &mut row {
                 if let Some(offset) = job.checked_sub(*start).filter(|&o| o < pairs) {
                     coord.pair = offset as usize;
@@ -430,13 +438,31 @@ impl JobIndex<'_> {
     // analyze::allow(indexing, scope = "fn", reason = "a pair position comes from the table over the indexed space's own pairs")
     pub(crate) fn placement_of(&self, other: &PassSpace) -> Placement {
         let space = self.space;
-        let pairs = space.pairs.len() as u64;
-        let per_setting = space.sensors.len() as u64 * pairs;
+        let per_sensor = space.pairs.len() as u64;
+        let per_setting = space.sensors.len() as u64 * per_sensor;
         let per_airframe = space.settings.len() as u64 * per_setting;
         let setting_offsets: Vec<Option<u64>> = other
             .settings
             .iter()
             .map(|s| Some(space.settings.iter().position(|t| t == s)? as u64 * per_setting))
+            .collect();
+        let pairs: Vec<Option<u64>> = other
+            .pairs
+            .iter()
+            .map(|p| {
+                let key = (p.algorithm.index() < self.stride).then(|| pair_key(p, self.stride));
+                let pos = position(&self.pairs, key?)?;
+                (space.pairs[pos as usize].throughput == p.throughput).then_some(u64::from(pos))
+            })
+            .collect();
+        let mut step = 0;
+        let steps = (0..pairs.len())
+            .map(|p| {
+                if p > 0 && matches!((pairs[p - 1], pairs[p]), (Some(a), Some(b)) if a + 1 == b) {
+                    step += 1;
+                }
+                step
+            })
             .collect();
         Placement {
             blocks: other
@@ -453,17 +479,10 @@ impl JobIndex<'_> {
             sensors: other
                 .sensors
                 .iter()
-                .map(|id| Some(u64::from(position(&self.sensors, id.index())?) * pairs))
+                .map(|id| Some(u64::from(position(&self.sensors, id.index())?) * per_sensor))
                 .collect(),
-            pairs: other
-                .pairs
-                .iter()
-                .map(|p| {
-                    let key = (p.algorithm.index() < self.stride).then(|| pair_key(p, self.stride));
-                    let pos = position(&self.pairs, key?)?;
-                    (space.pairs[pos as usize].throughput == p.throughput).then_some(u64::from(pos))
-                })
-                .collect(),
+            pairs,
+            steps,
         }
     }
 }
@@ -479,6 +498,9 @@ pub(crate) struct Placement {
     settings: usize,
     sensors: Vec<Option<u64>>,
     pairs: Vec<Option<u64>>,
+    /// Per pair, how many pairs up to it land one job after the pair
+    /// before them: a prefix count.
+    steps: Vec<usize>,
 }
 
 impl Placement {
@@ -492,6 +514,14 @@ impl Placement {
                 + self.sensors[coord.sensor]?
                 + self.pairs[coord.pair]?,
         )
+    }
+
+    /// The target job of `coord` when it and the `n - 1` builds after it
+    /// on its sensor's row of pairs all land on consecutive target jobs.
+    pub(crate) fn run(&self, coord: Coord, n: usize) -> Option<u64> {
+        let first = *self.steps.get(coord.pair)?;
+        let last = *self.steps.get(coord.pair + n.checked_sub(1)?)?;
+        (last - first == n - 1).then(|| self.job(coord)).flatten()
     }
 }
 
@@ -900,7 +930,8 @@ struct Run<'r> {
 
 /// One shard's state as its runs fill it.
 struct ShardState {
-    slabs: Vec<SetSlab>,
+    /// Each value set's rows.
+    slabs: Vec<Rows>,
     shares: Vec<Share>,
     skylines: Vec<frontier::PrefilteredSkyline>,
     powers: Vec<ProfilePower>,
@@ -912,8 +943,9 @@ impl ShardState {
     /// velocities and, for a profile a plan keeps a candidate of, its
     /// energies, each in one loop over the run; each plan's pair-level
     /// constraints once and its velocity floors per candidate; each value
-    /// set's rows, with the pair-constant columns filled in bulk; and
-    /// each frontier group's offers, in ascending job order.
+    /// set's rows, with the run's pair-constant values and flag pushed
+    /// once (one record for a whole run); and each frontier group's
+    /// offers, in ascending job order.
     // analyze::allow(indexing, scope = "fn", reason = "plan, set, group and profile positions index the lists built with the plans; run positions index the run's scratch")
     // analyze::allow(panic, scope = "fn", reason = "sets and groups with a power-model objective carry a mission profile")
     fn run(
@@ -985,28 +1017,34 @@ impl ShardState {
             scratch.keep(&set.members);
             let kept = &scratch.kept;
             let power = set.profile.map(|p| &powers[p]);
-            let base = slab.jobs.len() as u32;
+            let base = slab.len() as u32;
             let mut pair_finite = true;
             let mut energies = None;
+            let mut constants = [0.0; MAX_CONSTANTS];
+            let (mut dense, mut slots) = (slab.dense_mut().iter_mut(), constants.iter_mut());
             // The whole run, or the candidates a velocity floor admits.
             let whole = kept.len() == n;
-            for (col, &objective) in slab.cols.iter_mut().zip(set.objectives) {
+            for &objective in set.objectives {
                 let constant = match objective {
                     Objective::SafeVelocity => {
                         let velocities = &scratch.velocities;
-                        if whole {
-                            col.extend(velocities.iter().map(|v| v.get()));
-                        } else {
-                            col.extend(kept.iter().map(|&i| velocities[i as usize].get()));
+                        if let Some(col) = dense.next() {
+                            if whole {
+                                col.extend(velocities.iter().map(|v| v.get()));
+                            } else {
+                                col.extend(kept.iter().map(|&i| velocities[i as usize].get()));
+                            }
                         }
                         continue;
                     }
                     Objective::MissionEnergyWhPerKm => {
                         let e = &power.expect("power sets carry a profile").energies;
-                        if whole {
-                            col.extend_from_slice(e);
-                        } else {
-                            col.extend(kept.iter().map(|&i| e[i as usize]));
+                        if let Some(col) = dense.next() {
+                            if whole {
+                                col.extend_from_slice(e);
+                            } else {
+                                col.extend(kept.iter().map(|&i| e[i as usize]));
+                            }
                         }
                         energies = Some(&e[..]);
                         continue;
@@ -1017,13 +1055,18 @@ impl ShardState {
                         power.expect("power sets carry a profile").endurance
                     }
                 };
-                col.extend(std::iter::repeat(constant).take(kept.len()));
+                if let Some(slot) = slots.next() {
+                    *slot = constant;
+                }
                 pair_finite &= constant.is_finite();
             }
-            slab.feasible
-                .extend(std::iter::repeat(pair.feasible).take(kept.len()));
-            slab.jobs
-                .extend(kept.iter().map(|&i| run.job + u64::from(i)));
+            if whole {
+                slab.push(run.job, n, pair.feasible, constants);
+            } else {
+                for &i in kept {
+                    slab.push(run.job + u64::from(i), 1, pair.feasible, constants);
+                }
+            }
             // The set's kept rows that are feasible but not finite, counted
             // once for every plan that keeps them all.
             let nonfinite = || {
@@ -1122,15 +1165,7 @@ impl ShardState {
     }
 }
 
-/// A value set's rows of one shard, struct-of-arrays: one value column
-/// per objective, the feasibility mask and each row's job, ascending.
-struct SetSlab {
-    cols: Vec<Vec<f64>>,
-    feasible: Vec<bool>,
-    jobs: Vec<u64>,
-}
-
-/// One plan's share of a shard's [`SetSlab`].
+/// One plan's share of a shard's value-set [`Rows`].
 struct Share {
     dropped: usize,
     nonfinite: usize,
@@ -1144,8 +1179,8 @@ struct Share {
 
 impl Share {
     /// Number of kept rows.
-    fn kept(&self, slab: &SetSlab) -> usize {
-        self.rows.as_ref().map_or(slab.jobs.len(), Vec::len)
+    fn kept(&self, slab: &Rows) -> usize {
+        self.rows.as_ref().map_or(slab.len(), Vec::len)
     }
 
     /// The set row of kept row `i`.
@@ -1154,46 +1189,34 @@ impl Share {
         self.rows.as_ref().map_or(i, |rows| rows[i] as usize)
     }
 
+    /// The kept row that set row `row` is, `None` when the plan did not
+    /// keep it.
+    fn position(&self, row: usize) -> Option<u32> {
+        let row = u32::try_from(row).ok()?;
+        match &self.rows {
+            None => Some(row),
+            Some(rows) => rows.binary_search(&row).ok().map(|i| i as u32),
+        }
+    }
+
     /// Kept row `i` as a survivor.
-    // analyze::allow(indexing, scope = "fn", reason = "row(i) is a row of the slab; every column has one entry per row")
-    fn survivor(&self, slab: &SetSlab, i: u32) -> Survivor {
+    fn survivor(&self, slab: &Rows, i: u32) -> Option<Survivor> {
         let r = self.row(i as usize);
-        let mut row = [0.0f64; MAX_OBJECTIVES];
-        for (slot, col) in row.iter_mut().zip(&slab.cols) {
-            *slot = col[r];
-        }
-        Survivor {
+        let record = slab.record(r)?;
+        Some(Survivor {
             local: i,
-            job: slab.jobs[r],
-            row,
-            feasible: slab.feasible[r],
-        }
+            job: record.job_at(r),
+            row: slab.values(record, r),
+            feasible: record.feasible,
+        })
     }
 
     /// The best [`STREAM_TOP_K`] kept rows under the rank order
     /// restricted to this shard (feasible first, the primary objective,
     /// enumeration ties), in rank order.
-    // analyze::allow(indexing, scope = "fn", reason = "row() maps kept rows to rows of the slab")
-    fn topk(&self, slab: &SetSlab, primary_max: bool) -> Vec<u32> {
-        let rank = |&a: &u32, &b: &u32| {
-            let (ra, rb) = (self.row(a as usize), self.row(b as usize));
-            rank_order(
-                primary_max,
-                (slab.feasible[ra], a as usize),
-                (slab.feasible[rb], b as usize),
-                || (slab.cols[0][ra], slab.cols[0][rb]),
-            )
-        };
-        let mut order: Vec<u32> = (0..self.kept(slab) as u32).collect();
-        // Partition the best K in O(n), then sort just those — the rank
-        // comparator is total (index tiebreak), so this equals the full
-        // sort-and-truncate exactly.
-        if order.len() > STREAM_TOP_K {
-            order.select_nth_unstable_by(STREAM_TOP_K - 1, rank);
-            order.truncate(STREAM_TOP_K);
-        }
-        order.sort_unstable_by(rank);
-        order
+    fn topk(&self, slab: &Rows) -> Vec<u32> {
+        let best = slab.best(self.rows.as_deref(), STREAM_TOP_K);
+        best.into_iter().map(|i| i as u32).collect()
     }
 }
 
@@ -1227,7 +1250,7 @@ enum Part {
 /// streaming plans read them), each plan's part, and each frontier
 /// group's local skyline as jobs with their keys (row-major).
 struct ShardOut {
-    slabs: Vec<Option<SetSlab>>,
+    slabs: Vec<Option<Rows>>,
     parts: Vec<Part>,
     skylines: Vec<(Vec<u64>, Vec<f64>)>,
 }
@@ -1403,13 +1426,7 @@ pub(crate) fn run_over(
         let mut state = ShardState {
             slabs: sets
                 .iter()
-                .map(|set| SetSlab {
-                    cols: (0..set.objectives.len())
-                        .map(|_| Vec::with_capacity(cap))
-                        .collect(),
-                    feasible: Vec::with_capacity(cap),
-                    jobs: Vec::with_capacity(cap),
-                })
+                .map(|set| Rows::with_capacity(set.objectives, cap))
                 .collect(),
             shares: members
                 .iter()
@@ -1492,23 +1509,17 @@ pub(crate) fn run_over(
             .map(|(member, mut share)| {
                 let slab = &slabs[member.set];
                 if let Some(g) = member.group {
-                    let kept = share.kept(slab);
-                    let mut i = 0usize;
-                    for &survivor in &skylines[g].0 {
-                        while i < kept && slab.jobs[share.row(i)] < survivor {
-                            i += 1;
-                        }
-                        if i < kept && slab.jobs[share.row(i)] == survivor {
-                            share.frontier.push(i as u32);
-                        }
-                    }
+                    share.frontier = skylines[g]
+                        .0
+                        .iter()
+                        .filter_map(|&job| share.position(slab.row_of(job)?))
+                        .collect();
                 }
                 if !member.stream {
                     return Part::Retained(share);
                 }
                 // Streaming: reduce to the local frontier and bounded
                 // top-k.
-                let primary_max = sets[member.set].objectives[0].maximize();
                 Part::Streamed(Reduced {
                     kept: share.kept(slab),
                     dropped: share.dropped,
@@ -1516,12 +1527,12 @@ pub(crate) fn run_over(
                     frontier: share
                         .frontier
                         .iter()
-                        .map(|&i| share.survivor(slab, i))
+                        .filter_map(|&i| share.survivor(slab, i))
                         .collect(),
                     topk: share
-                        .topk(slab, primary_max)
+                        .topk(slab)
                         .into_iter()
-                        .map(|i| share.survivor(slab, i))
+                        .filter_map(|i| share.survivor(slab, i))
                         .collect(),
                 })
             })
@@ -1546,7 +1557,7 @@ pub(crate) fn run_over(
         .collect::<Result<_, _>>()?;
 
     // Transpose to per-set slabs and per-plan parts, in shard order.
-    let mut set_slabs: Vec<Vec<SetSlab>> = sets.iter().map(|_| Vec::new()).collect();
+    let mut set_slabs: Vec<Vec<Rows>> = sets.iter().map(|_| Vec::new()).collect();
     let mut plan_parts: Vec<Vec<Part>> = members.iter().map(|_| Vec::new()).collect();
     let mut group_keys: Vec<(Vec<u64>, Vec<f64>)> =
         groups.iter().map(|_| (Vec::new(), Vec::new())).collect();
@@ -1575,14 +1586,13 @@ pub(crate) fn run_over(
         })
         .collect();
     let frontier_of = |m: usize| members[m].group.map_or(&[][..], |g| &group_frontiers[g]);
-    let objectives_of = |m: usize| sets[members[m].set].objectives.to_vec();
 
     let mut results: Vec<Option<ResultSet>> = members.iter().map(|_| None).collect();
     let mut gathered: Vec<usize> = Vec::new();
     for (m, (member, parts)) in members.iter().zip(&mut plan_parts).enumerate() {
         if member.stream {
             results[m] = Some(merge_streamed(
-                objectives_of(m),
+                sets[member.set].objectives,
                 &space,
                 std::mem::take(parts),
                 frontier_of(m),
@@ -1592,30 +1602,20 @@ pub(crate) fn run_over(
         }
     }
     // Retaining plans of a shared set gather their rows from the set's
-    // slabs, in parallel: each writes fresh columns of its own.
+    // slabs, in parallel: each copies its rows' dense values and records.
     let gathers = parallel_map_indices(gathered.len(), 1, |i| {
         let m = gathered[i];
         let slabs = &set_slabs[members[m].set];
         let shares = retained_shares(&plan_parts[m]);
         let (total, dropped, nonfinite, frontier) = tally(slabs, &shares, frontier_of(m));
-        let k = slabs.first().map_or(0, |slab| slab.cols.len());
-        let mut columns: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(total)).collect();
-        let mut feasible = Vec::with_capacity(total);
-        let mut jobs = Vec::with_capacity(total);
+        let mut rows = Rows::with_capacity(sets[members[m].set].objectives, total);
         for (slab, share) in slabs.iter().zip(&shares) {
-            let rows = share.rows.as_deref().unwrap_or_default();
-            for (column, col) in columns.iter_mut().zip(&slab.cols) {
-                column.extend(rows.iter().map(|&r| col[r as usize]));
-            }
-            feasible.extend(rows.iter().map(|&r| slab.feasible[r as usize]));
-            jobs.extend(rows.iter().map(|&r| slab.jobs[r as usize]));
+            rows.gather(slab, share.rows.as_deref().unwrap_or_default());
         }
+        rows.shrink_to_fit();
         ResultSet::retained(
-            objectives_of(m),
             Arc::clone(&space),
-            jobs,
-            columns,
-            feasible,
+            rows,
             frontier,
             space.uncharacterized,
             dropped,
@@ -1625,8 +1625,9 @@ pub(crate) fn run_over(
     for (&m, result) in gathered.iter().zip(gathers) {
         results[m] = Some(result);
     }
-    // A set's only plan takes its slabs: the first shard's columns grow
-    // in place and the rest append, so shard 0's rows are never copied.
+    // A set's only plan takes its slabs: the first shard's rows grow in
+    // place and the rest append their dense values and records, so shard
+    // 0's rows are never copied.
     for (set, slabs) in sets.iter().zip(set_slabs) {
         let [m] = set.members[..] else {
             continue;
@@ -1637,37 +1638,17 @@ pub(crate) fn run_over(
         let shares = retained_shares(&plan_parts[m]);
         let (total, dropped, nonfinite, frontier) = tally(&slabs, &shares, frontier_of(m));
         let mut slabs = slabs.into_iter();
-        let (mut columns, mut feasible, mut jobs) = match slabs.next() {
-            Some(slab) => (slab.cols, slab.feasible, slab.jobs),
-            None => (
-                vec![Vec::new(); set.objectives.len()],
-                Vec::new(),
-                Vec::new(),
-            ),
-        };
-        for column in &mut columns {
-            column.reserve_exact(total - column.len());
-        }
-        feasible.reserve_exact(total - feasible.len());
-        jobs.reserve_exact(total - jobs.len());
+        let mut rows = slabs
+            .next()
+            .unwrap_or_else(|| Rows::with_capacity(set.objectives, 0));
+        rows.reserve_exact(total - rows.len());
         for slab in slabs {
-            for (column, col) in columns.iter_mut().zip(&slab.cols) {
-                column.extend_from_slice(col);
-            }
-            feasible.extend_from_slice(&slab.feasible);
-            jobs.extend_from_slice(&slab.jobs);
+            rows.append(&slab);
         }
-        for column in &mut columns {
-            column.shrink_to_fit();
-        }
-        feasible.shrink_to_fit();
-        jobs.shrink_to_fit();
+        rows.shrink_to_fit();
         results[m] = Some(ResultSet::retained(
-            set.objectives.to_vec(),
             Arc::clone(&space),
-            jobs,
-            columns,
-            feasible,
+            rows,
             frontier,
             space.uncharacterized,
             dropped,
@@ -1694,12 +1675,7 @@ fn retained_shares(parts: &[Part]) -> Vec<&Share> {
 /// A retaining plan's accounting over its shard shares: kept rows,
 /// dropped, nonfinite, and its frontier as global indices — the local
 /// frontier rows whose job is on the group's `frontier` (ascending).
-// analyze::allow(indexing, scope = "fn", reason = "local frontier positions index the plan's kept rows of each slab")
-fn tally(
-    slabs: &[SetSlab],
-    shares: &[&Share],
-    frontier: &[u64],
-) -> (usize, usize, usize, Vec<usize>) {
+fn tally(slabs: &[Rows], shares: &[&Share], frontier: &[u64]) -> (usize, usize, usize, Vec<usize>) {
     let (mut total, mut dropped, mut nonfinite) = (0usize, 0usize, 0usize);
     let mut candidates: Vec<(u64, usize)> = Vec::new();
     for (slab, share) in slabs.iter().zip(shares) {
@@ -1707,7 +1683,7 @@ fn tally(
             share
                 .frontier
                 .iter()
-                .map(|&i| (slab.jobs[share.row(i as usize)], total + i as usize)),
+                .filter_map(|&i| Some((slab.job(share.row(i as usize))?, total + i as usize))),
         );
         total += share.kept(slab);
         dropped += share.dropped;
@@ -1739,14 +1715,13 @@ fn on_frontier<T>(
 /// The streaming merge of one plan's shard reductions: the exact
 /// frontier and top-k, stored rows = frontier ∪ top-k. `frontier` is
 /// the plan's frontier group's frontier, as ascending jobs.
-// analyze::allow(indexing, scope = "fn", reason = "a plan has a primary objective, and row prefixes are bounded by the objective count")
+// analyze::allow(indexing, scope = "fn", reason = "a plan has a primary objective")
 fn merge_streamed(
-    objectives: Vec<Objective>,
+    objectives: &[Objective],
     space: &Arc<PassSpace>,
     parts: Vec<Part>,
     frontier: &[u64],
 ) -> ResultSet {
-    let k = objectives.len();
     let reduced: Vec<Reduced> = parts
         .into_iter()
         .filter_map(|part| match part {
@@ -1783,11 +1758,7 @@ fn merge_streamed(
         .zip(&offsets)
         .flat_map(|(out, &offset)| out.topk.iter().map(move |s| (global(offset, s), s)))
         .collect();
-    topk.sort_unstable_by(|&(ga, a), &(gb, b)| {
-        rank_order(primary_max, (a.feasible, ga), (b.feasible, gb), || {
-            (a.row[0], b.row[0])
-        })
-    });
+    topk.sort_unstable_by_key(|&(g, s)| rank_key(primary_max, s.feasible, s.row[0], g));
     topk.truncate(STREAM_TOP_K);
 
     // Stored rows = frontier ∪ top-k, ascending global index.
@@ -1795,23 +1766,19 @@ fn merge_streamed(
     stored.sort_unstable_by_key(|&(g, _)| g);
     stored.dedup_by_key(|&mut (g, _)| g);
 
-    let mut columns: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(stored.len())).collect();
+    let mut rows = Rows::with_capacity(objectives, stored.len());
     for &(_, s) in &stored {
-        for (col, &v) in columns.iter_mut().zip(&s.row[..k]) {
-            col.push(v);
-        }
+        rows.push_values(s.job, s.feasible, &s.row);
     }
+    rows.shrink_to_fit();
     let meta = StreamedMeta {
         total_kept,
         stored: stored.iter().map(|&(g, _)| g).collect(),
         topk: topk.iter().map(|&(g, _)| g).collect(),
     };
     ResultSet::retained(
-        objectives,
         Arc::clone(space),
-        stored.iter().map(|&(_, s)| s.job).collect(),
-        columns,
-        stored.iter().map(|&(_, s)| s.feasible).collect(),
+        rows,
         members.iter().map(|&(g, _)| g).collect(),
         space.uncharacterized,
         dropped,
@@ -1841,7 +1808,7 @@ mod tests {
         assert!(space.airframes.len() >= 2 && space.settings.len() == 2);
         let placement = space.index().placement_of(&space);
         let jobs: Vec<u64> = (0..space.job_count() as u64).collect();
-        for (&job, coord) in jobs.iter().zip(space.coords(&jobs)) {
+        for (&job, coord) in jobs.iter().zip(space.coords(jobs.iter().copied())) {
             assert_eq!(placement.job(coord), Some(job));
         }
     }
@@ -1864,7 +1831,7 @@ mod tests {
         let placement = new.index().placement_of(&old);
         let jobs: Vec<u64> = (0..old.job_count() as u64).collect();
         let mut placed = 0;
-        for coord in old.coords(&jobs) {
+        for coord in old.coords(jobs.iter().copied()) {
             let (airframe, candidate, setting) = old.key(coord);
             let dead =
                 candidate.sensor == retired || (candidate.compute, candidate.algorithm) == patched;

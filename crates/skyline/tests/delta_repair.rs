@@ -38,7 +38,7 @@ fn assert_bit_identical(repaired: &ResultSet, cold: &ResultSet) {
     for pos in 0..repaired.objectives().len() {
         let (a, b) = (repaired.column(pos), cold.column(pos));
         assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             assert!(
                 x.to_bits() == y.to_bits(),
                 "column {pos} row {i}: {x} vs {y}"

@@ -67,7 +67,8 @@ fn four_objective_query_over_1e5_candidate_catalog() {
         .map(|&i| {
             assert!(feasible(i));
             result
-                .row(i)
+                .try_row(i)
+                .unwrap()
                 .iter()
                 .zip(objectives)
                 .map(|(&v, o)| {
@@ -92,7 +93,7 @@ fn four_objective_query_over_1e5_candidate_catalog() {
     for (pos, objective) in objectives.iter().enumerate() {
         let best = (0..result.len())
             .filter(|&i| feasible(i))
-            .filter(|&i| result.row(i).iter().all(|v| v.is_finite()))
+            .filter(|&i| result.try_row(i).unwrap().iter().all(|v| v.is_finite()))
             .min_by(|&a, &b| {
                 let (va, vb) = (result.value(a, pos), result.value(b, pos));
                 if objective.maximize() {

@@ -77,7 +77,7 @@ fn columns_bit_identical(a: &ResultSet, b: &ResultSet) -> bool {
         && (0..a.objectives().len()).all(|pos| {
             a.column(pos)
                 .iter()
-                .zip(b.column(pos))
+                .zip(b.column(pos).iter())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
         })
 }

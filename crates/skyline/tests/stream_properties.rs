@@ -119,8 +119,8 @@ fn assert_stream_matches(streamed: &ResultSet, full: &ResultSet) {
     // Every stored point and row is bit-identical to the materializing
     // pass (to_bits — `==` would conflate -0.0 with 0.0).
     for &i in stored {
-        assert_eq!(streamed.point(i), full.point(i), "point {i}");
-        let (a, b) = (streamed.row(i), full.row(i));
+        assert_eq!(streamed.try_point(i), full.try_point(i), "point {i}");
+        let (a, b) = (streamed.try_row(i).unwrap(), full.try_row(i).unwrap());
         assert!(
             a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
             "row {i}: {a:?} vs {b:?}"

@@ -94,9 +94,10 @@ fn ten_million_candidate_query_streams_in_about_a_second() {
         .frontier()
         .iter()
         .map(|&i| {
-            assert!(result.point(i).outcome.feasible);
+            assert!(result.try_point(i).unwrap().outcome.feasible);
             result
-                .row(i)
+                .try_row(i)
+                .unwrap()
                 .iter()
                 .zip(objectives)
                 .map(|(&v, o)| {

@@ -44,8 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("top 5 builds by safe velocity (energy, endurance alongside):");
     for (rank, index) in result.top_k(5).into_iter().enumerate() {
-        let point = result.point(index);
-        let values = result.row(index);
+        let (Some(point), Some(values)) = (result.try_point(index), result.try_row(index)) else {
+            continue;
+        };
         println!(
             "  {}. {:<16} + {:<16} + {:<26} → {:>5.2} m/s  {:>5.2} Wh/km  {:>4.1} min hover",
             rank + 1,
@@ -60,8 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nPareto frontier over (velocity ↑, energy ↓, endurance ↑):");
     for &index in result.frontier() {
-        let point = result.point(index);
-        let values = result.row(index);
+        let (Some(point), Some(values)) = (result.try_point(index), result.try_row(index)) else {
+            continue;
+        };
         println!(
             "  • {} + {} + {}: {:.2} m/s, {:.2} Wh/km, {:.1} min",
             catalog.sensor_by_id(point.candidate.sensor).name(),
