@@ -11,19 +11,25 @@
 //!   touches miss (and coalesce), repeats hit; the sustained mixed
 //!   hit/miss rate.
 //! * `burst_miss`  — M same-signature cold plans fired simultaneously,
-//!   makespan with the micro-batch window vs `--window-us 0` (serial):
+//!   makespan with the 2 ms micro-batch window vs a zero window (serial):
 //!   what coalescing buys on an all-miss burst.
 //! * `delta_under_load` — warm-set querying while throughput-patch
-//!   deltas publish new epochs mid-stream; asserts every repeated
-//!   `(plan, epoch)` answer is byte-identical (epoch pinning) and
-//!   reports the latency distribution across the epoch rolls.
+//!   deltas publish new epochs mid-stream, until every client has
+//!   answered at the last epoch; asserts every epoch was answered and
+//!   every repeated `(plan, epoch)` answer is byte-identical (epoch
+//!   pinning), and reports the latency distribution across the epoch
+//!   rolls.
+//!
+//! The JSON also records the host's core count.
 //!
 //! ```sh
 //! cargo run --release -p f1-bench --bin serve_load -- --json BENCH_serve.json
 //! cargo run --release -p f1-bench --bin serve_load -- --quick   # CI-sized
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -83,8 +89,8 @@ fn parse_args() -> Result<Args, String> {
                      usage: serve_load [--synth N_PER_FAMILY] [--connections C]\n\
                      \x20                [--requests PER_CONN] [--json PATH] [--quick]\n\n\
                      Plans are single-airframe (N³ candidates) with KeepPoints::FrontierOnly\n\
-                     — the bounded-memory serving shape. --quick shrinks every workload\n\
-                     ~10x for smoke runs."
+                     — the bounded-memory serving shape. --quick shrinks the hit_heavy and\n\
+                     mixed request counts ~10x for smoke runs."
                 );
                 std::process::exit(0);
             }
@@ -394,51 +400,65 @@ fn burst_miss(args: &Args, out: &mut String) {
     ));
 }
 
+/// The epoch a response body answered at (its leading `"epoch"` field).
+fn epoch_of(body: &str) -> u64 {
+    body.split("\"epoch\": ")
+        .nth(1)
+        .and_then(|s| s.split([',', '}']).next())
+        .and_then(|s| s.trim().parse().ok())
+        .expect("epoch in body")
+}
+
+/// Publishes `deltas` throughput patches 300 ms apart over one admin
+/// connection and returns the epoch the last one published.
+fn publish_deltas(addr: SocketAddr, deltas: usize) -> io::Result<u64> {
+    let mut admin = Client::connect(addr)?;
+    admin.set_timeout(Some(Duration::from_secs(120)))?;
+    let mut epoch = 0;
+    for i in 0..deltas {
+        std::thread::sleep(Duration::from_millis(300));
+        let delta = format!(
+            r#"delta {{"throughput": [{{"compute": "Synth Compute 000001", "algorithm": "Synth Algorithm 000002", "hz": {}.0}}]}}"#,
+            40 + i
+        );
+        let (ok, body) = admin.request(&delta)?;
+        if !ok {
+            return Err(io::Error::other(body));
+        }
+        epoch = epoch_of(&body);
+    }
+    Ok(epoch)
+}
+
 /// Workload 4: warm-set querying while throughput-patch deltas publish
-/// new epochs. Every repeated `(plan key, epoch)` response must be
-/// byte-identical (modulo the `cached` flag) — epoch pinning under
-/// load, measured over loopback.
+/// new epochs. Every client keeps querying until it has answered at the
+/// last delta's epoch, so every epoch is answered, and every repeated
+/// `(plan key, epoch)` response must be byte-identical (modulo the
+/// `cached` flag) — epoch pinning under load, measured over loopback.
 fn delta_under_load(args: &Args, out: &mut String) {
     let server = start_server(args.synth, Duration::from_millis(2));
-    let plans = Arc::new(make_plans(
-        &server.session().catalog(),
-        8,
-        KeepPoints::FrontierOnly,
-    ));
+    let plans = make_plans(&server.session().catalog(), 8, KeepPoints::FrontierOnly);
     let addr = server.local_addr();
-    let requests_per_conn = (args.requests_per_conn / 2).max(50);
     let connections = args.connections.min(4);
     let deltas = 6usize;
+    // Until the admin publishes the last delta, no epoch ends a client;
+    // a failed admin stores 0 so that every client stops.
+    let final_epoch = AtomicU64::new(u64::MAX);
     let mismatches = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
-    let epochs_seen = Mutex::new(std::collections::BTreeSet::new());
+    let epochs_seen = Mutex::new(BTreeSet::new());
 
     let start = Instant::now();
-    let latencies: Vec<u64> = std::thread::scope(|scope| {
-        // Admin: publish a throughput patch every 300 ms.
-        let admin_server = &server;
-        scope.spawn(move || {
-            let mut admin = Client::connect(addr).expect("admin connects");
-            admin.set_timeout(Some(Duration::from_secs(120))).expect("timeout");
-            for i in 0..deltas {
-                std::thread::sleep(Duration::from_millis(300));
-                if admin_server.is_shutting_down() {
-                    return;
-                }
-                let delta = format!(
-                    r#"delta {{"throughput": [{{"compute": "Synth Compute 000001", "algorithm": "Synth Algorithm 000002", "hz": {}.0}}]}}"#,
-                    40 + i
-                );
-                let (ok, body) = admin.request(&delta).expect("delta applies");
-                assert!(ok, "{body}");
-            }
+    let (latencies, elapsed) = std::thread::scope(|scope| {
+        let admin = scope.spawn(|| {
+            let published = publish_deltas(addr, deltas);
+            final_epoch.store(*published.as_ref().unwrap_or(&0), Ordering::SeqCst);
+            published
         });
         let handles: Vec<_> = (0..connections)
             .map(|c| {
-                let plans = Arc::clone(&plans);
-                let mismatches = &mismatches;
-                let errors = &errors;
-                let epochs_seen = &epochs_seen;
+                let (plans, final_epoch) = (&plans, &final_epoch);
+                let (mismatches, errors, epochs_seen) = (&mismatches, &errors, &epochs_seen);
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xDE17A + c as u64);
                     let mut client = Client::connect(addr).expect("client connects");
@@ -447,8 +467,8 @@ fn delta_under_load(args: &Args, out: &mut String) {
                         .expect("timeout");
                     // (plan index, epoch) → first body seen, normalized.
                     let mut seen: HashMap<(usize, u64), String> = HashMap::new();
-                    let mut local = Vec::with_capacity(requests_per_conn);
-                    for _ in 0..requests_per_conn {
+                    let mut local = Vec::new();
+                    loop {
                         let i = rng.gen_range(0..plans.len());
                         let t0 = Instant::now();
                         let (ok, body) = client
@@ -459,12 +479,7 @@ fn delta_under_load(args: &Args, out: &mut String) {
                             errors.fetch_add(1, Ordering::Relaxed);
                             continue;
                         }
-                        let epoch: u64 = body
-                            .split("\"epoch\": ")
-                            .nth(1)
-                            .and_then(|s| s.split([',', '}']).next())
-                            .and_then(|s| s.trim().parse().ok())
-                            .expect("epoch in body");
+                        let epoch = epoch_of(&body);
                         epochs_seen.lock().expect("set lock").insert(epoch);
                         let normalized = body.replace("\"cached\": true", "\"cached\": false");
                         if let Some(first) = seen.get(&(i, epoch)) {
@@ -474,17 +489,25 @@ fn delta_under_load(args: &Args, out: &mut String) {
                         } else {
                             seen.insert((i, epoch), normalized);
                         }
+                        if epoch >= final_epoch.load(Ordering::SeqCst) {
+                            return local;
+                        }
                     }
-                    local
                 })
             })
             .collect();
-        handles
+        let latencies: Vec<u64> = handles
             .into_iter()
             .flat_map(|h| h.join().expect("client thread"))
-            .collect()
+            .collect();
+        // The clients' own window; they outlast the admin's last delta.
+        let elapsed = start.elapsed();
+        admin
+            .join()
+            .expect("admin thread")
+            .expect("every delta applies");
+        (latencies, elapsed)
     });
-    let elapsed = start.elapsed();
     let dist = distribution(latencies, errors.load(Ordering::Relaxed), elapsed);
     let stats = server.scheduler().stats();
     let epochs = epochs_seen.lock().expect("set lock").len();
@@ -493,11 +516,16 @@ fn delta_under_load(args: &Args, out: &mut String) {
         mismatches, 0,
         "epoch-pinned answers must be byte-identical under delta load"
     );
+    assert_eq!(
+        epochs,
+        deltas + 1,
+        "every published epoch must be answered under delta load"
+    );
     println!(
-        "delta_under_load: {} requests across {} epochs while {} deltas applied, \
+        "delta_under_load: {} requests across {epochs} of {} epochs while {} deltas applied, \
          {:.0} qps, p99 {} µs, max {} µs, 0 mismatches, {} background repairs",
         dist.requests,
-        epochs,
+        deltas + 1,
         stats.deltas_applied,
         dist.qps,
         dist.p99_us,
@@ -534,9 +562,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mixed(&args, &mut body);
     burst_miss(&args, &mut body);
     delta_under_load(&args, &mut body);
+    // The host's core count: server, executor and client threads share it.
+    let cores =
+        std::thread::available_parallelism().map_or_else(|_| "null".to_owned(), |n| n.to_string());
     let json = format!(
         "{{\n  \"bench\": \"crates/bench/src/bin/serve_load.rs\",\n  \
          \"command\": \"cargo run --release -p f1-bench --bin serve_load\",\n  \
+         \"available_parallelism\": {cores},\n  \
          \"synth_per_family\": {},\n  \"candidates_per_airframe\": {candidates},\n\
          {body}}}\n",
         args.synth

@@ -13,7 +13,7 @@
 //! The F-1 model itself ignores drag (it is an early-phase tool); this
 //! module still implements a quadratic [`DragModel`] because drag is the
 //! paper's stated dominant source of model error, and the flight simulator
-//! and the drag-ablation benches need it.
+//! and the drag ablation need it.
 
 use f1_units::{
     Kilograms, Meters, MetersPerSecond, MetersPerSecondSquared, Newtons, Radians, Seconds,

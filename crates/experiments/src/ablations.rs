@@ -231,8 +231,8 @@ pub fn sensor_range_ablation() -> Table {
     t
 }
 
-/// The pipeline sequential-vs-pipelined latency envelope check used by the
-/// benches: returns `(eq3, measured)` for the standard DroNet pipeline.
+/// The pipeline sequential-vs-pipelined latency envelope check: returns
+/// `(eq3, measured)` for the standard DroNet pipeline.
 #[must_use]
 pub fn dronet_pipeline_measurement(seed: u64) -> (f64, f64) {
     let sim = PipelineSim::new(

@@ -23,8 +23,7 @@
 //!   beats the lexicographic running frontier at every size measured,
 //!   from 32 to 10⁵ points at both widths, so no small-input crossover
 //!   is left. The running frontier serves the inputs wider than any plan
-//!   (6+ keys) and survives as [`running_frontier_min`], the benchmarks'
-//!   comparison arm.
+//!   (6+ keys) and stays public as [`running_frontier_min`].
 //!
 //! All functions use the **minimization** convention: a point dominates
 //! another when it is ≤ in every key and < in at least one. Callers with
@@ -33,7 +32,7 @@
 //! would keep them — duplicates do occur in real explorations (two
 //! physics-bound algorithms on the same build share velocity, TDP and
 //! payload) — and [`naive_pareto_min`] stays available as the reference
-//! implementation for tests and benchmarks.
+//! implementation for tests.
 //!
 //! Keys must be **finite**: NaN keys make the result unspecified (the
 //! query layer filters non-finite outcomes before calling in, mirroring
@@ -79,8 +78,7 @@ fn point_count(dims: usize, keys: &[f64]) -> usize {
 ///
 /// `keys` is row-major: point `i` occupies `keys[i*dims .. (i+1)*dims]`.
 /// Returns the indices of non-dominated points in ascending order. Kept
-/// public as the ground truth for property tests and the "old frontier"
-/// arm of the DSE benchmarks.
+/// public as the ground truth for property tests.
 ///
 /// # Panics
 ///
@@ -131,8 +129,8 @@ pub fn pareto_min(dims: usize, keys: &[f64]) -> Vec<usize> {
 /// The previous d ≥ 4 path: a lexicographic running frontier, worst case
 /// O(n·f) for a frontier of size f. [`pareto_min`] uses a
 /// divide-and-conquer skyline at 4 and 5 objectives instead; this stays
-/// public as the comparison arm of the DSE benchmarks and a second
-/// reference implementation (same contract as [`pareto_min`]).
+/// public as a second reference implementation (same contract as
+/// [`pareto_min`]).
 ///
 /// # Panics
 ///

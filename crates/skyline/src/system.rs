@@ -64,13 +64,14 @@ impl UavSystem {
         compute: &str,
         algorithm: &str,
     ) -> Result<Self, SkylineError> {
-        let throughput = catalog.throughput(compute, algorithm)?;
+        // The parts resolve first, so an unknown name is reported as
+        // unknown and not as an uncharacterized pair.
         Self::builder(format!("{airframe} / {compute} / {algorithm}"))
             .airframe(catalog.airframe(airframe)?.clone())
             .sensor(catalog.sensor(sensor)?.clone())
             .compute(catalog.compute(compute)?.clone())
             .algorithm(catalog.algorithm(algorithm)?.clone())
-            .compute_throughput(throughput)
+            .compute_throughput(catalog.throughput(compute, algorithm)?)
             .build()
     }
 
@@ -609,7 +610,7 @@ impl UavSystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f1_components::names;
+    use f1_components::{names, ComponentError};
 
     fn catalog() -> Catalog {
         Catalog::paper()
@@ -631,6 +632,51 @@ mod tests {
         let sys = pelican_tx2_dronet();
         assert!((sys.compute_throughput().get() - 178.0).abs() < 1e-9);
         assert_eq!(sys.computes().len(), 1);
+    }
+
+    #[test]
+    fn from_catalog_names_the_unknown_family_before_the_throughput() {
+        let cat = catalog();
+        let parts = [
+            names::ASCTEC_PELICAN,
+            names::RGBD_60,
+            names::TX2,
+            names::DRONET,
+        ];
+        let families = [
+            "airframe",
+            "sensor",
+            "compute platform",
+            "autonomy algorithm",
+        ];
+        for (slot, family) in families.into_iter().enumerate() {
+            let mut picked = parts;
+            picked[slot] = "Nope";
+            let [airframe, sensor, compute, algorithm] = picked;
+            let err = UavSystem::from_catalog(&cat, airframe, sensor, compute, algorithm);
+            assert_eq!(
+                err.unwrap_err(),
+                SkylineError::Component(ComponentError::UnknownComponent {
+                    family,
+                    name: "Nope".to_owned(),
+                })
+            );
+        }
+        // Both parts exist, but VGG16 was never characterized on the NCS.
+        let err = UavSystem::from_catalog(
+            &cat,
+            names::ASCTEC_PELICAN,
+            names::RGBD_60,
+            names::NCS,
+            names::VGG16,
+        );
+        assert_eq!(
+            err.unwrap_err(),
+            SkylineError::Component(ComponentError::MissingThroughput {
+                platform: names::NCS.to_owned(),
+                algorithm: names::VGG16.to_owned(),
+            })
+        );
     }
 
     #[test]

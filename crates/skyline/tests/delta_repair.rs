@@ -362,8 +362,8 @@ fn lru_eviction_caps_the_memo_cache() {
 
 /// The PR acceptance at scale: a ≤1% delta over a 10⁵-candidate catalog
 /// repairs bit-identically and — in release mode — at least 3× faster
-/// than the cold pass it replaces (the bench records the full margin;
-/// CI asserts a conservative floor so the claim cannot silently rot).
+/// than the cold pass it replaces (CI asserts a conservative floor so
+/// the claim cannot silently rot; `--nocapture` prints both times).
 /// A second, nastier delta (retiring a platform, invalidating frontier
 /// points) then checks exactness of the dead-frontier promotion at the
 /// same scale.
