@@ -26,14 +26,19 @@
 //!
 //! Every [`StopScenario`] trial runs one integration loop at a 1 kHz
 //! step. [`StopScenario::run_trial`] and [`StopScenario::run_full_profile`]
-//! record a decimated [`Trajectory`] as they go;
-//! [`StopScenario::run_trial_unrecorded`], which
-//! [`StopScenario::is_velocity_safe`], [`find_safe_velocity`] and the
-//! tier-2 robustness objective use, runs the same steps without one and
-//! yields the same stop position, brake time and infraction bit for bit.
-//! What is fixed for a trial (the lag fraction `min(dt/τ, 1)`, the brake
-//! command, the brake time once the crossing is known) is computed before
-//! the first step, and in an optimized build a step makes no out-of-line
+//! record a decimated [`Trajectory`] and run to the stop.
+//! [`StopScenario::infracts`], which [`StopScenario::is_velocity_safe`],
+//! [`find_safe_velocity`] and the tier-2 robustness objective use, keeps
+//! only the infraction verdict and ends the loop once the verdict is
+//! certain: an infraction as soon as the braking vehicle is past the
+//! obstacle, since its position never decreases; none as soon as a
+//! bound on the stop position, which holds against the largest draw
+//! [`DisturbanceModel::max_abs`] allows, lies a margin short of the
+//! obstacle. A calm trial settles at its first braking step. Its verdict
+//! is the recorded trial's, bit for bit. What is fixed for a trial (the
+//! lag fraction `min(dt/τ, 1)`, the brake command, the brake time once
+//! the crossing is known, the bound's constants) is computed before the
+//! first step, and in an optimized build a step makes no out-of-line
 //! call except `ln` and `cos` in the disturbance draw. Each expression
 //! keeps its operations and their order, so restructuring the loop moves
 //! no bit.

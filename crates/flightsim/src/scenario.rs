@@ -7,8 +7,10 @@
 //! exactly the paper's criterion ("if infractions exist beyond the 3 m, it
 //! signifies that the drone has collided").
 //!
-//! Recorded and unrecorded trials share one integration loop; the
-//! recording is observation only and never changes an outcome.
+//! Recorded trials and verdict-only trials share one integration loop;
+//! the recording is observation only and never changes an outcome. A
+//! verdict-only trial ([`StopScenario::infracts`]) ends as soon as its
+//! infraction verdict is certain, usually at its first braking step.
 
 use f1_units::{Hertz, Meters, MetersPerSecond, MetersPerSecondSquared, Seconds};
 use rand::rngs::StdRng;
@@ -17,6 +19,14 @@ use rand::{Rng, SeedableRng};
 use crate::disturbance::DisturbanceModel;
 use crate::dynamics::{VehicleDynamics, VehicleState};
 use crate::pid::Pid;
+
+/// The most steps a trial integrates: 10 simulated minutes at 1 kHz.
+const MAX_STEPS: usize = 600_000;
+
+/// A verdict-only trial decides "no infraction" early only when its
+/// bound on the stop position lies this fraction of the sensing range
+/// short of the obstacle (see [`StopScenario::simulate`]).
+const VERDICT_MARGIN: f64 = 1e-6;
 
 /// Where in the decision period the obstacle appears.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +107,33 @@ pub struct TrialOutcome {
     pub brake_time: Seconds,
     /// The recorded trajectory.
     pub trajectory: Trajectory,
+}
+
+/// How a run of the integration loop ended.
+struct Ending {
+    /// The last integrated position: the stop position, unless a
+    /// verdict-only run ended before the stop.
+    position: Meters,
+    /// Whether the vehicle passes the obstacle.
+    infraction: bool,
+}
+
+impl Ending {
+    /// The outcome of a recorded run, which always ends at the stop.
+    fn recorded(
+        self,
+        commanded_velocity: MetersPerSecond,
+        brake_delay: f64,
+        samples: Vec<TrajectorySample>,
+    ) -> TrialOutcome {
+        TrialOutcome {
+            commanded_velocity,
+            stop_position: self.position,
+            infraction: self.infraction,
+            brake_time: Seconds::new(brake_delay),
+            trajectory: Trajectory { samples },
+        }
+    }
 }
 
 impl TrialOutcome {
@@ -222,28 +259,29 @@ impl StopScenario {
     /// sensing range ahead. Deterministic per seed.
     #[must_use]
     pub fn run_trial(&self, commanded_velocity: MetersPerSecond, seed: u64) -> TrialOutcome {
-        self.cruise_trial(commanded_velocity, seed, Some(Vec::new()))
+        let mut samples = Vec::new();
+        let (delay, ending) = self.cruise_trial(commanded_velocity, seed, Some(&mut samples));
+        ending.recorded(commanded_velocity, delay, samples)
     }
 
-    /// Runs the trial [`run_trial`](Self::run_trial) runs without
-    /// recording its trajectory: the stop position, brake time and
-    /// infraction are the same bits, and the outcome's trajectory is
-    /// empty. For callers that only count infractions.
+    /// Whether the trial [`run_trial`](Self::run_trial) runs infracts:
+    /// the same verdict, bit for bit, for callers that only count
+    /// infractions. It records nothing and stops integrating as soon as
+    /// the verdict is certain, usually at the first braking step.
     #[must_use]
-    pub fn run_trial_unrecorded(
-        &self,
-        commanded_velocity: MetersPerSecond,
-        seed: u64,
-    ) -> TrialOutcome {
+    pub fn infracts(&self, commanded_velocity: MetersPerSecond, seed: u64) -> bool {
         self.cruise_trial(commanded_velocity, seed, None)
+            .1
+            .infraction
     }
 
+    /// A cruise trial; returns the brake delay and how the run ended.
     fn cruise_trial(
         &self,
         commanded_velocity: MetersPerSecond,
         seed: u64,
-        recording: Option<Vec<TrajectorySample>>,
-    ) -> TrialOutcome {
+        recording: Option<&mut Vec<TrajectorySample>>,
+    ) -> (f64, Ending) {
         let mut rng = StdRng::seed_from_u64(seed);
         let delay = self.brake_delay(&mut rng);
         let state = VehicleState {
@@ -251,14 +289,15 @@ impl StopScenario {
             velocity: commanded_velocity,
             accel: MetersPerSecondSquared::ZERO,
         };
-        self.simulate(
+        let ending = self.simulate(
             state,
             commanded_velocity,
             Some(0.0),
             delay,
             &mut rng,
             recording,
-        )
+        );
+        (delay, ending)
     }
 
     /// Runs a full §IV-style profile: the vehicle starts *at rest* far
@@ -279,30 +318,73 @@ impl StopScenario {
         // Brake is armed `brake_delay` after the detection-point crossing,
         // which `simulate` discovers during the run.
         let delay = self.brake_delay(&mut rng);
-        self.simulate(
+        let mut samples = Vec::new();
+        let ending = self.simulate(
             state,
             commanded_velocity,
             None,
             delay,
             &mut rng,
-            Some(Vec::new()),
-        )
+            Some(&mut samples),
+        );
+        ending.recorded(commanded_velocity, delay, samples)
     }
 
     /// The integration loop every trial runs. `crossing_known`:
     /// `Some(0.0)` when the run starts at the detection point (cruise
     /// trials); `None` when the vehicle approaches it during the run
-    /// (full profiles). `recording`: `Some` collects the trajectory,
-    /// one sample every `record_every` steps plus the terminal state, in
-    /// absolute simulation time; `None` runs the same steps without it.
-    /// `brake_time` in the outcome is relative to the detection-point
-    /// crossing.
+    /// (full profiles). `recording`: `Some` collects the trajectory, one
+    /// sample every `record_every` steps plus the terminal state, in
+    /// absolute simulation time, and the run goes to its stop; `None`
+    /// keeps only the verdict, and the run ends as soon as it is
+    /// certain.
     ///
     /// Everything fixed for the trial is computed before the first step:
     /// the lag fraction, the brake command and, once the crossing is
     /// known, the time braking starts. The steps themselves compute what
     /// [`VehicleDynamics::step`] computes, in the same order, so hoisting
     /// changes no bit of the outcome.
+    ///
+    /// # When the verdict is certain
+    ///
+    /// A braking step that leaves `v > 0` is followed only by braking
+    /// steps whose velocity floor keeps `v ≥ 0`, so the position never
+    /// decreases again. From such a step on, with position `x`,
+    /// velocity `v`, achieved acceleration `a`, brake limit `B` and
+    /// range `r`:
+    ///
+    /// - **Infraction** if `x > r`: the stop lies at or beyond `x`. This
+    ///   is exact in floating point, where adding a non-negative step
+    ///   never lowers `x`.
+    /// - **No infraction** if `0 ≤ x` and
+    ///   `x + w²/(2h) + w·dt < r − VERDICT_MARGIN·r`. Here `h`, the brake
+    ///   limit less the largest disturbance `D` (from
+    ///   [`DisturbanceModel::max_abs`]) and a rounding allowance (below),
+    ///   must be positive, and `w = v + max(0, a + B)·dt·(1 − α)/α` for
+    ///   the lag fraction `α`
+    ///   (the lag term is 0 when `α = 1`). The achieved acceleration
+    ///   approaches `−B` as `−B + (a + B)(1 − α)^k`, whose excess over
+    ///   `−B` sums to at most `w − v` of velocity; drag only slows the
+    ///   vehicle; and no draw exceeds `D`. So the velocity `k` steps on
+    ///   is at most `max(0, w − h·k·dt)`, and the trapezoidal positions
+    ///   those velocities integrate to add at most `w²/(2h) + w·dt`.
+    ///
+    /// The bound holds for exact arithmetic on the rounded state; the
+    /// steps that follow round again, in two kinds of error:
+    ///
+    /// - *Acceleration-sized.* The lag recurrence can settle up to about
+    ///   `2.5·max(A, B)·ε/α` off its exact value (`A` the acceleration
+    ///   limit, `ε` the machine epsilon), and the net acceleration and
+    ///   its product with `dt` round by a few `ε·(A + D)`. Together they
+    ///   stay below `8·ε·(A + B)/α`, which `h` gives up as well.
+    /// - *Relative.* A step inflates the velocity by at most a factor
+    ///   `1 + 2ε`, at most `1 + 3·10⁻¹⁰` over the `MAX_STEPS` = 600,000
+    ///   step cap, and rounds a position in `[0, r)` by at most `ε·r/2`.
+    ///
+    /// So the stop lands within about `4·10⁻¹⁰·r` of the bound. The
+    /// margin, `10⁻⁶` of the range, covers that and the bound's own
+    /// rounding. A trial whose bound lands inside the margin runs to its
+    /// stop.
     fn simulate(
         &self,
         mut state: VehicleState,
@@ -310,21 +392,37 @@ impl StopScenario {
         crossing_known: Option<f64>,
         brake_delay: f64,
         rng: &mut StdRng,
-        mut recording: Option<Vec<TrajectorySample>>,
-    ) -> TrialOutcome {
+        mut recording: Option<&mut Vec<TrajectorySample>>,
+    ) -> Ending {
         let dt = self.dt.get();
         let alpha = self.dynamics.lag_alpha(self.dt);
-        let brake_cmd = MetersPerSecondSquared::new(-self.dynamics.brake_limit().get());
+        let brake = self.dynamics.brake_limit().get();
+        let brake_cmd = MetersPerSecondSquared::new(-brake);
+        let range = self.sensing_range.get();
+        let verdict_only = recording.is_none();
+        // The early "no infraction" test (see the doc above): the lag
+        // gain `dt·(1 − α)/α`, the stopping distance per (m/s)² `1/(2h)`
+        // when the brake beats every disturbance, and the limit the
+        // bound must stay under.
+        let lag_gain = if alpha < 1.0 {
+            dt * (1.0 - alpha) / alpha
+        } else {
+            0.0
+        };
+        let accel_limit = self.dynamics.accel_limit().get();
+        let headroom =
+            brake - self.disturbance.max_abs() - 8.0 * f64::EPSILON * (accel_limit + brake) / alpha;
+        let per_v2 = (headroom > 0.0).then(|| 0.5 / headroom);
+        let short_of = range - VERDICT_MARGIN * range;
         let mut brake_at = crossing_known.map(|tc| tc + brake_delay);
         let mut abs_t = 0.0;
         let mut velocity_pid = Pid::new(2.0, 0.2, 0.0)
             .with_integral_limit(0.4)
-            .with_output_limit(self.dynamics.accel_limit().get());
+            .with_output_limit(accel_limit);
         let mut braking = false;
         // Steps left until the next recorded sample; step 0 records.
         let mut until_record = 0;
-        let max_steps = 600_000; // 10 simulated minutes at 1 kHz
-        for _ in 0..max_steps {
+        for _ in 0..MAX_STEPS {
             if !braking {
                 // Detection-point crossing (full-profile mode).
                 if brake_at.is_none() && state.position.get() >= 0.0 {
@@ -354,8 +452,29 @@ impl StopScenario {
                 }
                 until_record -= 1;
             }
-            if braking && state.velocity.get() <= 0.0 {
-                break;
+            if braking {
+                let v = state.velocity.get();
+                if v <= 0.0 {
+                    break;
+                }
+                if verdict_only {
+                    let x = state.position.get();
+                    if x > range {
+                        return Ending {
+                            position: state.position,
+                            infraction: true,
+                        };
+                    }
+                    if let Some(per_v2) = per_v2 {
+                        let w = v + (state.accel.get() + brake).max(0.0) * lag_gain;
+                        if x >= 0.0 && x + w * w * per_v2 + w * dt < short_of {
+                            return Ending {
+                                position: state.position,
+                                infraction: false,
+                            };
+                        }
+                    }
+                }
             }
         }
         if let Some(samples) = &mut recording {
@@ -370,15 +489,9 @@ impl StopScenario {
                 samples.push(at_end);
             }
         }
-        let stop_position = state.position;
-        TrialOutcome {
-            commanded_velocity,
-            stop_position,
-            infraction: stop_position > self.sensing_range,
-            brake_time: Seconds::new(brake_delay),
-            trajectory: Trajectory {
-                samples: recording.unwrap_or_default(),
-            },
+        Ending {
+            position: state.position,
+            infraction: state.position > self.sensing_range,
         }
     }
 
@@ -393,11 +506,7 @@ impl StopScenario {
         // (`crate::seed::trial_seed`), not `seed + i`: consecutive
         // trials get decorrelated RNG streams, and the same (seed,
         // trial) pair reproduces the same trial everywhere.
-        (0..trials).all(|i| {
-            !self
-                .run_trial_unrecorded(v, crate::seed::trial_seed(seed, 0, i as u64))
-                .infraction
-        })
+        (0..trials).all(|i| !self.infracts(v, crate::seed::trial_seed(seed, 0, i as u64)))
     }
 }
 

@@ -85,53 +85,108 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Recording is observation only: a trial run without its
-    /// trajectory stops at the same bits, brakes at the same time and
-    /// infracts alike, in every phase, disturbance and drag regime.
+    /// A verdict-only trial reaches the verdict its recorded trial
+    /// reaches, on both sides of the infraction edge, in every phase,
+    /// disturbance, bias, drag, lag and timestep regime.
     #[test]
-    fn unrecorded_trials_match_recorded(
+    fn verdicts_match_recorded_trials(
         a in 0.5f64..5.0,
         v in 0.5f64..5.0,
         lag in 0.01f64..0.3,
         sigma in 0.0f64..0.3,
+        bias in -0.3f64..0.3,
         drag in 0.0f64..0.1,
         rate in 2.0f64..200.0,
+        dt_ms in 0.5f64..10.0,
         random_phase in 0u8..2,
         seed in 0u64..1_000_000
     ) {
-        let dynamics = VehicleDynamics::new(
-            Kilograms::new(1.62),
-            MetersPerSecondSquared::new(a),
-            MetersPerSecondSquared::new(a),
-            Seconds::new(lag),
-            DragModel::quadratic(drag).unwrap(),
-        )
-        .unwrap();
-        let phase = if random_phase == 1 {
-            DecisionPhase::Random
-        } else {
-            DecisionPhase::WorstCase
-        };
-        let s = StopScenario::new(dynamics, Hertz::new(rate), Meters::new(3.0))
-            .with_disturbance(DisturbanceModel::gaussian(sigma).unwrap())
-            .with_phase(phase);
+        let s = tier2_like(a, lag, drag, rate, random_phase == 1)
+            .with_disturbance(
+                DisturbanceModel::gaussian(sigma).unwrap().with_bias(bias).unwrap(),
+            )
+            .with_timestep(Seconds::new(dt_ms * 1e-3));
         let v = MetersPerSecond::new(v);
         let recorded = s.run_trial(v, seed);
-        let unrecorded = s.run_trial_unrecorded(v, seed);
         prop_assert!(!recorded.trajectory.is_empty());
-        prop_assert!(unrecorded.trajectory.is_empty());
-        prop_assert_eq!(
-            unrecorded.stop_position.get().to_bits(),
-            recorded.stop_position.get().to_bits()
-        );
-        prop_assert_eq!(
-            unrecorded.brake_time.get().to_bits(),
-            recorded.brake_time.get().to_bits()
-        );
-        prop_assert_eq!(unrecorded.infraction, recorded.infraction);
-        prop_assert_eq!(unrecorded.commanded_velocity, recorded.commanded_velocity);
         prop_assert_eq!(recorded.trajectory.final_position(), Some(recorded.stop_position));
+        prop_assert_eq!(s.infracts(v, seed), recorded.infraction);
+    }
+}
+
+/// A 1.62 kg build braking at `a` m/s² with quadratic drag, deciding at
+/// `rate` Hz, 3 m from the obstacle.
+fn tier2_like(a: f64, lag: f64, drag: f64, rate: f64, random_phase: bool) -> StopScenario {
+    let dynamics = VehicleDynamics::new(
+        Kilograms::new(1.62),
+        MetersPerSecondSquared::new(a),
+        MetersPerSecondSquared::new(a),
+        Seconds::new(lag),
+        DragModel::quadratic(drag).unwrap(),
+    )
+    .unwrap();
+    let phase = if random_phase {
+        DecisionPhase::Random
+    } else {
+        DecisionPhase::WorstCase
+    };
+    StopScenario::new(dynamics, Hertz::new(rate), Meters::new(3.0)).with_phase(phase)
+}
+
+/// Verdicts at the infraction edge itself: for each seed, bisect the
+/// commanded velocity at which the recorded trial starts to infract,
+/// then compare verdicts at and around it, where stops land within
+/// nanometres of the obstacle and no early "no infraction" may fire.
+#[test]
+fn verdicts_match_at_the_infraction_edge() {
+    // (sigma, bias, timestep in ms, random phase): calm, gusty with a
+    // disturbance that can beat the brake, a tailwind bias, a coarse
+    // and a fine step.
+    let regimes = [
+        (0.02, 0.0, 1.0, true),
+        (0.2, 0.0, 1.0, true),
+        (0.05, 0.2, 1.0, false),
+        (0.05, -0.1, 10.0, true),
+        (0.0, 0.0, 0.5, false),
+    ];
+    for (sigma, bias, dt_ms, random_phase) in regimes {
+        let s = tier2_like(2.0, 0.12, 0.05, 20.0, random_phase)
+            .with_disturbance(
+                DisturbanceModel::gaussian(sigma)
+                    .unwrap()
+                    .with_bias(bias)
+                    .unwrap(),
+            )
+            .with_timestep(Seconds::new(dt_ms * 1e-3));
+        let infracts = |v: f64, seed: u64| s.run_trial(MetersPerSecond::new(v), seed).infraction;
+        for seed in 0..6 {
+            let (mut lo, mut hi) = (0.5, 8.0);
+            assert!(!infracts(lo, seed) && infracts(hi, seed));
+            while hi - lo > 1e-12 {
+                let mid = 0.5 * (lo + hi);
+                if infracts(mid, seed) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            for v in [
+                lo,
+                hi,
+                lo * (1.0 - 1e-9),
+                hi * (1.0 + 1e-9),
+                lo * 0.999,
+                hi * 1.001,
+            ] {
+                let v = MetersPerSecond::new(v);
+                assert_eq!(
+                    s.infracts(v, seed),
+                    s.run_trial(v, seed).infraction,
+                    "sigma {sigma}, bias {bias}, dt {dt_ms} ms, seed {seed}, v {v}"
+                );
+            }
+        }
     }
 }

@@ -134,11 +134,7 @@ impl SimHarness {
             .with_disturbance(disturbance)
             .with_phase(DecisionPhase::Random);
         let completed = (0..u64::from(trials))
-            .filter(|&t| {
-                !scenario
-                    .run_trial_unrecorded(v_cmd, trial_seed(base, job.id, t))
-                    .infraction
-            })
+            .filter(|&t| !scenario.infracts(v_cmd, trial_seed(base, job.id, t)))
             .count();
         (completed as f64 / f64::from(trials), u64::from(trials))
     }
@@ -251,8 +247,9 @@ impl Tier2Evaluator for SimHarness {
         };
 
         // Fan the survivor jobs through the session's work-stealing
-        // pool; chunk size 1 because one job is thousands of integration
-        // steps, not a cheap closure.
+        // pool; chunk size 1 because one job (a 256-action pipeline run
+        // and a few dozen verdict-only trials) costs about a tenth of a
+        // millisecond, far more than claiming a chunk.
         let row_results: Vec<RowResult> = parallel_map_indices(jobs.len(), 1, |j| {
             let Some(job) = jobs.get(j) else {
                 return RowResult {

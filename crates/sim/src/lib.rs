@@ -38,18 +38,19 @@
 //!
 //! # Cost
 //!
-//! Robustness trials are most of a tier-2 pass: servebench's
-//! `verify_tier2` plans (about 17 survivors × 32 trials) run about 540
-//! robustness trials per query, each integrating a stop at a 1 kHz
-//! step. They run through
-//! [`StopScenario::run_trial_unrecorded`](f1_flightsim::StopScenario::run_trial_unrecorded),
-//! which integrates exactly what `run_trial` does without keeping a
-//! trajectory nobody reads. What a step costs is then mostly its
-//! Box–Muller disturbance draw (`ln`, `cos`, `sqrt` and two RNG draws);
-//! a cheaper draw or integrator would change the simulated bits, so it
-//! needs a deliberate re-bless of the trial-bits digest in
-//! `f1-flightsim` and of the tier-2 goldens, and a re-check of the fig07
-//! floors.
+//! servebench's `verify_tier2` plans (about 17 survivors × 32 trials)
+//! run about 540 robustness trials and 17 pipeline simulations per
+//! query. A trial runs through
+//! [`StopScenario::infracts`](f1_flightsim::StopScenario::infracts),
+//! which stops integrating once its infraction verdict is certain and
+//! reaches the verdict a fully integrated trial reaches. A calm trial
+//! settles at its first braking step, about 18 steps instead of about
+//! 1,230, so the 256-action pipeline p99 simulation is now most of a
+//! survivor's cost. A cheaper disturbance draw or integrator would
+//! change the simulated bits, so it needs a deliberate re-bless of the
+//! trial-bits digest in `f1-flightsim`, of the gusty/degraded digest in
+//! `tests/scenario_bits.rs` and of the tier-2 goldens, and a re-check of
+//! the fig07 floors.
 //!
 //! [`calm`]: ScenarioConfig::calm
 //! [`gusty wind`]: ScenarioConfig::gusty
