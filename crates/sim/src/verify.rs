@@ -42,9 +42,16 @@ pub(crate) fn build_report(
         // Orient both columns as "goodness" (larger = better build) so
         // tau's sign is comparable across minimize/maximize objectives.
         let orient = |v: f64, maximize: bool| if maximize { v } else { -v };
+        // A row the result does not hold reads as NaN, like a missing
+        // sim value.
         let analytic_col: Vec<f64> = rows
             .iter()
-            .map(|r| orient(result.value(r.index, analytic_pos), analytic.maximize()))
+            .map(|r| {
+                orient(
+                    result.try_value(r.index, analytic_pos).unwrap_or(f64::NAN),
+                    analytic.maximize(),
+                )
+            })
             .collect();
         let sim_col: Vec<f64> = rows
             .iter()
@@ -181,6 +188,35 @@ mod tests {
         let tau = kendall_tau_b(&[1.0, 1.0, 2.0, 3.0], &[1.0, 2.0, 2.0, 4.0]);
         assert!((-1.0..=1.0).contains(&tau), "tau-b out of range: {tau}");
         assert!(tau > 0.0);
+    }
+
+    #[test]
+    fn a_row_the_result_does_not_hold_reads_as_nan() {
+        use std::sync::Arc;
+
+        use f1_components::Catalog;
+        use f1_skyline::plan::SimObjective;
+        use f1_skyline::session::Session;
+
+        let plan = QueryPlan::builder()
+            .objectives(&[Objective::SafeVelocity, Objective::TotalTdp])
+            .sim_objective(SimObjective::MissionRobustness { trials: 2 })
+            .survivor_budget(4)
+            .build()
+            .unwrap();
+        let result = Session::new(Arc::new(Catalog::paper()))
+            .with_tier2(Arc::new(crate::SimHarness::default()))
+            .run(&plan)
+            .unwrap();
+        let mut rows = result.sim().unwrap().rows.clone();
+        rows.push(SimRow {
+            candidate_id: u64::MAX,
+            index: usize::MAX,
+            values: vec![1.0],
+        });
+        let report = build_report(&plan, &result, &rows);
+        assert_eq!(report.entries.len(), 1);
+        assert!((-1.0..=1.0).contains(&report.entries[0].tau));
     }
 
     #[test]

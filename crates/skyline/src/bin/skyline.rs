@@ -31,6 +31,7 @@
 //!     --delta retire_tx2.json --delta add_orin.json
 //! ```
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -451,8 +452,20 @@ fn dse_report(catalog: &Arc<Catalog>, args: &Args) -> Result<(), Box<dyn std::er
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args().map_err(|e| -> Box<dyn std::error::Error> { e.into() })?;
+/// Runs the command; a failure prints its message to stderr and exits
+/// with status 1.
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("skyline: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
+    let args = parse_args()?;
     let catalog = Arc::new(match args.synth {
         Some(n_per_family) => Catalog::synthesize(SYNTH_SEED, n_per_family),
         None => Catalog::paper(),

@@ -381,17 +381,25 @@ impl ResultSet {
     /// Panics if either index is out of range, or if a streamed result
     /// did not store the point.
     #[must_use]
-    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract; try_row is the checked form")
+    // analyze::allow(panic, scope = "fn", reason = "documented `# Panics` contract; try_value is the checked form")
     pub fn value(&self, index: usize, position: usize) -> f64 {
-        self.try_row_pos(index)
-            .and_then(|r| self.column(position).get(r))
-            .unwrap_or_else(|| {
-                panic!(
-                    "point {index} is not a stored row of this result ({} points, streamed: {})",
-                    self.len(),
-                    self.is_streamed()
-                )
-            })
+        self.try_value(index, position).unwrap_or_else(|| {
+            panic!(
+                "no value at point {index}, objective position {position} of this result \
+                 ({} points, {} objectives, streamed: {})",
+                self.len(),
+                self.objectives().len(),
+                self.is_streamed()
+            )
+        })
+    }
+
+    /// The value of point `index` under the objective at `position`;
+    /// `None` when either is out of range or a streamed result did not
+    /// store the point.
+    #[must_use]
+    pub fn try_value(&self, index: usize, position: usize) -> Option<f64> {
+        self.rows.column(position)?.get(self.try_row_pos(index)?)
     }
 
     /// Indices of the Pareto frontier over all objectives jointly,
@@ -944,7 +952,7 @@ pub struct Session {
     sim_survivors: AtomicU64,
     sim_trials: AtomicU64,
     sim_reused: AtomicU64,
-    sim_millis: AtomicU64,
+    sim_nanos: AtomicU64,
 }
 
 impl Session {
@@ -971,7 +979,7 @@ impl Session {
             sim_survivors: AtomicU64::new(0),
             sim_trials: AtomicU64::new(0),
             sim_reused: AtomicU64::new(0),
-            sim_millis: AtomicU64::new(0),
+            sim_nanos: AtomicU64::new(0),
         }
     }
 
@@ -1087,7 +1095,7 @@ impl Session {
                     .to_owned(),
             });
         };
-        // Wall-clock feeds only the sim_millis counter, never result bytes.
+        // Wall-clock feeds only the sim_nanos counter, never result bytes.
         let started = std::time::Instant::now();
         let evaluation = evaluator.evaluate(&Tier2Context {
             catalog: state.catalog(),
@@ -1102,10 +1110,10 @@ impl Session {
             .fetch_add(evaluation.usage.trials, AtomicOrdering::Relaxed);
         self.sim_reused
             .fetch_add(evaluation.usage.reused_rows, AtomicOrdering::Relaxed);
-        self.sim_millis.fetch_add(
-            started.elapsed().as_millis() as u64,
-            AtomicOrdering::Relaxed,
-        );
+        // Whole nanoseconds, so that evaluations shorter than a
+        // millisecond still add up in `SimStats::millis`.
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.sim_nanos.fetch_add(nanos, AtomicOrdering::Relaxed);
         Ok(result.with_sim(evaluation.block))
     }
 
@@ -1448,7 +1456,7 @@ impl Session {
             survivors: self.sim_survivors.load(AtomicOrdering::Relaxed),
             trials: self.sim_trials.load(AtomicOrdering::Relaxed),
             reused_rows: self.sim_reused.load(AtomicOrdering::Relaxed),
-            millis: self.sim_millis.load(AtomicOrdering::Relaxed),
+            millis: self.sim_nanos.load(AtomicOrdering::Relaxed) / 1_000_000,
         }
     }
 
@@ -1471,6 +1479,57 @@ mod tests {
 
     fn session() -> Session {
         Session::new(Arc::new(Catalog::paper()))
+    }
+
+    /// A tier-2 evaluator that only sleeps, for the time accounting.
+    #[derive(Debug)]
+    struct Sleeper(std::time::Duration);
+
+    impl crate::tier2::Tier2Evaluator for Sleeper {
+        fn evaluate(
+            &self,
+            ctx: &Tier2Context<'_>,
+        ) -> Result<crate::tier2::Tier2Evaluation, SkylineError> {
+            std::thread::sleep(self.0);
+            Ok(crate::tier2::Tier2Evaluation {
+                block: SimBlock {
+                    objectives: ctx.plan.sim_objectives().to_vec(),
+                    rows: Vec::new(),
+                    report: crate::tier2::VerificationReport {
+                        entries: Vec::new(),
+                    },
+                },
+                usage: crate::tier2::SimUsage::default(),
+            })
+        }
+    }
+
+    #[test]
+    fn sim_time_adds_up_evaluations_shorter_than_a_millisecond() {
+        // Three 600 µs evaluations take at least 1.8 ms; truncating each
+        // one to whole milliseconds would add up to 0.
+        let session =
+            session().with_tier2(Arc::new(Sleeper(std::time::Duration::from_micros(600))));
+        for trials in 1..=3 {
+            let plan = QueryPlan::builder()
+                .sim_objective(crate::plan::SimObjective::MissionRobustness { trials })
+                .build()
+                .unwrap();
+            session.run(&plan).unwrap();
+        }
+        let stats = session.sim_stats();
+        assert_eq!(stats.evaluations, 3);
+        assert!(stats.millis >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn try_value_is_the_checked_value() {
+        let result = session()
+            .run(&QueryPlan::builder().build().unwrap())
+            .unwrap();
+        assert_eq!(result.try_value(0, 0), Some(result.value(0, 0)));
+        assert_eq!(result.try_value(result.len(), 0), None);
+        assert_eq!(result.try_value(0, result.objectives().len()), None);
     }
 
     #[test]

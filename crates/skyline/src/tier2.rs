@@ -179,6 +179,7 @@ pub struct SimStats {
     pub trials: u64,
     /// Survivor rows reused from prior results during delta repair.
     pub reused_rows: u64,
-    /// Total wall-clock milliseconds spent in tier-2 evaluation.
+    /// Total wall-clock milliseconds spent in tier-2 evaluation, summed
+    /// in nanoseconds and truncated once.
     pub millis: u64,
 }
