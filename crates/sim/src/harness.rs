@@ -248,8 +248,8 @@ impl Tier2Evaluator for SimHarness {
 
         // Fan the survivor jobs through the session's work-stealing
         // pool; chunk size 1 because one job (a 256-action pipeline run
-        // and a few dozen verdict-only trials) costs about a tenth of a
-        // millisecond, far more than claiming a chunk.
+        // and a few dozen verdict-only trials) costs about 0.2 ms of
+        // CPU, far more than claiming a chunk.
         let row_results: Vec<RowResult> = parallel_map_indices(jobs.len(), 1, |j| {
             let Some(job) = jobs.get(j) else {
                 return RowResult {
